@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, NumericalError
 from .sensor import RawCapture, SensorConfig
@@ -104,6 +103,7 @@ def fit_read_noise(samples: list, config: SensorConfig | None = None,
     if np.unique(g).size < 2:
         raise NumericalError("all gains equal: quadratic fit is degenerate")
     design = np.column_stack([g ** 2, np.ones_like(g)])
+    from scipy.optimize import nnls  # slow to import; only the fit needs it
     coef, residual = nnls(design, v)
     a, b = float(coef[0]), float(coef[1])
     # clipped if the unconstrained solution went negative

@@ -1,4 +1,4 @@
-"""File formats: PFM radiance maps, 16-bit PGM raw captures with JSON
+"""File formats: PFM radiance maps, 16-bit PGM raw captures with their
 sidecars, gain-stack directories, and the JSON documents for plans and
 profiles.
 
@@ -6,24 +6,43 @@ PFM here is the single-channel 'Pf' variant: text header (type, dimensions,
 scale), then rows of little-endian float32 stored bottom-up; a negative
 scale marks little endianness.  PGM is the binary 'P5' variant with 16-bit
 big-endian samples, per the netpbm convention.
+
+Every reader turns unreadable, missing or malformed files into
+``DataError``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
 
+SIDECAR_FORMAT = 2
+
+
+@contextmanager
+def _reading(path):
+    """Report OS and parse errors while reading ``path`` as DataError."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError,
+            zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
 
 # ------------------------------------------------------------------- PFM
 
 def read_pfm(path) -> np.ndarray:
     """Read a single-channel PFM into a float array (top-down row order)."""
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         header = fh.readline().strip()
         if header == b"PF":
             raise DataError(f"{path}: color PFM not supported, expected 'Pf'")
@@ -73,12 +92,14 @@ def write_pgm16(path, digits: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    with open(path, "rb") as fh:
+    with _reading(path), open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise DataError(f"{path}: not a binary PGM")
-        line = fh.readline().split()
-        width, height = int(line[0]), int(line[1])
+        dims = fh.readline().split()
+        if len(dims) != 2:
+            raise DataError(f"{path}: malformed PGM dimensions")
+        width, height = int(dims[0]), int(dims[1])
         maxval = int(fh.readline().strip())
         if maxval != 65535:
             raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
@@ -90,31 +111,55 @@ def read_pgm16(path) -> np.ndarray:
 
 # ------------------------------------------------------- captures + sidecar
 
+def _uniform(arr: np.ndarray, kind):
+    """The single value of a uniform array as a Python scalar, else None."""
+    flat = arr.ravel()
+    if flat.size and np.all(flat == flat[0]):
+        return kind(flat[0])
+    return None
+
+
 def save_capture(path_base, raw) -> None:
-    """Write digits to <base>.pgm and readout metadata to <base>.json."""
+    """Write a capture as <base>.pgm (digits), <base>.json (seed, metadata,
+    and the gain and bin factor when uniform) and <base>.npz (saturation
+    mask, plus the gain and bin factor arrays when not uniform)."""
     base = Path(path_base)
     write_pgm16(base.with_suffix(".pgm"), raw.digits)
-    doc = {
-        "seed": raw.seed,
-        "gain": raw.gain.tolist(),
-        "bin_factor": raw.bin_factor.tolist(),
-        "meta": _plain(raw.meta),
-    }
+    doc = {"format": SIDECAR_FORMAT, "seed": raw.seed, "meta": _plain(raw.meta)}
+    arrays = {"saturation_mask": raw.saturation_mask}
+    for name, kind in (("gain", float), ("bin_factor", int)):
+        doc[name] = _uniform(getattr(raw, name), kind)
+        if doc[name] is None:
+            arrays[name] = getattr(raw, name)
+    np.savez(base.with_suffix(".npz"), **arrays)
     base.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_capture(path_base, config):
-    """Read a capture back from its PGM + sidecar pair."""
+    """Read a capture back from its PGM, JSON and .npz files."""
     from .sensor import RawCapture
     base = Path(path_base)
     digits = read_pgm16(base.with_suffix(".pgm"))
-    doc = json.loads(base.with_suffix(".json").read_text())
-    gain = np.asarray(doc["gain"], dtype=np.float64)
-    bins = np.asarray(doc["bin_factor"], dtype=np.int64)
-    sat = digits == config.digital_max
-    return RawCapture(digits=digits, gain=gain, bin_factor=bins,
-                      saturation_mask=sat, seed=doc.get("seed"),
-                      meta=doc.get("meta", {}))
+    if digits.size and int(digits.max()) > config.digital_max:
+        raise DataError(f"{base}.pgm: digits exceed the sensor's "
+                        f"digital_max={config.digital_max}")
+    doc = load_json(base.with_suffix(".json"))
+    if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
+        raise DataError(f"{base}.json: not a format-{SIDECAR_FORMAT} capture "
+                        "sidecar")
+    npz_path = base.with_suffix(".npz")
+    with _reading(npz_path), np.load(npz_path) as npz:
+        fields = {"saturation_mask": npz["saturation_mask"]}
+        for name, dtype in (("gain", np.float64), ("bin_factor", np.int64)):
+            value = doc.get(name)
+            fields[name] = np.asarray(npz[name] if value is None else value,
+                                      dtype=dtype)
+    for name, arr in fields.items():
+        if arr.ndim and arr.shape != digits.shape:
+            raise DataError(f"{npz_path}: {name} has shape {arr.shape}, "
+                            f"digits have {digits.shape}")
+    return RawCapture(digits=digits, seed=doc.get("seed"),
+                      meta=doc.get("meta", {}), **fields)
 
 
 def save_gain_stack(directory, stack) -> None:
@@ -133,12 +178,11 @@ def save_gain_stack(directory, stack) -> None:
 def load_gain_stack(directory, config):
     from .readout import GainStack
     d = Path(directory)
-    doc = json.loads((d / "manifest.json").read_text())
-    gains, frames = [], []
-    for entry in doc["frames"]:
-        gains.append(float(entry["gain"]))
-        frames.append(load_capture(d / entry["base"], config))
-    return GainStack(gains=tuple(gains), frames=tuple(frames))
+    doc = load_json(d / "manifest.json")
+    with _reading(d / "manifest.json"):
+        entries = [(float(e["gain"]), e["base"]) for e in doc["frames"]]
+    frames = tuple(load_capture(d / name, config) for _, name in entries)
+    return GainStack(gains=tuple(g for g, _ in entries), frames=frames)
 
 
 # ----------------------------------------------------------- JSON documents

@@ -215,15 +215,17 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
 
     The physical randomness (photon arrivals and read noise) does not depend
     on the gain choice, so those draws are vectorized up front; only the
-    cheap gain recursion runs sequentially.  The first pixel of the frame
-    uses gain 1.
+    cheap gain recursion runs sequentially, one row at a time over Python
+    floats (numpy scalar indexing costs several times more per pixel).  The
+    first pixel of the frame uses gain 1.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    flat = scene.data.ravel()
-    n = flat.size
-    photons = sensor_mod.draw_photons(rng, flat * config.quantum_efficiency)
-    n_pre = rng.normal(0.0, config.sigma_pre, n)
-    n_post = rng.normal(0.0, config.sigma_post, n)
+    shape = scene.data.shape
+    n = scene.data.size
+    photons = sensor_mod.draw_photons(
+        rng, scene.data.ravel() * config.quantum_efficiency).reshape(shape)
+    n_pre = rng.normal(0.0, config.sigma_pre, n).reshape(shape)
+    n_post = rng.normal(0.0, config.sigma_post, n).reshape(shape)
 
     slope = config.adc_slope
     black = config.black_level
@@ -231,25 +233,38 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     lwc = config.well_capacity
     gmin, gmax = config.gain_min, config.gain_max
 
-    digits = np.empty(n, dtype=np.uint16)
-    gains = np.empty(n, dtype=np.float64)
+    digits = np.empty(shape, dtype=np.uint16)
+    gains = np.empty(shape, dtype=np.float64)
+    sqrt = math.sqrt
     g = 1.0
-    for k in range(n):
-        gains[k] = g
-        v = g * (photons[k] + n_pre[k]) + n_post[k]
-        d = int(min(max(round(v * slope) + black, 0), dmax))
-        digits[k] = d
-        if d == dmax:
-            g = 1.0
-        else:
+    # Plain comparisons stand in for min/max: this body runs once per pixel.
+    for row in range(shape[0]):
+        row_digits, row_gains = [], []
+        put_digit, put_gain = row_digits.append, row_gains.append
+        for p, pre, post in zip(photons[row].tolist(), n_pre[row].tolist(),
+                                n_post[row].tolist()):
+            put_gain(g)
+            d = round((g * (p + pre) + post) * slope) + black
+            if d < 0:
+                d = 0
+            elif d > dmax:
+                d = dmax
+            put_digit(d)
+            if d == dmax:
+                g = 1.0
+                continue
             level = (d - black) / slope / g
             if level <= 0:
                 g = gmax
-            else:
-                g = min(max(lwc / (level + eta * math.sqrt(level)), gmin), gmax)
+                continue
+            g = lwc / (level + eta * sqrt(level))
+            if g < gmin:
+                g = gmin
+            elif g > gmax:
+                g = gmax
+        digits[row] = row_digits
+        gains[row] = row_gains
 
-    digits = digits.reshape(scene.data.shape)
-    gains = gains.reshape(scene.data.shape)
     sat = digits == dmax
     raw = RawCapture(digits=digits, gain=gains,
                      bin_factor=np.ones_like(digits, dtype=np.int64),

@@ -1,6 +1,10 @@
 """Command-line contracts: exit codes, file outputs, byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +66,7 @@ def test_reruns_are_byte_identical(tmp_path, scene_path, config_path):
                      "--output", str(out)]) == 0
     assert a.with_suffix(".pgm").read_bytes() == b.with_suffix(".pgm").read_bytes()
     assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
+    assert a.with_suffix(".npz").read_bytes() == b.with_suffix(".npz").read_bytes()
 
 
 def test_thread_count_does_not_change_output(tmp_path, scene_path, config_path):
@@ -115,6 +120,49 @@ def test_plan_gain_from_pilot(tmp_path, scene_path, config_path):
     assert doc["mode"] == "per_roi"
     assert doc["shape"] == [2, 2]
     assert all(1.0 <= g <= 27.0 for g in doc["values"])
+
+
+def _assert_one_line_data_error(code, capsys):
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_simulate_malformed_pfm_exits_3(tmp_path, config_path, capsys):
+    bad = tmp_path / "bad.pfm"
+    bad.write_bytes(b"Pf\nabc 4\n-1.0\n")
+    code = main(["simulate", str(bad), "--config", config_path, "--seed", "1",
+                 "--output", str(tmp_path / "o")])
+    _assert_one_line_data_error(code, capsys)
+
+
+def test_simulate_missing_scene_exits_3(tmp_path, config_path, capsys):
+    code = main(["simulate", str(tmp_path / "missing.pfm"), "--config",
+                 config_path, "--seed", "1", "--output", str(tmp_path / "o")])
+    _assert_one_line_data_error(code, capsys)
+
+
+def test_plan_gain_pilot_without_npz_exits_3(tmp_path, scene_path,
+                                             config_path, capsys):
+    pilot = tmp_path / "pilot"
+    assert main(["simulate", scene_path, "--config", config_path,
+                 "--gain", "1.0", "--seed", "2", "--output", str(pilot)]) == 0
+    pilot.with_suffix(".npz").unlink()
+    capsys.readouterr()
+    code = main(["plan-gain", "--config", config_path, "--pilot", str(pilot),
+                 "--roi-size", "32", "--output", str(tmp_path / "plan.json")])
+    _assert_one_line_data_error(code, capsys)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize is only needed by calibrate's fit; importing it costs
+    # every command about half a second of start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, svsensor.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_plan_gain_without_inputs_exits_2(tmp_path, config_path):

@@ -1,6 +1,8 @@
 """Gain planning: the headroom rule, ROI and per-pixel strategies,
 vignetting maps, ladder quantization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,27 @@ class TestPerPixelPlanner:
         scene = load_and_normalize(spec, config)
         _, report = capture_adaptive(scene, 4.0, config, seed=26)
         assert report.measured_saturation_frac <= 0.06
+
+    def test_adaptive_capture_pinned(self, config):
+        # digits and gains of a 64x64 closed-loop capture, fixed so that a
+        # rewrite of the loop cannot change a single bit of its output
+        from svsensor import SceneSpec, load_and_normalize
+        spec = SceneSpec(source="hdr_blobs", seed=3, width=64, height=64,
+                         mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        raw, _ = capture_adaptive(scene, 2.0, config, seed=11)
+        digest = hashlib.sha256(raw.digits.tobytes()
+                                + raw.gain.tobytes()).hexdigest()
+        assert digest == ("cee365857abb07d03d1f3e5a33668fce"
+                          "5c70dc074d9c874dd99ef568f54fe256")
+        # the loop follows the library's own streaming rule, saturation
+        # resets and dark readouts included
+        d = raw.digits.ravel().tolist()
+        g = raw.gain.ravel().tolist()
+        assert g[0] == 1.0
+        assert raw.saturation_mask.any() and max(g) == config.gain_max
+        for k in range(1, len(d)):
+            assert g[k] == next_gain(d[k - 1], g[k - 1], 2.0, config), k
 
 
 class TestVignetting:
