@@ -8,7 +8,8 @@ from .gain import (GainMap, PlanReport, capture_adaptive, gain_for_level,
 from .metrics import EvalReport, evaluate_protocol, gamma_correct, psnr, ssim
 from .readout import (BinMap, GainStack, bin_capture,
                       capture_spatially_varying, compose_from_gain_stack,
-                      native_estimate_blocks)
+                      native_estimate_blocks, plan_bin_roi)
+from .roi import RoiGrid
 from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize, pixelate
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
                      dequantize, estimate_photons, quantize, simulate_capture,
@@ -22,7 +23,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinLut", "BinMap", "ConfigError", "DataError", "EvalReport", "GainMap",
     "GainStack", "NoiseProfile", "NumericalError", "PhotonEstimate",
-    "PitchCurve", "PlanReport", "RadianceMap", "RawCapture", "SceneSpec",
+    "PitchCurve", "PlanReport", "RadianceMap", "RawCapture", "RoiGrid",
+    "SceneSpec",
     "SensorConfig", "ShapeError", "TheoryParams", "bin_capture",
     "boxed_sinusoid", "capture_adaptive", "capture_spatially_varying",
     "compose_from_gain_stack", "contrast", "cutoff_frequency",
@@ -30,7 +32,7 @@ __all__ = [
     "fit_read_noise", "gain_for_level", "gain_from_vignetting",
     "gamma_correct", "light_to_bin_lut", "load_and_normalize",
     "native_estimate_blocks", "next_gain", "noise_sigma", "optimal_pitch",
-    "pixelate", "plan_gain_per_pixel", "plan_gain_roi", "psnr",
+    "pixelate", "plan_bin_roi", "plan_gain_per_pixel", "plan_gain_roi", "psnr",
     "quantize", "quantize_to_ladder", "simulate_capture", "simulate_pixel",
     "ssim", "sweep_pitch",
 ]

@@ -19,7 +19,8 @@ from .calibrate import dark_variance, fit_read_noise
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .gain import GainMap, capture_adaptive, gain_from_vignetting, plan_gain_roi, quantize_to_ladder
 from .metrics import METHODS, evaluate_protocol
-from .readout import BinMap, capture_spatially_varying, compose_from_gain_stack
+from .readout import (BinMap, capture_spatially_varying,
+                      compose_from_gain_stack, plan_bin_roi)
 from .scenes import SceneSpec, load_and_normalize
 from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
 from .theory import TheoryParams, light_to_bin_lut, sweep_pitch
@@ -56,8 +57,7 @@ def cmd_simulate(args) -> int:
         gm = GainMap.from_json_dict(fileio.load_json(args.gain_map))
     else:
         gm = GainMap(mode="constant", values=np.asarray(args.gain))
-    raw = simulate_capture(scene, gm, None, config, seed=args.seed,
-                           threads=args.threads)
+    raw = simulate_capture(scene, gm, None, config, seed=args.seed)
     fileio.save_capture(args.output, raw)
     if args.estimate:
         est = estimate_photons(raw, config)
@@ -93,23 +93,8 @@ def cmd_plan_bin(args) -> int:
     config = _load_config(args.config)
     raw = fileio.load_capture(args.pilot, config)
     snapshot = estimate_photons(raw, config)
-    params = TheoryParams(
-        snr_t=args.snr_t,
-        pitch_candidates=tuple(config.pixel_pitch * k for k in (1, 2, 4, 8)),
-        light_grid=tuple(np.geomspace(args.light_min, args.light_max, 48)))
-    lut = light_to_bin_lut(params, config, config.pixel_pitch, gain=args.gain)
-    h, w = snapshot.data.shape
-    r = args.roi_size
-    rows, cols = -(-h // r), -(-w // r)
-    levels = np.where(snapshot.validity_mask,
-                      np.clip(snapshot.data, 0, None), np.nan)
-    factors = np.empty((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            blk = levels[i * r:(i + 1) * r, j * r:(j + 1) * r]
-            level = float(np.nanmean(blk)) if np.isfinite(blk).any() else 0.0
-            factors[i, j] = lut.lookup(level / config.pixel_pitch ** 2)
-    bm = BinMap(roi_size=r, factors=factors, mode=args.mode)
+    bm = plan_bin_roi(snapshot, args.roi_size, args.mode, config, args.snr_t,
+                      args.gain)
     fileio.save_json(args.output, bm.to_json_dict())
     return EXIT_OK
 
@@ -129,11 +114,9 @@ def cmd_capture(args) -> int:
         if args.bin_map:
             bm = BinMap.from_json_dict(fileio.load_json(args.bin_map))
             raw, _ = capture_spatially_varying(scene, gm, bm, config,
-                                               seed=args.seed,
-                                               threads=args.threads)
+                                               seed=args.seed)
         else:
-            raw = simulate_capture(scene, gm, None, config, seed=args.seed,
-                                   threads=args.threads)
+            raw = simulate_capture(scene, gm, None, config, seed=args.seed)
     fileio.save_capture(args.output, raw)
     if args.estimate:
         est = estimate_photons(raw, config)
@@ -156,10 +139,16 @@ def cmd_compose(args) -> int:
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     manifest = fileio.load_json(args.manifest)
+    try:
+        entries = [(float(e["gain"]), list(e["frames"]))
+                   for e in manifest["gains"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"calibrate manifest {args.manifest}: every entry of "
+                        f"'gains' needs a 'gain' and a 'frames' list ({exc!r})"
+                        ) from exc
     samples = []
-    for entry in manifest["gains"]:
-        g = float(entry["gain"])
-        frames = [fileio.read_pgm16(p) for p in entry["frames"]]
+    for g, paths in entries:
+        frames = [fileio.read_pgm16(p) for p in paths]
         samples.append((g, dark_variance(frames)))
     profile = fit_read_noise(samples, config if args.electrons else None)
     fileio.save_json(args.output, profile.to_json_dict())
@@ -172,8 +161,7 @@ def cmd_theory(args) -> int:
     lights = _float_list(args.lights)
     params = TheoryParams(snr_t=args.snr_t, pitch_candidates=pitches,
                           light_grid=lights)
-    curve = sweep_pitch(params, config, gain=args.gain,
-                        contrast_p_squared=args.contrast_p_squared)
+    curve = sweep_pitch(params, config, gain=args.gain)
     out = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
         out.write("l0,p,f_cutoff\n")
@@ -194,8 +182,7 @@ def cmd_theory(args) -> int:
         if out is not sys.stdout:
             out.close()
     if args.lut_out:
-        lut = light_to_bin_lut(params, config, pitches[0], gain=args.gain,
-                               contrast_p_squared=args.contrast_p_squared)
+        lut = light_to_bin_lut(params, config, pitches[0], gain=args.gain)
         fileio.save_json(args.lut_out, lut.to_json_dict())
     return EXIT_OK
 
@@ -223,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="sensor config JSON")
         if seeded:
             p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("simulate", help="capture a scene at one gain")
     common(p)
@@ -254,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--mode", choices=("additive", "average", "digital"),
                    default="additive")
-    p.add_argument("--light-min", type=float, default=0.05)
-    p.add_argument("--light-max", type=float, default=4000.0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_plan_bin)
 
@@ -295,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pitches", required=True, help="comma-separated, ascending")
     p.add_argument("--lights", required=True, help="comma-separated, ascending")
     p.add_argument("--gain", type=float, default=1.0)
-    p.add_argument("--contrast-p-squared", action="store_true",
-                   help="use the pitch-squared contrast prefactor variant")
     p.add_argument("--output", default="-", help="CSV path or - for stdout")
     p.add_argument("--lut-out", help="also write the light-to-bin LUT JSON")
     p.set_defaults(func=cmd_theory)

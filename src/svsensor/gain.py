@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sensor as sensor_mod
 from .errors import ConfigError, DataError, ShapeError
+from .roi import RoiGrid
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     dequantize)
+                     dequantize, draw_noise)
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,7 @@ class GainMap:
             if self.values.shape != (height, width):
                 raise ShapeError("per_pixel gain map does not match image size")
             return np.asarray(self.values)
-        r = self.roi_size
-        rows = -(-height // r)
-        cols = -(-width // r)
-        if self.values.shape != (rows, cols):
-            raise ShapeError(
-                f"per_roi gain grid {self.values.shape} does not cover a "
-                f"{height}x{width} image at roi_size={r}")
-        full = np.repeat(np.repeat(self.values, r, axis=0), r, axis=1)
-        return full[:height, :width]
+        return RoiGrid(height, width, self.roi_size).expand(self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,28 +136,22 @@ def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
     """
     if roi_size < 8:
         raise ConfigError("roi_size must be at least 8")
-    h, w = snapshot.data.shape
-    rows = -(-h // roi_size)
-    cols = -(-w // roi_size)
-    gains = np.empty((rows, cols))
+    grid = RoiGrid(*snapshot.data.shape, roi_size)
+    gains = np.empty(grid.shape)
     report = PlanReport()
     tails = []
-    for i in range(rows):
-        for j in range(cols):
-            blk = snapshot.data[i * roi_size:(i + 1) * roi_size,
-                                j * roi_size:(j + 1) * roi_size]
-            ok = snapshot.validity_mask[i * roi_size:(i + 1) * roi_size,
-                                        j * roi_size:(j + 1) * roi_size]
-            if not ok.any():
-                gains[i, j] = config.gain_min
-                report.empty_rois.append((i, j))
-                continue
-            peak = max(float(blk[ok].max()), 0.0)
-            g = gain_for_level(peak, eta, config)
-            gains[i, j] = g
-            if peak > 0:
-                margin = config.well_capacity / g - peak
-                tails.append(margin / math.sqrt(peak))
+    for (i, j), sl in grid.slices():
+        ok = snapshot.validity_mask[sl]
+        if not ok.any():
+            gains[i, j] = config.gain_min
+            report.empty_rois.append((i, j))
+            continue
+        peak = max(float(snapshot.data[sl][ok].max()), 0.0)
+        g = gain_for_level(peak, eta, config)
+        gains[i, j] = g
+        if peak > 0:
+            margin = config.well_capacity / g - peak
+            tails.append(margin / math.sqrt(peak))
     if tails:
         report.predicted_saturation_frac = float(
             np.mean(_tail_probability(np.asarray(tails))))
@@ -214,18 +200,14 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     """Closed-loop per-pixel capture: each readout sets the next pixel's gain.
 
     The physical randomness (photon arrivals and read noise) does not depend
-    on the gain choice, so those draws are vectorized up front; only the
-    cheap gain recursion runs sequentially, one row at a time over Python
-    floats (numpy scalar indexing costs several times more per pixel).  The
-    first pixel of the frame uses gain 1.
+    on the gain choice, so ``draw_noise`` draws it up front, the same
+    realization every other capture reads at this seed; only the cheap gain
+    recursion runs sequentially, one row at a time over Python floats (numpy
+    scalar indexing costs several times more per pixel).  The first pixel of
+    the frame uses gain 1.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    charge, n_post, _ = draw_noise(scene, config, seed)
     shape = scene.data.shape
-    n = scene.data.size
-    photons = sensor_mod.draw_photons(
-        rng, scene.data.ravel() * config.quantum_efficiency).reshape(shape)
-    n_pre = rng.normal(0.0, config.sigma_pre, n).reshape(shape)
-    n_post = rng.normal(0.0, config.sigma_post, n).reshape(shape)
 
     slope = config.adc_slope
     black = config.black_level
@@ -241,10 +223,9 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     for row in range(shape[0]):
         row_digits, row_gains = [], []
         put_digit, put_gain = row_digits.append, row_gains.append
-        for p, pre, post in zip(photons[row].tolist(), n_pre[row].tolist(),
-                                n_post[row].tolist()):
+        for c, post in zip(charge[row].tolist(), n_post[row].tolist()):
             put_gain(g)
-            d = round((g * (p + pre) + post) * slope) + black
+            d = round((g * c + post) * slope) + black
             if d < 0:
                 d = 0
             elif d > dmax:
@@ -285,13 +266,11 @@ def gain_from_vignetting(vignette: np.ndarray, roi_size: int, eta: float,
     if np.any(t <= 0) or np.any(t > 1):
         raise DataError("transmission values must lie in (0, 1]")
     h, w = t.shape
-    rows = -(-h // roi_size)
-    cols = -(-w // roi_size)
-    mean_t = np.empty((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            mean_t[i, j] = t[i * roi_size:(i + 1) * roi_size,
-                             j * roi_size:(j + 1) * roi_size].mean()
+    grid = RoiGrid(h, w, roi_size)
+    mean_t = np.empty(grid.shape)
+    for (i, j), sl in grid.slices():
+        mean_t[i, j] = t[sl].mean()
+    rows, cols = grid.shape
     center = mean_t[min((h // 2) // roi_size, rows - 1),
                     min((w // 2) // roi_size, cols - 1)]
     gains = np.clip(center / mean_t, config.gain_min, config.gain_max)

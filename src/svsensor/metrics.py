@@ -8,13 +8,13 @@ bin maps from it, then run the four readout strategies
     const_gain_vary_bin  base gain, per-ROI additive binning
     vary_gain_vary_bin   per-ROI gains plus per-ROI digital binning
 
-on the same scene with the same seed.  Captures share their per-ROI noise
-substreams, so methods are compared on identical photon arrivals and the
-comparison is paired: strategies that coincide on an ROI produce identical
-pixels there.  Estimates are normalized by well capacity, gamma corrected,
-and scored with SSIM per ROI against the noise-free ground truth; reports
-aggregate the worst-case ROI (the number that exposes how the darkest or
-most damaged region fared) alongside the mean.
+on the same scene with the same seed.  One seed is one noise realization
+whatever the plan, so methods are compared on identical photon arrivals and
+the comparison is paired: strategies that coincide on an ROI produce
+identical pixels there.  Estimates are normalized by well capacity, gamma
+corrected, and scored with SSIM per ROI against the noise-free ground truth;
+reports aggregate the worst-case ROI (the number that exposes how the
+darkest or most damaged region fared) alongside the mean.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigError, ShapeError
 from .gain import GainMap, gain_for_level, plan_gain_roi
-from .readout import BinMap, capture_spatially_varying
+from .readout import BinMap, capture_spatially_varying, plan_bin_roi
+from .roi import RoiGrid
 from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
-from .theory import TheoryParams, optimal_pitch
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
            "const_gain_vary_bin", "vary_gain_vary_bin")
@@ -58,6 +57,8 @@ def ssim(ref: np.ndarray, test: np.ndarray,
     its mean over the interior (window margins cropped when the image is
     large enough).
     """
+    from scipy.ndimage import gaussian_filter  # slow to import; only SSIM needs it
+
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
@@ -137,47 +138,35 @@ class EvalReport:
         return rows
 
 
-def _roi_blocks(img: np.ndarray, r: int):
-    h, w = img.shape
-    for i in range(0, h, r):
-        for j in range(0, w, r):
-            yield (i // r, j // r), img[i:i + r, j:j + r]
-
-
 def _score_method(gt_gamma: np.ndarray, scene: RadianceMap, raw, config,
                   roi_size: int) -> MethodScores:
     est = estimate_photons(raw, config).data
     img_gamma = gamma_correct(est / config.well_capacity, 1.0 / 3.2)
-    rows = -(-scene.height // roi_size)
-    cols = -(-scene.width // roi_size)
-    grid = np.empty((rows, cols))
-    psnrs = np.empty((rows, cols))
-    native = np.empty((rows, cols))
-    for (i, j), ref_blk in _roi_blocks(gt_gamma, roi_size):
-        test_blk = img_gamma[i * roi_size:(i + 1) * roi_size,
-                             j * roi_size:(j + 1) * roi_size]
-        _, grid[i, j] = ssim(ref_blk, test_blk)
+    grid = RoiGrid(scene.height, scene.width, roi_size)
+    ssims = np.empty(grid.shape)
+    psnrs = np.empty(grid.shape)
+    native = np.empty(grid.shape)
+    for (i, j), sl in grid.slices():
+        ref_blk, test_blk = gt_gamma[sl], img_gamma[sl]
+        _, ssims[i, j] = ssim(ref_blk, test_blk)
         psnrs[i, j] = psnr(ref_blk, test_blk)
         # native view: superpixel-resolution estimate vs block-mean reference
-        n = int(raw.bin_factor[i * roi_size, j * roi_size])
-        k = math.isqrt(n)
+        k = math.isqrt(int(raw.bin_factor[sl][0, 0]))
         if k > 1 and ref_blk.shape[0] % k == 0 and ref_blk.shape[1] % k == 0:
-            blk = scene.data[i * roi_size:(i + 1) * roi_size,
-                             j * roi_size:(j + 1) * roi_size]
+            blk = scene.data[sl]
             ref_native = blk.reshape(blk.shape[0] // k, k,
                                      blk.shape[1] // k, k).mean(axis=(1, 3))
             ref_native = gamma_correct(ref_native / config.well_capacity, 1.0 / 3.2)
-            est_native = est[i * roi_size:(i + 1) * roi_size,
-                             j * roi_size:(j + 1) * roi_size][::k, ::k]
-            est_native = gamma_correct(est_native / config.well_capacity, 1.0 / 3.2)
+            est_native = gamma_correct(est[sl][::k, ::k] / config.well_capacity,
+                                       1.0 / 3.2)
             _, native[i, j] = ssim(ref_native, est_native)
         else:
-            native[i, j] = grid[i, j]
-    return MethodScores(worst_ssim=float(grid.min()),
-                        mean_ssim=float(grid.mean()),
+            native[i, j] = ssims[i, j]
+    return MethodScores(worst_ssim=float(ssims.min()),
+                        mean_ssim=float(ssims.mean()),
                         worst_psnr=float(psnrs.min()),
                         worst_ssim_native=float(native.min()),
-                        ssim_grid=grid)
+                        ssim_grid=ssims)
 
 
 def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
@@ -193,9 +182,6 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods: {sorted(unknown)}")
-    rows = -(-scene.height // roi_size)
-    cols = -(-scene.width // roi_size)
-
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
     pilot_raw = simulate_capture(scene, 1.0, None, config, seed=pilot_seed)
@@ -210,35 +196,19 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
         global_peak = config.well_capacity  # pilot fully saturated
     g_base = gain_for_level(global_peak, eta, config)
 
-    # bin plan from the pilot at base gain, per-ROI mean level
-    params = TheoryParams(snr_t=snr_t,
-                          pitch_candidates=tuple(config.pixel_pitch * k
-                                                 for k in (1, 2, 4, 8)))
-    factors = np.ones((rows, cols), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            blk = valid_levels[i * roi_size:(i + 1) * roi_size,
-                               j * roi_size:(j + 1) * roi_size]
-            level = float(np.nanmean(blk)) if np.isfinite(blk).any() else 0.0
-            density = max(level, 0.0) / config.pixel_pitch ** 2
-            if density <= 0:
-                factors[i, j] = 64
-                continue
-            p_star, _ = optimal_pitch(density, 1.0, params, config)
-            factors[i, j] = 64 if p_star is None else int(
-                round((p_star / config.pixel_pitch) ** 2))
+    # bin plan from the pilot at unit gain, per-ROI mean level
+    bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)
+    factors = bins.factors
 
-    base_grid = np.full((rows, cols), g_base)
-    trivial = BinMap(roi_size=roi_size,
-                     factors=np.ones((rows, cols), dtype=np.int64),
+    base_grid = np.full(factors.shape, g_base)
+    trivial = BinMap(roi_size=roi_size, factors=np.ones_like(factors),
                      mode="digital")
     plans = {
         "const_gain_no_bin": (GainMap("per_roi", base_grid, roi_size, eta),
                               trivial),
         "vary_gain_no_bin": (gmap, trivial),
         "const_gain_vary_bin": (
-            GainMap("per_roi", base_grid * factors, roi_size, eta),
-            BinMap(roi_size=roi_size, factors=factors, mode="additive")),
+            GainMap("per_roi", base_grid * factors, roi_size, eta), bins),
         "vary_gain_vary_bin": (
             gmap, BinMap(roi_size=roi_size, factors=factors, mode="digital")),
     }

@@ -13,28 +13,31 @@ Three ways to merge an aligned k x k block of unit pixels (N = k^2):
 All modes cut the photon-noise term by N and are decoded by the same nominal
 gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
-Reproducibility: each ROI draws from a substream derived from (seed, roi
-index), and the draw order inside an ROI is fixed regardless of the plan
-(unit-pixel photons and read noise first, then superpixel post-amp draws for
-every ladder factor).  Captures of the same scene with the same seed but
-different plans therefore share their physical noise realization, which is
-also what makes paired method comparisons in the evaluation protocol exact.
+Reproducibility: one seed is one noise realization.  Every planned capture
+goes through ``read_out``, which takes its draws from ``sensor.draw_noise``:
+the whole frame in a fixed order, independent of the plan (unit-pixel
+photons and read noise, then superpixel post-amp normals on the global
+k-grids).  Captures of the same scene with the same seed but different plans
+therefore share their physical noise realization: a scalar gain and a grid
+of that gain give the same digits, and paired method comparisons in the
+evaluation protocol are exact.  The per-pixel adaptive loop
+(``gain.capture_adaptive``) reads the same draws through its own sequential
+recursion.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sensor as sensor_mod
 from .errors import ConfigError, DataError, ShapeError
 from .gain import GainMap
+from .roi import RoiGrid
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     estimate_photons, quantize)
-from .theory import BIN_LADDER
+                     draw_noise, estimate_photons, quantize)
+from .theory import BIN_LADDER, TheoryParams, optimal_pitch
 
 BIN_MODES = ("additive", "average", "digital")
 
@@ -114,83 +117,78 @@ def _replicate(arr: np.ndarray, k: int) -> np.ndarray:
 
 def _pad_to_multiple(arr: np.ndarray, k: int) -> np.ndarray:
     h, w = arr.shape
-    ph = (-h) % k
-    pw = (-w) % k
-    if ph or pw:
-        arr = np.pad(arr, ((0, ph), (0, pw)), mode="edge")
-    return arr
+    return np.pad(arr, ((0, -h % k), (0, -w % k)), mode="edge")
 
 
-def _draw_block(scene_block: np.ndarray, config: SensorConfig,
-                rng: np.random.Generator):
-    """Plan-independent draws for one ROI: unit-resolution photons and read
-    noise, then superpixel post-amp draws for every ladder factor."""
-    shape = scene_block.shape
-    photons = sensor_mod.draw_photons(
-        rng, scene_block * config.quantum_efficiency)
-    n_pre = rng.normal(0.0, config.sigma_pre, shape)
-    n_post = rng.normal(0.0, config.sigma_post, shape)
-    sup_post = {}
+def _check_gains(gain, factor, mode: str, config: SensorConfig) -> None:
+    """Every amplifier setting must lie in the configured gain range.  Under
+    additive binning with N > 1 the amplifier runs at g / N, which must not
+    fall below gain_min."""
+    g = np.asarray(gain, dtype=np.float64)
+    n = np.broadcast_to(factor, g.shape)
+    additive = (n > 1) & (mode == "additive")
+    low = additive & (g / n < config.gain_min)
+    if low.any():
+        g0, n0 = float(g[low].flat[0]), int(n[low].flat[0])
+        raise ConfigError(
+            f"additive binning at gain {g0} with N={n0} needs an amplifier "
+            f"gain of {g0 / n0}, below gain_min={config.gain_min}; increase "
+            "the gain or reduce the bin factor")
+    config.check_gain(g[~additive])
+
+
+def read_out(scene: RadianceMap, gain, factor, mode: str,
+             config: SensorConfig, seed: int):
+    """The capture kernel: digitize the ``draw_noise`` realization of
+    (scene, seed) under a per-pixel gain and bin factor (arrays or scalars)
+    and one binning mode.
+
+    A pixel with factor N = k * k belongs to the k x k superpixel that
+    starts at a multiple of k in both axes; gain and factor must be constant
+    over each such superpixel (an ROI grid whose size every k divides
+    guarantees it).  Superpixels cut by the frame edge are padded by edge
+    replication.  Returns unit-resolution digits, each superpixel's value
+    replicated over its footprint, and the saturation mask.
+    """
+    h, w = scene.data.shape
+    factor = np.broadcast_to(np.asarray(factor, dtype=np.int64), (h, w))
+    # digital binning reads only unit-pixel draws
+    max_k = 1 if mode == "digital" else math.isqrt(int(factor.max()))
+    charge, n_post, sup_post = draw_noise(scene, config, seed, max_k)
+    unit = quantize(gain * charge + n_post, config)
+    unit_sat = unit == config.digital_max
+    digits, sat = unit, unit_sat
     for k in BIN_LADDER[1:]:
-        sup_shape = (-(-shape[0] // k), -(-shape[1] // k))
-        sup_post[k] = rng.normal(0.0, config.sigma_post, sup_shape)
-    return photons, n_pre, n_post, sup_post
-
-
-def _bin_block(charge: np.ndarray, n_post: np.ndarray, sup_post: dict,
-               gain: float, factor: int, mode: str, config: SensorConfig):
-    """Digitize one ROI's charge image (photons + pre-amp noise) under the
-    requested binning.  Returns unit-resolution digits (superpixels
-    replicated) and the saturation mask."""
-    k = math.isqrt(int(factor))
-    if k * k != factor:
-        raise ConfigError("bin factor must be a perfect square")
-    orig_shape = charge.shape
-
-    if factor == 1:
-        v = gain * charge + n_post
-        digits = quantize(v, config)
-        return digits, digits == config.digital_max
-
-    charge = _pad_to_multiple(charge, k)
-    if mode == "additive":
-        g_hat = gain / factor
-        if g_hat < config.gain_min:
-            raise ConfigError(
-                f"additive binning at gain {gain} with N={factor} needs an "
-                f"amplifier gain of {g_hat}, below gain_min={config.gain_min}; "
-                "increase the gain or reduce the bin factor")
-        summed = _block_sum(charge, k)
-        # shared sense node holds at most N wells' worth of charge
-        summed = np.minimum(summed, factor * config.well_capacity)
-        sup = sup_post[k][:summed.shape[0], :summed.shape[1]]
-        v = g_hat * summed + sup
-        d_sup = quantize(v, config)
-        sat_sup = d_sup == config.digital_max
-    elif mode == "average":
-        meaned = _block_sum(charge, k) / factor
-        sup = sup_post[k][:meaned.shape[0], :meaned.shape[1]]
-        v = gain * meaned + sup
-        d_sup = quantize(v, config)
-        sat_sup = d_sup == config.digital_max
-    else:  # digital
-        n_post = _pad_to_multiple(n_post, k)
-        v = gain * charge + n_post
-        d_unit = quantize(v, config)
-        d_sup = np.rint(_block_sum(d_unit.astype(np.float64), k) / factor
-                        ).astype(np.uint16)
-        sat_sup = _block_sum((d_unit == config.digital_max).astype(np.int64),
-                             k) > 0
-
-    digits = _replicate(d_sup, k)[:orig_shape[0], :orig_shape[1]]
-    sat = _replicate(sat_sup, k)[:orig_shape[0], :orig_shape[1]]
+        n = k * k
+        sel = factor == n
+        if not sel.any():
+            continue
+        if mode == "digital":
+            # integer block sums of digits and of clipped unit pixels
+            d_sup = np.rint(_block_sum(_pad_to_multiple(unit, k), k) / n
+                            ).astype(np.uint16)
+            sat_sup = _block_sum(_pad_to_multiple(unit_sat, k), k) > 0
+        else:
+            g = np.broadcast_to(gain, (h, w))[::k, ::k]
+            summed = _block_sum(_pad_to_multiple(charge, k), k)
+            if mode == "additive":
+                # shared sense node holds at most N wells' worth of charge
+                summed = np.minimum(summed, n * config.well_capacity)
+                v = (g / n) * summed + sup_post[k]
+            else:
+                v = g * (summed / n) + sup_post[k]
+            d_sup = quantize(v, config)
+            sat_sup = d_sup == config.digital_max
+        digits = np.where(sel, _replicate(d_sup, k)[:h, :w], digits)
+        sat = np.where(sel, _replicate(sat_sup, k)[:h, :w], sat)
     return digits, sat
 
 
 def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
                 config: SensorConfig, seed: int = 0) -> RawCapture:
     """Capture the whole scene under one gain and one bin factor, returning
-    the reduced-resolution superpixel image."""
+    the reduced-resolution superpixel image.  Its digits are those of a
+    uniform ``BinMap`` capture at the same seed, subsampled ``[::k, ::k]``."""
     if mode not in BIN_MODES:
         raise ConfigError(f"unknown binning mode {mode!r}")
     k = math.isqrt(int(factor))
@@ -198,16 +196,10 @@ def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
         raise ConfigError(f"bin factor must be a square of {BIN_LADDER}")
     if scene.height % k or scene.width % k:
         raise ShapeError("scene dimensions must be divisible by the bin factor")
-    if mode != "additive":
-        config.check_gain(gain)
+    _check_gains(gain, factor, mode, config)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    photons, n_pre, n_post, sup_post = _draw_block(scene.data, config, rng)
-    digits, sat = _bin_block(photons + n_pre, n_post, sup_post,
-                             gain, factor, mode, config)
-    if k > 1:
-        digits = digits[::k, ::k]
-        sat = sat[::k, ::k]
+    digits, sat = read_out(scene, float(gain), factor, mode, config, seed)
+    digits, sat = digits[::k, ::k], sat[::k, ::k]
     return RawCapture(digits=digits, gain=np.full(digits.shape, float(gain)),
                       bin_factor=np.full(digits.shape, factor, dtype=np.int64),
                       saturation_mask=sat, seed=seed,
@@ -215,8 +207,7 @@ def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
 
 
 def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
-                              config: SensorConfig, seed: int = 0,
-                              threads: int = 1
+                              config: SensorConfig, seed: int = 0
                               ) -> tuple[RawCapture, PhotonEstimate]:
     """Capture with per-ROI gain and bin factor.
 
@@ -225,70 +216,60 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
     upsampled view); ``native_estimate_blocks`` recovers the per-ROI native
     resolution.  Metadata records the per-ROI parameters.
     """
-    r = bin_map.roi_size
-    rows = -(-scene.height // r)
-    cols = -(-scene.width // r)
-    if bin_map.factors.shape != (rows, cols):
-        raise ShapeError("bin map grid does not cover the scene")
-
+    grid = RoiGrid(scene.height, scene.width, bin_map.roi_size)
+    grid.check(bin_map.factors, "bin map")
     if isinstance(gain_map, GainMap):
         if gain_map.mode == "per_pixel":
             raise ShapeError("binned capture needs per-ROI or constant gain")
         if gain_map.mode == "per_roi":
-            if gain_map.roi_size != r or gain_map.values.shape != (rows, cols):
+            if gain_map.roi_size != grid.size:
                 raise ShapeError("gain and bin maps must share the ROI grid")
-            gain_grid = np.asarray(gain_map.values, dtype=float)
+            gain_grid = grid.check(gain_map.values, "gain map")
         else:
-            gain_grid = np.full((rows, cols), float(gain_map.values))
+            gain_grid = np.full(grid.shape, float(gain_map.values))
     else:
         gain_grid = np.broadcast_to(np.asarray(gain_map, dtype=float),
-                                    (rows, cols)).copy()
+                                    grid.shape).copy()
+    _check_gains(gain_grid, bin_map.factors, bin_map.mode, config)
 
-    for g, n in zip(gain_grid.ravel(), bin_map.factors.ravel()):
-        if bin_map.mode == "additive" and n > 1:
-            if g / n < config.gain_min - 1e-12:
-                raise ConfigError(
-                    f"additive binning at gain {g} with N={n} drives the "
-                    f"amplifier below gain_min={config.gain_min}; increase "
-                    "the gain or reduce the bin factor")
-        else:
-            config.check_gain(g)
-
-    streams = np.random.SeedSequence(seed).spawn(rows * cols)
-    digits = np.empty(scene.data.shape, dtype=np.uint16)
-    sat = np.empty(scene.data.shape, dtype=bool)
-    gain_full = np.empty(scene.data.shape)
-    bin_full = np.empty(scene.data.shape, dtype=np.int64)
-
-    def run_roi(idx):
-        i, j = divmod(idx, cols)
-        sl = (slice(i * r, min((i + 1) * r, scene.height)),
-              slice(j * r, min((j + 1) * r, scene.width)))
-        rng = np.random.default_rng(streams[idx])
-        photons, n_pre, n_post, sup_post = _draw_block(
-            scene.data[sl], config, rng)
-        g = float(gain_grid[i, j])
-        n = int(bin_map.factors[i, j])
-        d, s = _bin_block(photons + n_pre, n_post, sup_post, g, n,
-                          bin_map.mode, config)
-        digits[sl] = d
-        sat[sl] = s
-        gain_full[sl] = g
-        bin_full[sl] = n
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_roi, range(rows * cols)))
-    else:
-        for idx in range(rows * cols):
-            run_roi(idx)
-
+    gain_full = grid.expand(gain_grid)
+    bin_full = grid.expand(bin_map.factors)
+    digits, sat = read_out(scene, gain_full, bin_full, bin_map.mode, config,
+                           seed)
     raw = RawCapture(digits=digits, gain=gain_full, bin_factor=bin_full,
                      saturation_mask=sat, seed=seed,
-                     meta={"roi_size": r, "mode": bin_map.mode,
+                     meta={"roi_size": grid.size, "mode": bin_map.mode,
                            "gain_grid": gain_grid.tolist(),
                            "bin_grid": bin_map.factors.tolist()})
     return raw, estimate_photons(raw, config)
+
+
+def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
+                 config: SensorConfig, snr_t: float, gain: float) -> BinMap:
+    """Per-ROI bin plan from a pilot estimate.
+
+    Each ROI's mean valid level (negative estimates count as 0), as a photon
+    density over the unit pitch, gets the bin factor of its exact optimal
+    pitch among ``pixel_pitch * BIN_LADDER`` at ``gain`` and ``snr_t``
+    (``theory.optimal_pitch``).  Dark ROIs, ROIs without a valid pixel and
+    ROIs where no pitch resolves anything get the largest factor.
+    """
+    params = TheoryParams(snr_t=snr_t, pitch_candidates=tuple(
+        config.pixel_pitch * k for k in BIN_LADDER))
+    levels = np.where(snapshot.validity_mask,
+                      np.clip(snapshot.data, 0.0, None), np.nan)
+    grid = RoiGrid(*levels.shape, roi_size)
+    factors = np.full(grid.shape, BIN_LADDER[-1] ** 2, dtype=np.int64)
+    for (i, j), sl in grid.slices():
+        blk = levels[sl]
+        level = float(np.nanmean(blk)) if np.isfinite(blk).any() else 0.0
+        density = max(level, 0.0) / config.pixel_pitch ** 2
+        if density <= 0:
+            continue
+        p_star, _ = optimal_pitch(density, gain, params, config)
+        if p_star is not None:
+            factors[i, j] = int(round((p_star / config.pixel_pitch) ** 2))
+    return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 
 def native_estimate_blocks(raw: RawCapture, config: SensorConfig):
@@ -298,15 +279,10 @@ def native_estimate_blocks(raw: RawCapture, config: SensorConfig):
     if r is None:
         raise DataError("capture carries no ROI metadata")
     est = estimate_photons(raw, config).data
-    rows = -(-raw.height // r)
-    cols = -(-raw.width // r)
-    for i in range(rows):
-        for j in range(cols):
-            sl = (slice(i * r, min((i + 1) * r, raw.height)),
-                  slice(j * r, min((j + 1) * r, raw.width)))
-            n = int(raw.bin_factor[sl][0, 0])
-            k = math.isqrt(n)
-            yield (i, j), est[sl][::k, ::k], n
+    for idx, sl in RoiGrid(raw.height, raw.width, r).slices():
+        n = int(raw.bin_factor[sl][0, 0])
+        k = math.isqrt(n)
+        yield idx, est[sl][::k, ::k], n
 
 
 def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
@@ -315,41 +291,34 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     stack frame whose gain matches the plan.
 
     Every planned gain must exist in the stack (quantize the plan onto the
-    stack's gains first, snapping downward).  Because stack frames carry
-    independent noise at their own gains, the composite's per-ROI noise
-    statistics match a direct spatially-varying capture.  Also returns the
-    per-ROI frame provenance.
+    stack's gains first, snapping downward).  Each ROI of the composite has
+    the noise statistics of a direct spatially-varying capture; when every
+    frame was captured at one seed, the composite is that direct capture at
+    that seed, byte for byte.  Also returns the per-ROI frame provenance.
     """
     if gain_map.mode == "per_pixel":
         raise DataError("composition works on per-ROI or constant plans")
-    ref = stack.frames[0]
-    h, w = ref.digits.shape
+    h, w = stack.frames[0].digits.shape
     if gain_map.mode == "constant":
-        grid = np.full((1, 1), float(gain_map.values))
-        r = max(h, w)
+        grid = RoiGrid(h, w, max(h, w))
+        gains = np.full((1, 1), float(gain_map.values))
     else:
-        grid = np.asarray(gain_map.values, dtype=float)
-        r = gain_map.roi_size
-        if grid.shape != (-(-h // r), -(-w // r)):
-            raise ShapeError("gain plan grid does not cover the stack frames")
+        grid = RoiGrid(h, w, gain_map.roi_size)
+        gains = grid.check(gain_map.values, "gain plan")
 
     digits = np.empty((h, w), dtype=np.uint16)
-    gain_full = np.empty((h, w))
     sat = np.empty((h, w), dtype=bool)
     bin_full = np.empty((h, w), dtype=np.int64)
     provenance = np.empty(grid.shape, dtype=np.int64)
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            idx, frame = stack.frame_for_gain(float(grid[i, j]))
-            sl = (slice(i * r, min((i + 1) * r, h)),
-                  slice(j * r, min((j + 1) * r, w)))
-            digits[sl] = frame.digits[sl]
-            sat[sl] = frame.saturation_mask[sl]
-            bin_full[sl] = frame.bin_factor[sl]
-            gain_full[sl] = grid[i, j]
-            provenance[i, j] = idx
-    raw = RawCapture(digits=digits, gain=gain_full, bin_factor=bin_full,
-                     saturation_mask=sat,
+    for (i, j), sl in grid.slices():
+        idx, frame = stack.frame_for_gain(float(gains[i, j]))
+        digits[sl] = frame.digits[sl]
+        sat[sl] = frame.saturation_mask[sl]
+        bin_full[sl] = frame.bin_factor[sl]
+        provenance[i, j] = idx
+    raw = RawCapture(digits=digits, gain=grid.expand(gains),
+                     bin_factor=bin_full, saturation_mask=sat,
                      meta={"composed_from": list(map(float, stack.gains)),
-                           "roi_size": None if gain_map.mode == "constant" else r})
+                           "roi_size": None if gain_map.mode == "constant"
+                           else grid.size})
     return raw, provenance

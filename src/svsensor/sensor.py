@@ -23,7 +23,6 @@ negligible next to read noise.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -102,11 +101,19 @@ class SensorConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SensorConfig":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"sensor config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("sensor config must be a JSON object")
         unknown = set(doc) - set(CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown sensor config fields: {sorted(unknown)}")
-        return cls(**doc)
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # a field of the wrong JSON type
+            raise ConfigError(f"bad sensor config value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -225,42 +232,48 @@ def draw_photons(rng: np.random.Generator, mean_counts) -> np.ndarray:
     return np.asarray(rng.poisson(mean_counts), dtype=np.float64)
 
 
-def sample_voltage(mean_electrons, gain, config: SensorConfig,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Draw the pre-ADC voltage for given expected electrons and gain."""
-    m = np.asarray(mean_electrons, dtype=np.float64) * config.quantum_efficiency
-    l = draw_photons(rng, m)
-    n_pre = rng.normal(0.0, config.sigma_pre, size=m.shape)
-    n_post = rng.normal(0.0, config.sigma_post, size=m.shape)
-    return np.asarray(gain, dtype=np.float64) * (l + n_pre) + n_post
-
-
 def simulate_pixel(mean_electrons: float, gain: float, config: SensorConfig,
                    rng: np.random.Generator) -> int:
     """Simulate a single pixel readout and return its digital number."""
     if mean_electrons < 0:
         raise ValueError("expected electrons must be nonnegative")
     config.check_gain(gain)
-    v = sample_voltage(mean_electrons, gain, config, rng)
+    l = draw_photons(rng, mean_electrons * config.quantum_efficiency)
+    v = (gain * (l + rng.normal(0.0, config.sigma_pre))
+         + rng.normal(0.0, config.sigma_post))
     return int(quantize(v, config)[()])
 
 
-def _roi_grid(height: int, width: int, roi_size: int | None):
-    """Row, column slices tiling the image; one whole-image tile if roi_size
-    is None."""
-    if roi_size is None:
-        return [(slice(0, height), slice(0, width))]
-    tiles = []
-    for top in range(0, height, roi_size):
-        for left in range(0, width, roi_size):
-            tiles.append((slice(top, min(top + roi_size, height)),
-                          slice(left, min(left + roi_size, width))))
-    return tiles
+def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
+               max_k: int = 1):
+    """The noise realization of one (scene, seed), whatever the plan.
+
+    Every draw comes from the root stream ``default_rng(SeedSequence(seed))``
+    over the whole frame, in this order: unit-pixel photon arrivals (C
+    order), pre-amp normals, post-amp normals, then the post-amp normals of
+    the k x k superpixels on the ``ceil(h/k) x ceil(w/k)`` grid for
+    k = 2, 4, 8 up to ``max_k``.  Draws past ``max_k`` would come after all
+    of these, so skipping them changes no value that a plan reads.
+
+    Returns (charge, n_post, {k: superpixel post-amp normals}), where the
+    charge is each unit pixel's photon arrivals plus its pre-amp noise.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    shape = scene.data.shape
+    charge = draw_photons(rng, scene.data * config.quantum_efficiency)
+    charge += rng.normal(0.0, config.sigma_pre, shape)
+    n_post = rng.normal(0.0, config.sigma_post, shape)
+    sup_post = {}
+    k = 2
+    while k <= max_k:
+        sup_post[k] = rng.normal(0.0, config.sigma_post,
+                                 (-(-shape[0] // k), -(-shape[1] // k)))
+        k *= 2
+    return charge, n_post, sup_post
 
 
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
-                     config: SensorConfig, seed: int = 0,
-                     threads: int = 1) -> RawCapture:
+                     config: SensorConfig, seed: int = 0) -> RawCapture:
     """Simulate a full capture of ``scene``.
 
     ``gain_map`` may be a scalar gain, a per-pixel gain array, or a
@@ -268,24 +281,21 @@ def simulate_capture(scene: RadianceMap, gain_map, bin_map,
     binning is delegated to ``readout.capture_spatially_varying``; here
     every output pixel is one unit pixel.
 
-    Reproducibility contract: the RNG substream of each ROI is derived from
-    (seed, roi index), so results are bit-identical regardless of how many
-    worker threads execute the ROIs.
+    One seed is one noise realization (``draw_noise``): a scalar gain, a
+    per-ROI grid of that gain at any ROI size and a per-pixel array of it
+    give the same digits.
     """
-    from .gain import GainMap  # local import: gain builds on sensor types
+    from .gain import GainMap  # local imports: both build on sensor types
+    from .readout import capture_spatially_varying, read_out
 
     if bin_map is not None:
         factors = getattr(bin_map, "factors", bin_map)
         if np.any(np.asarray(factors) != 1):
-            from .readout import capture_spatially_varying
             raw, _ = capture_spatially_varying(scene, gain_map, bin_map,
-                                               config, seed, threads=threads)
+                                               config, seed)
             return raw
 
-    roi_size = None
     if isinstance(gain_map, GainMap):
-        if gain_map.mode == "per_roi":
-            roi_size = gain_map.roi_size
         gain_full = gain_map.expand(scene.height, scene.width)
     else:
         gain_full = np.broadcast_to(
@@ -295,25 +305,7 @@ def simulate_capture(scene: RadianceMap, gain_map, bin_map,
         raise ShapeError("gain map does not conform to scene dimensions")
     config.check_gain(gain_full)
 
-    tiles = _roi_grid(scene.height, scene.width, roi_size)
-    streams = np.random.SeedSequence(seed).spawn(len(tiles))
-    digits = np.empty(scene.data.shape, dtype=np.uint16)
-
-    def run_tile(idx):
-        rows, cols = tiles[idx]
-        rng = np.random.default_rng(streams[idx])
-        v = sample_voltage(scene.data[rows, cols], gain_full[rows, cols],
-                           config, rng)
-        digits[rows, cols] = quantize(v, config)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, range(len(tiles))))
-    else:
-        for i in range(len(tiles)):
-            run_tile(i)
-
-    sat = digits == config.digital_max
+    digits, sat = read_out(scene, gain_full, 1, "digital", config, seed)
     return RawCapture(digits=digits, gain=gain_full,
                       bin_factor=np.ones_like(digits, dtype=np.int64),
                       saturation_mask=sat, seed=seed)

@@ -13,12 +13,6 @@ while the measured noise pools to a frequency-independent deviation
 The highest frequency with c/sigma above a threshold defines the effective
 resolution of that pitch at that light level; sweeping pitches gives the
 light-dependent optimal pitch, realized in hardware by binning unit pixels.
-
-Note on the contrast prefactor: expanding the box-filtered sinusoid gives
-peak-to-trough amplitude linear in p (the form used here).  A variant with a
-p^2 prefactor is available behind ``contrast_p_squared=True`` for
-compatibility with material that quotes that form; it only rescales contrast
-and leaves all argmax decisions over frequency unchanged for fixed p.
 """
 
 from __future__ import annotations
@@ -56,8 +50,7 @@ class TheoryParams:
                 raise ConfigError("light grid must be positive and strictly ascending")
 
 
-def contrast(freq: float, photon_density: float, pitch: float,
-             contrast_p_squared: bool = False) -> float:
+def contrast(freq: float, photon_density: float, pitch: float) -> float:
     """Peak-to-trough contrast of the box-filtered sinusoid, in electrons.
 
     Continuous at freq -> 0 where it tends to photon_density * pitch^2.
@@ -68,10 +61,9 @@ def contrast(freq: float, photon_density: float, pitch: float,
         raise ConfigError("photon density and pitch must be positive")
     if freq < 0 or freq > 1.0 / pitch:
         raise ConfigError("frequency must lie in [0, 1/pitch]")
-    scale = pitch * pitch if contrast_p_squared else pitch
     if freq == 0:
-        return photon_density * pitch * pitch * (pitch if contrast_p_squared else 1.0)
-    return photon_density * scale * math.sin(math.pi * pitch * freq) / (math.pi * freq)
+        return photon_density * pitch * pitch
+    return photon_density * pitch * math.sin(math.pi * pitch * freq) / (math.pi * freq)
 
 
 def noise_sigma(photon_density: float, pitch: float, gain: float,
@@ -87,8 +79,7 @@ def noise_sigma(photon_density: float, pitch: float, gain: float,
 
 def cutoff_frequency(photon_density: float, pitch: float, gain: float,
                      snr_t: float, config: SensorConfig,
-                     rel_tol: float = 1e-9,
-                     contrast_p_squared: bool = False) -> float | None:
+                     rel_tol: float = 1e-9) -> float | None:
     """Highest frequency whose contrast-to-noise ratio reaches ``snr_t``.
 
     Contrast decreases strictly on (0, 1/pitch) while the noise level is
@@ -98,12 +89,12 @@ def cutoff_frequency(photon_density: float, pitch: float, gain: float,
     """
     sigma = noise_sigma(photon_density, pitch, gain, config)
     target = snr_t * sigma
-    if contrast(0.0, photon_density, pitch, contrast_p_squared) < target:
+    if contrast(0.0, photon_density, pitch) < target:
         return None
     lo, hi = 0.0, 1.0 / pitch
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if contrast(mid, photon_density, pitch, contrast_p_squared) >= target:
+        if contrast(mid, photon_density, pitch) >= target:
             lo = mid
         else:
             hi = mid
@@ -111,8 +102,7 @@ def cutoff_frequency(photon_density: float, pitch: float, gain: float,
 
 
 def optimal_pitch(photon_density: float, gain: float, params: TheoryParams,
-                  config: SensorConfig,
-                  contrast_p_squared: bool = False) -> tuple[float | None, dict]:
+                  config: SensorConfig) -> tuple[float | None, dict]:
     """Pitch with the highest cutoff frequency at this light level.
 
     Candidates that resolve nothing are excluded; exact ties go to the
@@ -122,8 +112,7 @@ def optimal_pitch(photon_density: float, gain: float, params: TheoryParams,
     cutoffs = {}
     best = None
     for p in params.pitch_candidates:
-        fc = cutoff_frequency(photon_density, p, gain, params.snr_t, config,
-                              contrast_p_squared=contrast_p_squared)
+        fc = cutoff_frequency(photon_density, p, gain, params.snr_t, config)
         cutoffs[p] = fc
         if fc is None:
             continue
@@ -144,8 +133,7 @@ class PitchCurve:
 
 
 def sweep_pitch(params: TheoryParams, config: SensorConfig,
-                gain: float = 1.0,
-                contrast_p_squared: bool = False) -> PitchCurve:
+                gain: float = 1.0) -> PitchCurve:
     """Evaluate cutoff frequencies across the light grid and pick optima."""
     lights = np.asarray(params.light_grid, dtype=float)
     pitches = np.asarray(params.pitch_candidates, dtype=float)
@@ -154,8 +142,7 @@ def sweep_pitch(params: TheoryParams, config: SensorConfig,
     table = np.full((lights.size, pitches.size), np.nan)
     best = np.full(lights.size, np.nan)
     for i, l0 in enumerate(lights):
-        p_star, cutoffs = optimal_pitch(l0, gain, params, config,
-                                        contrast_p_squared=contrast_p_squared)
+        p_star, cutoffs = optimal_pitch(l0, gain, params, config)
         for j, p in enumerate(pitches):
             if cutoffs[p] is not None:
                 table[i, j] = cutoffs[p]
@@ -199,8 +186,7 @@ class BinLut:
 
 
 def light_to_bin_lut(params: TheoryParams, config: SensorConfig,
-                     unit_pitch: float, gain: float = 1.0,
-                     contrast_p_squared: bool = False) -> BinLut:
+                     unit_pitch: float, gain: float = 1.0) -> BinLut:
     """Tabulate the optimal bin factor N = (p*/unit_pitch)^2 over the light
     grid.  Light levels where nothing resolves take the maximum bin factor."""
     expected = tuple(unit_pitch * k for k in BIN_LADDER)
@@ -209,8 +195,7 @@ def light_to_bin_lut(params: TheoryParams, config: SensorConfig,
             abs(a - b) > 1e-12 * b for a, b in zip(got, expected)):
         raise ConfigError(
             f"pitch candidates must be unit_pitch * {BIN_LADDER}")
-    curve = sweep_pitch(params, config, gain,
-                        contrast_p_squared=contrast_p_squared)
+    curve = sweep_pitch(params, config, gain)
     factors = np.empty(curve.lights.size, dtype=int)
     for i, p_star in enumerate(curve.best_pitch):
         if math.isnan(p_star):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from svsensor import RadianceMap, SensorConfig
+
+# Property tests draw the same examples on every run and stay cheap enough
+# for the tier-1 suite; a capture's first call may be slow, so no deadline.
+settings.register_profile("svsensor", derandomize=True, deadline=None,
+                          max_examples=50, database=None)
+settings.load_profile("svsensor")
 
 
 @pytest.fixture

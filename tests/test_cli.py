@@ -69,20 +69,6 @@ def test_reruns_are_byte_identical(tmp_path, scene_path, config_path):
     assert a.with_suffix(".npz").read_bytes() == b.with_suffix(".npz").read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path, scene_path, config_path):
-    outs = []
-    for threads, name in [("1", "t1"), ("8", "t8")]:
-        gm_path = tmp_path / "gm.json"
-        save_json(gm_path, GainMap("per_roi", np.full((2, 2), 2.0),
-                                   roi_size=32).to_json_dict())
-        out = tmp_path / name
-        assert main(["capture", scene_path, "--config", config_path,
-                     "--gain-map", str(gm_path), "--seed", "3",
-                     "--threads", threads, "--output", str(out)]) == 0
-        outs.append(out.with_suffix(".pgm").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_capture_grid_mismatch_exits_3(tmp_path, scene_path, config_path):
     gm_path = tmp_path / "gm.json"
     bm_path = tmp_path / "bm.json"
@@ -156,13 +142,37 @@ def test_plan_gain_pilot_without_npz_exits_3(tmp_path, scene_path,
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize is only needed by calibrate's fit; importing it costs
-    # every command about half a second of start-up
+    # scipy.optimize is only needed by calibrate's fit and scipy.ndimage by
+    # evaluate's SSIM; importing them costs every command start-up time
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, svsensor.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+            "sys.exit('scipy.optimize' in sys.modules "
+            "or 'scipy.ndimage' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("text", ["{bad", "3", "[]",
+                                  '{"well_capacity": "abc"}'])
+def test_malformed_config_exits_2(tmp_path, scene_path, text, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["simulate", scene_path, "--config", str(bad), "--seed", "1",
+                 "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry", [{"gain": 1.0}, {"frames": []}])
+def test_calibrate_manifest_entry_without_key_exits_3(tmp_path, config_path,
+                                                      entry, capsys):
+    manifest = tmp_path / "manifest.json"
+    save_json(manifest, {"gains": [entry]})
+    code = main(["calibrate", "--config", config_path, "--manifest",
+                 str(manifest), "--output", str(tmp_path / "profile.json")])
+    _assert_one_line_data_error(code, capsys)
 
 
 def test_plan_gain_without_inputs_exits_2(tmp_path, config_path):

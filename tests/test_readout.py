@@ -5,16 +5,20 @@ uniform scenes; the composition emulator is checked for statistical
 equivalence with direct capture.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
-                      RadianceMap, SensorConfig, ShapeError, bin_capture,
-                      capture_spatially_varying, compose_from_gain_stack,
-                      estimate_photons, native_estimate_blocks,
+                      PhotonEstimate, RadianceMap, SensorConfig, ShapeError,
+                      bin_capture, capture_spatially_varying,
+                      compose_from_gain_stack, estimate_photons,
+                      native_estimate_blocks, plan_bin_roi,
                       quantize_to_ladder, simulate_capture)
+from svsensor.readout import BIN_MODES
 
 
 def binned_estimates(level, gain, factor, mode, config, n_super, seed):
@@ -112,6 +116,43 @@ class TestBinModes:
         with pytest.raises(ShapeError):
             bin_capture(scene, 8.0, 16, "digital", config, seed=58)
 
+    def test_bin_capture_pinned(self, config):
+        # digits and saturation masks of one capture per mode, fixed so
+        # that a rewrite of the readout cannot change a single bit of them
+        from svsensor import SceneSpec, load_and_normalize
+        spec = SceneSpec(source="hdr_blobs", seed=3, width=64, height=64,
+                         mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        digest = hashlib.sha256()
+        for mode, gain, factor, seed in [("additive", 16.0, 16, 11),
+                                         ("average", 4.0, 4, 12),
+                                         ("digital", 8.0, 64, 13)]:
+            raw = bin_capture(scene, gain, factor, mode, config, seed=seed)
+            digest.update(raw.digits.tobytes()
+                          + raw.saturation_mask.tobytes())
+        assert digest.hexdigest() == ("e7841da8c6da72e9d37931be1bfa1d3f"
+                                      "01d9a820e05e9b7f1e13b3878b672936")
+
+    @given(mode=st.sampled_from(BIN_MODES), k=st.sampled_from([1, 2, 4, 8]),
+           rows=st.integers(1, 3), cols=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_uniform_bin_map_equals_bin_capture(self, mode, k, rows, cols,
+                                                seed):
+        # a uniform per-ROI plan reads the same realization as the
+        # whole-frame binned capture
+        config = SensorConfig()
+        scene = RadianceMap(data=np.random.default_rng(seed).uniform(
+            0, 300, (16 * rows, 16 * cols)))
+        factor = k * k
+        gain = 2.0 * factor if mode == "additive" else 4.0
+        bm = BinMap(roi_size=16, factors=np.full((rows, cols), factor),
+                    mode=mode)
+        raw, _ = capture_spatially_varying(scene, gain, bm, config, seed=seed)
+        ref = bin_capture(scene, gain, factor, mode, config, seed=seed)
+        assert np.array_equal(raw.digits[::k, ::k], ref.digits)
+        assert np.array_equal(raw.saturation_mask[::k, ::k],
+                              ref.saturation_mask)
+
 
 class TestSpatiallyVarying:
     def test_trivial_maps_equal_plain_capture(self, config):
@@ -123,18 +164,6 @@ class TestSpatiallyVarying:
         plain = simulate_capture(scene, gm, None, config, seed=61)
         varying, _ = capture_spatially_varying(scene, gm, bm, config, seed=61)
         assert np.array_equal(plain.digits, varying.digits)
-
-    def test_deterministic_across_threads(self, config):
-        rng = np.random.default_rng(62)
-        scene = RadianceMap(data=rng.uniform(0, 300, (96, 96)))
-        gm = GainMap("per_roi", rng.uniform(1, 4, (3, 3)), roi_size=32)
-        bm = BinMap(roi_size=32,
-                    factors=rng.choice([1, 4, 16], (3, 3)), mode="digital")
-        a, _ = capture_spatially_varying(scene, gm, bm, config, seed=63,
-                                         threads=1)
-        b, _ = capture_spatially_varying(scene, gm, bm, config, seed=63,
-                                         threads=8)
-        assert np.array_equal(a.digits, b.digits)
 
     def test_dark_roi_binned_beats_unbinned(self, config):
         # deep-shadow block (about 5 e-): max gain + heavy binning scores a
@@ -256,11 +285,54 @@ class TestCompose:
             se = math.sqrt(2.0 / (n - 1)) * max(vc, vd)
             assert abs(vc - vd) < 3 * math.sqrt(2) * se, k
 
+    @given(gains=st.lists(st.sampled_from([1.0, 2.0, 4.0, 8.0]), min_size=12,
+                          max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_seed_stack_composes_to_direct_capture(self, gains, seed):
+        # frames that all use seed s hold one realization, so copying ROIs
+        # out of them is the direct capture of the plan at seed s
+        config = SensorConfig()
+        scene = RadianceMap(data=np.random.default_rng(seed).uniform(
+            0, 900, (100, 70)))
+        plan = GainMap("per_roi", np.reshape(gains, (4, 3)), roi_size=32)
+        ladder = (1.0, 2.0, 4.0, 8.0)
+        stack = GainStack(gains=ladder, frames=tuple(
+            simulate_capture(scene, g, None, config, seed=seed)
+            for g in ladder))
+        composed, _ = compose_from_gain_stack(stack, plan)
+        direct = simulate_capture(scene, plan, None, config, seed=seed)
+        assert composed.digits.tobytes() == direct.digits.tobytes()
+        assert np.array_equal(composed.saturation_mask,
+                              direct.saturation_mask)
+        assert np.array_equal(composed.gain, direct.gain)
+
     def test_stack_validation(self, config, make_uniform):
         scene = make_uniform(10.0)
         f = simulate_capture(scene, 1.0, None, config, seed=80)
         with pytest.raises(DataError):
             GainStack(gains=(2.0, 1.0), frames=(f, f))
+
+
+class TestBinPlanner:
+    @given(levels=st.lists(st.floats(0.0, 3000.0), min_size=2, max_size=8))
+    def test_factor_nonincreasing_in_roi_level(self, levels):
+        config = SensorConfig()
+        data = np.kron(np.asarray(levels)[None, :], np.ones((8, 8)))
+        snapshot = PhotonEstimate(data=data,
+                                  validity_mask=np.ones(data.shape, bool))
+        bm = plan_bin_roi(snapshot, 8, "digital", config, 4.0, 1.0)
+        order = np.argsort(levels, kind="stable")
+        assert np.all(np.diff(bm.factors[0][order]) <= 0)
+
+    def test_dark_and_saturated_rois_bin_maximally(self, config):
+        data = np.zeros((8, 24))
+        data[:, 16:] = 5000.0
+        valid = np.ones(data.shape, bool)
+        valid[:, 8:16] = False
+        snapshot = PhotonEstimate(data=data, validity_mask=valid)
+        bm = plan_bin_roi(snapshot, 8, "additive", config, 4.0, 1.0)
+        assert bm.factors.tolist() == [[64, 64, 1]]
+        assert bm.mode == "additive"
 
 
 class TestBinMapType:

@@ -3,10 +3,11 @@ determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from svsensor import (ConfigError, GainMap, RadianceMap, SensorConfig,
-                      ShapeError, dequantize, estimate_photons, quantize,
-                      simulate_capture, simulate_pixel)
+from svsensor import (ConfigError, GainMap, RadianceMap, RoiGrid,
+                      SensorConfig, ShapeError, dequantize, estimate_photons,
+                      quantize, simulate_capture, simulate_pixel)
 
 
 def mc_estimates(level, gain, config, n, seed):
@@ -108,14 +109,25 @@ class TestNoiseStatistics:
 
 
 class TestCaptureContracts:
-    def test_deterministic_across_threads(self, config):
-        rng = np.random.default_rng(14)
-        scene = RadianceMap(data=rng.uniform(0, 500, (96, 96)))
-        gm = GainMap("per_roi", np.full((3, 3), 2.0), roi_size=32)
-        a = simulate_capture(scene, gm, None, config, seed=15, threads=1)
-        b = simulate_capture(scene, gm, None, config, seed=15, threads=8)
+    @given(height=st.integers(1, 100), width=st.integers(1, 100),
+           roi=st.integers(1, 64), gain=st.floats(1.0, 27.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(height=100, width=70, roi=32, gain=2.0, seed=5)
+    def test_scalar_gain_equals_roi_grid(self, height, width, roi, gain,
+                                         seed):
+        # one seed is one noise realization: a scalar gain and a per-ROI
+        # grid of that gain read the same draws, whether or not the ROI
+        # size divides the frame
+        config = SensorConfig()
+        scene = RadianceMap(data=np.random.default_rng(seed).uniform(
+            0, 600, (height, width)))
+        grid = GainMap("per_roi", np.full(RoiGrid(height, width, roi).shape,
+                                          gain), roi_size=roi)
+        a = simulate_capture(scene, gain, None, config, seed=seed)
+        b = simulate_capture(scene, grid, None, config, seed=seed)
         assert np.array_equal(a.digits, b.digits)
         assert np.array_equal(a.saturation_mask, b.saturation_mask)
+        assert np.array_equal(a.gain, b.gain)
 
     def test_different_seeds_differ(self, config, make_uniform):
         scene = make_uniform(50.0)

@@ -71,12 +71,6 @@ class TestContrast:
         with pytest.raises(ConfigError):
             contrast(1.1, 100.0, 1.0)
 
-    def test_compatibility_prefactor(self):
-        # the p^2-prefactor variant scales contrast by pitch
-        a = contrast(0.3, 100.0, 2.0)
-        b = contrast(0.3, 100.0, 2.0, contrast_p_squared=True)
-        assert b == pytest.approx(2.0 * a)
-
 
 class TestNoiseSigma:
     def test_read_noise_floor(self, config):
@@ -125,14 +119,6 @@ class TestCutoff:
                 for l0 in np.geomspace(30, 3000, 12)]
         assert all(c is not None for c in cuts)
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
-
-    def test_compatibility_prefactor_shifts_cutoff(self, config):
-        # the pitch-squared variant scales contrast by p, so at p > 1 the
-        # threshold crossing moves to a higher frequency
-        base = cutoff_frequency(50.0, 2.0, 1.0, 4.0, config)
-        compat = cutoff_frequency(50.0, 2.0, 1.0, 4.0, config,
-                                  contrast_p_squared=True)
-        assert compat > base
 
 
 class TestNoiseSigmaAgainstSimulation:
