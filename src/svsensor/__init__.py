@@ -3,8 +3,8 @@
 from .calibrate import NoiseProfile, dark_variance, fit_read_noise
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .gain import (GainMap, PlanReport, capture_adaptive, gain_for_level,
-                   gain_from_vignetting, next_gain, plan_gain_per_pixel,
-                   plan_gain_roi, quantize_to_ladder)
+                   gain_from_vignetting, next_gain, plan_gain_roi,
+                   quantize_to_ladder)
 from .metrics import EvalReport, evaluate_protocol, gamma_correct, psnr, ssim
 from .readout import (BinMap, GainStack, bin_capture,
                       capture_spatially_varying, compose_from_gain_stack,
@@ -32,7 +32,7 @@ __all__ = [
     "fit_read_noise", "gain_for_level", "gain_from_vignetting",
     "gamma_correct", "light_to_bin_lut", "load_and_normalize",
     "native_estimate_blocks", "next_gain", "noise_sigma", "optimal_pitch",
-    "pixelate", "plan_bin_roi", "plan_gain_per_pixel", "plan_gain_roi", "psnr",
+    "pixelate", "plan_bin_roi", "plan_gain_roi", "psnr",
     "quantize", "quantize_to_ladder", "simulate_capture", "simulate_pixel",
     "ssim", "sweep_pitch",
 ]

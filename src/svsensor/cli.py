@@ -35,9 +35,12 @@ def _load_config(path) -> SensorConfig:
     if path is None:
         return SensorConfig()
     try:
-        text = open(path).read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read sensor config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"sensor config {path} is not UTF-8: {exc}") from exc
     return SensorConfig.from_json(text)
 
 
@@ -47,7 +50,10 @@ def _load_scene(path, config, mean_frac) -> RadianceMap:
 
 
 def _float_list(text):
-    return tuple(float(t) for t in text.split(",") if t)
+    try:
+        return tuple(float(t) for t in text.split(",") if t)
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:

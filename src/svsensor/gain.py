@@ -14,7 +14,6 @@ saturation probability).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,15 +55,27 @@ class GainMap:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    def on_grid(self, grid: RoiGrid) -> np.ndarray:
+        """The plan's gain for each ROI of ``grid``; ShapeError for a
+        per-pixel plan or a per-ROI plan on another grid."""
+        if self.mode == "constant":
+            return np.full(grid.shape, float(self.values))
+        if self.mode == "per_pixel":
+            raise ShapeError("a per-pixel gain map has no per-ROI gains")
+        if self.roi_size != grid.size:
+            raise ShapeError(f"gain map roi_size {self.roi_size} differs from "
+                             f"the ROI grid's {grid.size}")
+        return grid.check(self.values, "gain map")
+
     def expand(self, height: int, width: int) -> np.ndarray:
         """Per-pixel gain array for an image of the given size."""
-        if self.mode == "constant":
-            return np.full((height, width), float(self.values))
         if self.mode == "per_pixel":
             if self.values.shape != (height, width):
                 raise ShapeError("per_pixel gain map does not match image size")
             return np.asarray(self.values)
-        return RoiGrid(height, width, self.roi_size).expand(self.values)
+        size = self.roi_size if self.mode == "per_roi" else max(height, width)
+        grid = RoiGrid(height, width, size)
+        return grid.expand(self.on_grid(grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,11 +88,14 @@ class GainMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GainMap":
-        vals = np.asarray(doc["values"], dtype=np.float64)
-        shape = doc.get("shape", [])
-        vals = vals.reshape(shape) if shape else vals.reshape(())
-        return cls(mode=doc["mode"], values=vals,
-                   roi_size=doc.get("roi_size"), eta=doc.get("eta", 0.0))
+        try:
+            vals = np.asarray(doc["values"], dtype=np.float64).reshape(
+                doc.get("shape") or ())
+            mode = doc["mode"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed gain plan ({exc!r})") from exc
+        return cls(mode=mode, values=vals, roi_size=doc.get("roi_size"),
+                   eta=doc.get("eta", 0.0))
 
 
 @dataclass
@@ -89,41 +103,27 @@ class PlanReport:
     """Diagnostics attached to a gain plan."""
 
     predicted_saturation_frac: float = 0.0
-    gain_histogram: dict = field(default_factory=dict)
     empty_rois: list = field(default_factory=list)
     measured_saturation_frac: float | None = None
 
 
-def gain_for_level(level: float, eta: float, config: SensorConfig) -> float:
-    """Largest safe gain for an estimated photon level.
+def gain_for_level(level, eta: float, config: SensorConfig):
+    """Largest safe gain for an estimated photon level (a number, or an
+    array of levels for an array of gains).
 
     Zero level means the pixel is dark and gets the maximum gain; the result
     is always clamped to the configured gain range.
     """
-    if level < 0:
-        raise ValueError("estimated level must be nonnegative")
+    m = np.asarray(level, dtype=np.float64)
+    if np.any(m < 0):
+        raise DataError("estimated level must be nonnegative")
     if eta < 0:
         raise ConfigError("eta must be nonnegative")
-    if level == 0:
-        return config.gain_max
-    g = config.well_capacity / (level + eta * math.sqrt(level))
-    return float(min(max(g, config.gain_min), config.gain_max))
-
-
-def _gain_for_levels(levels: np.ndarray, eta: float,
-                     config: SensorConfig) -> np.ndarray:
-    """Vectorized gain rule; nonpositive levels map to gain_max."""
-    m = np.asarray(levels, dtype=np.float64)
-    safe = np.maximum(m, 0.0)
-    with np.errstate(divide="ignore"):
-        g = config.well_capacity / (safe + eta * np.sqrt(safe))
-    g = np.where(safe > 0, g, config.gain_max)
-    return np.clip(g, config.gain_min, config.gain_max)
-
-
-def _tail_probability(z: np.ndarray) -> np.ndarray:
-    """Upper Gaussian tail, vectorized."""
-    return 0.5 * np.array([math.erfc(v / math.sqrt(2.0)) for v in np.atleast_1d(z)])
+    with np.errstate(divide="ignore", over="ignore"):  # clipped below
+        g = config.well_capacity / (m + eta * np.sqrt(m))
+    g = np.where(m == 0, config.gain_max,
+                 np.clip(g, config.gain_min, config.gain_max))
+    return float(g) if g.ndim == 0 else g
 
 
 def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
@@ -137,25 +137,19 @@ def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
     if roi_size < 8:
         raise ConfigError("roi_size must be at least 8")
     grid = RoiGrid(*snapshot.data.shape, roi_size)
-    gains = np.empty(grid.shape)
-    report = PlanReport()
-    tails = []
-    for (i, j), sl in grid.slices():
-        ok = snapshot.validity_mask[sl]
-        if not ok.any():
-            gains[i, j] = config.gain_min
-            report.empty_rois.append((i, j))
-            continue
-        peak = max(float(snapshot.data[sl][ok].max()), 0.0)
-        g = gain_for_level(peak, eta, config)
-        gains[i, j] = g
-        if peak > 0:
-            margin = config.well_capacity / g - peak
-            tails.append(margin / math.sqrt(peak))
-    if tails:
-        report.predicted_saturation_frac = float(
-            np.mean(_tail_probability(np.asarray(tails))))
-    report.gain_histogram = dict(Counter(np.round(gains.ravel(), 6).tolist()))
+    peaks = grid.reduce(np.where(snapshot.validity_mask, snapshot.data,
+                                 -np.inf), np.max, -np.inf)
+    empty = peaks == -np.inf
+    peaks = np.maximum(peaks, 0.0)
+    gains = np.where(empty, config.gain_min, gain_for_level(peaks, eta, config))
+    report = PlanReport(empty_rois=[tuple(ij) for ij in
+                                    np.argwhere(empty).tolist()])
+    lit = peaks > 0
+    if lit.any():
+        # headroom of each lit ROI's peak in shot-noise deviations
+        z = (config.well_capacity / gains[lit] - peaks[lit]) / np.sqrt(peaks[lit])
+        report.predicted_saturation_frac = float(np.mean(
+            [0.5 * math.erfc(v / math.sqrt(2.0)) for v in z.tolist()]))
     gm = GainMap(mode="per_roi", values=gains, roi_size=roi_size, eta=eta)
     return gm, report
 
@@ -172,29 +166,6 @@ def next_gain(digit: int, gain: float, eta: float,
     return gain_for_level(float(level), eta, config)
 
 
-def plan_gain_per_pixel(readouts, eta: float,
-                        config: SensorConfig) -> tuple[np.ndarray, PlanReport]:
-    """Single-shot streaming strategy over a raster-ordered readout.
-
-    ``readouts`` yields (digit, gain) pairs in scan order (row-major, the
-    gain carrying across row boundaries).  Returns the gain to apply to the
-    pixel after each readout; entry k depends only on readouts up to k.
-    Inherently sequential; single-threaded by contract.
-    """
-    gains = []
-    saturated = 0
-    count = 0
-    for digit, gain in readouts:
-        gains.append(next_gain(int(digit), float(gain), eta, config))
-        saturated += int(digit >= config.digital_max)
-        count += 1
-    report = PlanReport(
-        measured_saturation_frac=(saturated / count) if count else 0.0,
-        gain_histogram=dict(Counter(np.round(gains, 6).tolist())),
-    )
-    return np.asarray(gains), report
-
-
 def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
                      seed: int = 0) -> tuple[RawCapture, PlanReport]:
     """Closed-loop per-pixel capture: each readout sets the next pixel's gain.
@@ -204,8 +175,10 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     realization every other capture reads at this seed; only the cheap gain
     recursion runs sequentially, one row at a time over Python floats (numpy
     scalar indexing costs several times more per pixel).  The first pixel of
-    the frame uses gain 1.
+    the frame uses gain 1.  The loop applies ``next_gain`` inline.
     """
+    if eta < 0:
+        raise ConfigError("eta must be nonnegative")
     charge, n_post, _ = draw_noise(scene, config, seed)
     shape = scene.data.shape
 
@@ -267,9 +240,8 @@ def gain_from_vignetting(vignette: np.ndarray, roi_size: int, eta: float,
         raise DataError("transmission values must lie in (0, 1]")
     h, w = t.shape
     grid = RoiGrid(h, w, roi_size)
-    mean_t = np.empty(grid.shape)
-    for (i, j), sl in grid.slices():
-        mean_t[i, j] = t[sl].mean()
+    mean_t = (grid.reduce(t, np.sum, 0.0)
+              / grid.reduce(np.ones_like(t), np.sum, 0.0))
     rows, cols = grid.shape
     center = mean_t[min((h // 2) // roi_size, rows - 1),
                     min((w // 2) // roi_size, cols - 1)]

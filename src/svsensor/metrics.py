@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .gain import GainMap, gain_for_level, plan_gain_roi
+from .gain import GainMap, plan_gain_roi
 from .readout import BinMap, capture_spatially_varying, plan_bin_roi
 from .roi import RoiGrid
 from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
@@ -48,8 +48,7 @@ def gamma_correct(image: np.ndarray, exponent: float,
     return np.clip(x ** exponent, 0.0, 1.0)
 
 
-def ssim(ref: np.ndarray, test: np.ndarray,
-         window: int = 11) -> tuple[np.ndarray, float]:
+def ssim(ref: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, float]:
     """Structural similarity on unit-range images.
 
     Gaussian-weighted local statistics (11x11, sigma 1.5) with the standard
@@ -63,8 +62,6 @@ def ssim(ref: np.ndarray, test: np.ndarray,
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError("SSIM inputs must share dimensions")
-    if window != 2 * _SSIM_RADIUS + 1:
-        raise ConfigError("only the standard 11-tap window is supported")
     c1, c2 = 0.01 ** 2, 0.03 ** 2
     blur = lambda x: gaussian_filter(x, _SSIM_SIGMA, truncate=_SSIM_TRUNCATE,
                                      mode="reflect")
@@ -187,14 +184,10 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     pilot_raw = simulate_capture(scene, 1.0, None, config, seed=pilot_seed)
     pilot = estimate_photons(pilot_raw, config)
     gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
-
-    valid_levels = np.where(pilot.validity_mask,
-                            np.clip(pilot.data, 0.0, None), np.nan)
-    if np.isfinite(valid_levels).any():
-        global_peak = float(np.nanmax(valid_levels))
-    else:
-        global_peak = config.well_capacity  # pilot fully saturated
-    g_base = gain_for_level(global_peak, eta, config)
+    # the constant gain protects the brightest pixel: one ROI over the frame
+    whole, _ = plan_gain_roi(pilot, max(scene.height, scene.width, roi_size),
+                             eta, config)
+    g_base = float(whole.values[0, 0])
 
     # bin plan from the pilot at unit gain, per-ROI mean level
     bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)

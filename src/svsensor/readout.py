@@ -77,8 +77,12 @@ class BinMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BinMap":
-        ks = np.asarray(doc["values"], dtype=np.int64).reshape(doc["shape"])
-        return cls(roi_size=doc["roi_size"], factors=ks * ks, mode=doc["mode"])
+        try:
+            ks = np.asarray(doc["values"], dtype=np.int64).reshape(doc["shape"])
+            roi_size, mode = doc["roi_size"], doc["mode"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed bin plan ({exc!r})") from exc
+        return cls(roi_size=roi_size, factors=ks * ks, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -219,14 +223,7 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
     grid = RoiGrid(scene.height, scene.width, bin_map.roi_size)
     grid.check(bin_map.factors, "bin map")
     if isinstance(gain_map, GainMap):
-        if gain_map.mode == "per_pixel":
-            raise ShapeError("binned capture needs per-ROI or constant gain")
-        if gain_map.mode == "per_roi":
-            if gain_map.roi_size != grid.size:
-                raise ShapeError("gain and bin maps must share the ROI grid")
-            gain_grid = grid.check(gain_map.values, "gain map")
-        else:
-            gain_grid = np.full(grid.shape, float(gain_map.values))
+        gain_grid = gain_map.on_grid(grid)
     else:
         gain_grid = np.broadcast_to(np.asarray(gain_map, dtype=float),
                                     grid.shape).copy()
@@ -256,19 +253,18 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     """
     params = TheoryParams(snr_t=snr_t, pitch_candidates=tuple(
         config.pixel_pitch * k for k in BIN_LADDER))
-    levels = np.where(snapshot.validity_mask,
-                      np.clip(snapshot.data, 0.0, None), np.nan)
-    grid = RoiGrid(*levels.shape, roi_size)
+    valid = snapshot.validity_mask
+    grid = RoiGrid(*valid.shape, roi_size)
+    total = grid.reduce(np.where(valid, np.clip(snapshot.data, 0.0, None), 0.0),
+                        np.sum, 0.0)
+    count = grid.reduce(valid, np.sum, False)
+    density = np.divide(total, count, out=np.zeros(grid.shape),
+                        where=count > 0) / config.pixel_pitch ** 2
     factors = np.full(grid.shape, BIN_LADDER[-1] ** 2, dtype=np.int64)
-    for (i, j), sl in grid.slices():
-        blk = levels[sl]
-        level = float(np.nanmean(blk)) if np.isfinite(blk).any() else 0.0
-        density = max(level, 0.0) / config.pixel_pitch ** 2
-        if density <= 0:
-            continue
-        p_star, _ = optimal_pitch(density, gain, params, config)
+    for ij in zip(*np.nonzero(density > 0)):
+        p_star, _ = optimal_pitch(float(density[ij]), gain, params, config)
         if p_star is not None:
-            factors[i, j] = int(round((p_star / config.pixel_pitch) ** 2))
+            factors[ij] = int(round((p_star / config.pixel_pitch) ** 2))
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 
@@ -296,15 +292,10 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     frame was captured at one seed, the composite is that direct capture at
     that seed, byte for byte.  Also returns the per-ROI frame provenance.
     """
-    if gain_map.mode == "per_pixel":
-        raise DataError("composition works on per-ROI or constant plans")
     h, w = stack.frames[0].digits.shape
-    if gain_map.mode == "constant":
-        grid = RoiGrid(h, w, max(h, w))
-        gains = np.full((1, 1), float(gain_map.values))
-    else:
-        grid = RoiGrid(h, w, gain_map.roi_size)
-        gains = grid.check(gain_map.values, "gain plan")
+    per_roi = gain_map.mode == "per_roi"
+    grid = RoiGrid(h, w, gain_map.roi_size if per_roi else max(h, w))
+    gains = gain_map.on_grid(grid)
 
     digits = np.empty((h, w), dtype=np.uint16)
     sat = np.empty((h, w), dtype=bool)
@@ -319,6 +310,5 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     raw = RawCapture(digits=digits, gain=grid.expand(gains),
                      bin_factor=bin_full, saturation_mask=sat,
                      meta={"composed_from": list(map(float, stack.gains)),
-                           "roi_size": None if gain_map.mode == "constant"
-                           else grid.size})
+                           "roi_size": grid.size if per_roi else None})
     return raw, provenance

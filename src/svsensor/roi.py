@@ -47,6 +47,22 @@ class RoiGrid:
                 f"{self.width} image at roi_size={self.size}")
         return grid
 
+    def reduce(self, arr, fn, fill) -> np.ndarray:
+        """One value per ROI: ``fn(..., axis=-1)`` over each ROI's pixels of
+        ``arr`` in row-major order, the edge ROIs padded with ``fill`` to
+        full size (``np.max`` with ``-inf``, ``np.sum`` with 0).  Each ROI
+        is one contiguous run, so the sum over an ROI inside the frame adds
+        its pixels in the order ``np.sum`` of a copy of that ROI does."""
+        arr = np.asarray(arr)
+        if arr.shape != (self.height, self.width):
+            raise ShapeError(f"image {arr.shape} does not match a {self.height}"
+                             f"x{self.width} ROI grid")
+        (rows, cols), r = self.shape, self.size
+        padded = np.pad(arr, ((0, rows * r - self.height),
+                              (0, cols * r - self.width)), constant_values=fill)
+        blocks = padded.reshape(rows, r, cols, r).swapaxes(1, 2)
+        return fn(blocks.reshape(rows, cols, r * r), axis=-1)
+
     def expand(self, grid) -> np.ndarray:
         """Per-pixel array holding each ROI's value over its footprint."""
         full = np.repeat(np.repeat(self.check(grid, "ROI"), self.size, axis=0),

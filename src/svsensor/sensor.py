@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 CONFIG_FIELDS = (
     "pixel_pitch", "well_capacity", "sigma_pre", "sigma_post",
@@ -127,9 +127,9 @@ class RadianceMap:
         if arr.ndim != 2:
             raise ShapeError("radiance map must be 2-D")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("radiance map contains non-finite values")
+            raise DataError("radiance map contains non-finite values")
         if np.any(arr < 0):
-            raise ValueError("radiance map contains negative values")
+            raise DataError("radiance map contains negative values")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -197,7 +197,7 @@ class PhotonEstimate:
         if d.shape != m.shape:
             raise ShapeError("estimate/validity shape mismatch")
         if not np.all(np.isfinite(d[m])):
-            raise ValueError("non-finite estimate on valid pixels")
+            raise DataError("non-finite estimate on valid pixels")
         d.flags.writeable = False
         m.flags.writeable = False
         object.__setattr__(self, "data", d)
@@ -236,7 +236,7 @@ def simulate_pixel(mean_electrons: float, gain: float, config: SensorConfig,
                    rng: np.random.Generator) -> int:
     """Simulate a single pixel readout and return its digital number."""
     if mean_electrons < 0:
-        raise ValueError("expected electrons must be nonnegative")
+        raise DataError("expected electrons must be nonnegative")
     config.check_gain(gain)
     l = draw_photons(rng, mean_electrons * config.quantum_efficiency)
     v = (gain * (l + rng.normal(0.0, config.sigma_pre))

@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .sensor import SensorConfig
 
 BIN_LADDER = (1, 2, 4, 8)  # linear bin factors; N = k*k
+_CUTOFF_REL_TOL = 1e-9  # cutoff bisection stops at this relative bracket width
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ def noise_sigma(photon_density: float, pitch: float, gain: float,
 
 
 def cutoff_frequency(photon_density: float, pitch: float, gain: float,
-                     snr_t: float, config: SensorConfig,
-                     rel_tol: float = 1e-9) -> float | None:
+                     snr_t: float, config: SensorConfig) -> float | None:
     """Highest frequency whose contrast-to-noise ratio reaches ``snr_t``.
 
     Contrast decreases strictly on (0, 1/pitch) while the noise level is
@@ -92,7 +92,7 @@ def cutoff_frequency(photon_density: float, pitch: float, gain: float,
     if contrast(0.0, photon_density, pitch) < target:
         return None
     lo, hi = 0.0, 1.0 / pitch
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _CUTOFF_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if contrast(mid, photon_density, pitch) >= target:
             lo = mid

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svsensor import GainMap, RadianceMap, SensorConfig, simulate_capture
+from svsensor import (BinMap, GainMap, RadianceMap, SensorConfig,
+                      simulate_capture)
 from svsensor.cli import main
 from svsensor.fileio import (load_capture, read_pgm16, save_gain_stack,
                              save_json, write_pfm)
@@ -173,6 +174,74 @@ def test_calibrate_manifest_entry_without_key_exits_3(tmp_path, config_path,
     code = main(["calibrate", "--config", config_path, "--manifest",
                  str(manifest), "--output", str(tmp_path / "profile.json")])
     _assert_one_line_data_error(code, capsys)
+
+
+_GAIN = GainMap("per_roi", np.ones((2, 2)), roi_size=32).to_json_dict()
+_BIN = BinMap(roi_size=32, factors=np.ones((2, 2), dtype=int),
+              mode="digital").to_json_dict()
+
+
+def _malformed(plan):
+    """A plan without its values, with too few values, and with a value
+    that is not a number."""
+    return {"missing_key": {k: v for k, v in plan.items() if k != "values"},
+            "short_values": dict(plan, values=plan["values"][:3]),
+            "non_numeric": dict(plan, values=["x"] + plan["values"][1:])}
+
+
+_RUN = ["--seed", "1", "--output", "{out}"]
+_BAD_INPUTS = [
+    *[(f"simulate_gain_map_{name}", 3,
+       ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN], doc)
+      for name, doc in _malformed(_GAIN).items()],
+    *[(f"capture_gain_map_{name}", 3,
+       ["capture", "{scene}", "--gain-map", "{bad}", *_RUN], doc)
+      for name, doc in _malformed(_GAIN).items()],
+    *[(f"capture_bin_map_{name}", 3,
+       ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+        *_RUN], doc)
+      for name, doc in _malformed(_BIN).items()],
+    *[(f"compose_gain_map_{name}", 3,
+       ["compose", "--stack", "{stack}", "--gain-map", "{bad}",
+        "--output", "{out}"], doc)
+      for name, doc in _malformed(_GAIN).items()],
+    ("config_not_utf8", 2,
+     ["simulate", "{scene}", "--config", "{bad}", *_RUN], b"\xff\xfe"),
+    ("pitches_not_numbers", 2,
+     ["theory", "--pitches", "0.5,x", "--lights", "1,2"], None),
+    ("lights_not_numbers", 2,
+     ["theory", "--pitches", "0.5,1", "--lights", "1,abc"], None),
+    ("ladder_not_numbers", 2,
+     ["plan-gain", "--vignetting", "{vignette}", "--roi-size", "8",
+      "--ladder", "1,two", "--output", "{out}"], None),
+    ("negative_per_pixel_eta", 2,
+     ["capture", "{scene}", "--per-pixel-eta", "-1", *_RUN], None),
+]
+
+
+@pytest.mark.parametrize("code, argv, bad", [case[1:] for case in _BAD_INPUTS],
+                         ids=[case[0] for case in _BAD_INPUTS])
+def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
+                                             argv, bad, capsys):
+    files = {"scene": scene_path, "out": str(tmp_path / "out"),
+             "bad": str(tmp_path / "bad.json"),
+             "gain": str(tmp_path / "gain.json"),
+             "stack": str(tmp_path / "stack"),
+             "vignette": str(tmp_path / "vignette.pfm")}
+    if isinstance(bad, bytes):
+        Path(files["bad"]).write_bytes(bad)
+    elif bad is not None:
+        save_json(files["bad"], bad)
+    save_json(files["gain"], _GAIN)
+    write_pfm(files["vignette"], np.ones((16, 16), dtype=np.float32))
+    scene = RadianceMap(data=np.full((64, 64), 80.0))
+    save_gain_stack(files["stack"], GainStack(gains=(1.0,), frames=(
+        simulate_capture(scene, 1.0, None, SensorConfig(), seed=1),)))
+    assert main([a.format(**files) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_plan_gain_without_inputs_exits_2(tmp_path, config_path):

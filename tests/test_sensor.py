@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from svsensor import (ConfigError, GainMap, RadianceMap, RoiGrid,
-                      SensorConfig, ShapeError, dequantize, estimate_photons,
-                      quantize, simulate_capture, simulate_pixel)
+from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
+                      RadianceMap, RoiGrid, SensorConfig, ShapeError,
+                      dequantize, estimate_photons, quantize,
+                      simulate_capture, simulate_pixel)
 
 
 def mc_estimates(level, gain, config, n, seed):
@@ -149,6 +150,17 @@ class TestCaptureContracts:
 
     def test_black_level_decodes_to_zero(self, config):
         assert dequantize(np.array([config.black_level]), config)[0] == 0.0
+
+    def test_bad_values_are_data_errors(self, config):
+        with pytest.raises(DataError):
+            RadianceMap(data=np.array([[1.0, np.nan]]))
+        with pytest.raises(DataError):
+            RadianceMap(data=np.array([[1.0, -1.0]]))
+        with pytest.raises(DataError):
+            PhotonEstimate(data=np.array([[np.inf]]),
+                           validity_mask=np.array([[True]]))
+        with pytest.raises(DataError):
+            simulate_pixel(-1.0, 1.0, config, np.random.default_rng(0))
 
 
 class TestSerialization:
