@@ -1,5 +1,7 @@
 """Quality metrics and the four-method evaluation protocol."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -147,6 +149,21 @@ class TestProtocol:
         a = evaluate_protocol(scene, config, roi_size=32, seed=42)
         b = evaluate_protocol(scene, config, roi_size=32, seed=42)
         assert a.to_json_dict() == b.to_json_dict()
+
+    @pytest.mark.parametrize("size, roi, digest", [
+        (512, 32, "25a930cca541faa97848b02ee3c041d513f51e4623e437087e949633de08c950"),
+        (300, 32, "ecd9e0a3f355e529e6c8159a014403fc8267ac52cc8d70690f53622de83e4c08"),
+        (257, 16, "ed8344c54f6568329bb8313bd528225f49503f4c756872fb95e902cb4bcb4780"),
+    ])
+    def test_reports_pinned(self, config, size, roi, digest):
+        # whole reports, clipped edge ROIs included, fixed so that a rewrite
+        # of the capture or the scoring cannot change a single bit of them
+        spec = SceneSpec(source="hdr_blobs", seed=size, width=size,
+                         height=size, mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        report = evaluate_protocol(scene, config, roi_size=roi, seed=size + 1)
+        text = json.dumps(report.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_method_rejected(self, config):
         scene = self.hdr_scene(config, seed=51)
