@@ -14,6 +14,7 @@ saturation probability).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +95,18 @@ class GainMap:
             mode = doc["mode"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed gain plan ({exc!r})") from exc
-        return cls(mode=mode, values=vals, roi_size=doc.get("roi_size"),
-                   eta=doc.get("eta", 0.0))
+        roi_size, eta = doc.get("roi_size"), doc.get("eta", 0.0)
+        if roi_size is not None and not is_json_int(roi_size):
+            raise DataError(f"gain plan roi_size {roi_size!r} is not an integer")
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+            raise DataError(f"gain plan eta {eta!r} is not a number")
+        return cls(mode=mode, values=vals, roi_size=roi_size, eta=eta)
+
+
+def is_json_int(value) -> bool:
+    """Whether a plan field read from JSON is an integer (not a bool, not a
+    float that happens to be whole)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -179,7 +190,7 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     """
     if eta < 0:
         raise ConfigError("eta must be nonnegative")
-    charge, n_post, _ = draw_noise(scene, config, seed)
+    noise = draw_noise(scene, config, seed)
     shape = scene.data.shape
 
     slope = config.adc_slope
@@ -196,7 +207,8 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     for row in range(shape[0]):
         row_digits, row_gains = [], []
         put_digit, put_gain = row_digits.append, row_gains.append
-        for c, post in zip(charge[row].tolist(), n_post[row].tolist()):
+        for c, post in zip(noise.charge[row].tolist(),
+                           noise.n_post[row].tolist()):
             put_gain(g)
             d = round((g * c + post) * slope) + black
             if d < 0:

@@ -8,13 +8,16 @@ bin maps from it, then run the four readout strategies
     const_gain_vary_bin  base gain, per-ROI additive binning
     vary_gain_vary_bin   per-ROI gains plus per-ROI digital binning
 
-on the same scene with the same seed.  One seed is one noise realization
-whatever the plan, so methods are compared on identical photon arrivals and
-the comparison is paired: strategies that coincide on an ROI produce
-identical pixels there.  Estimates are normalized by well capacity, gamma
-corrected, and scored with SSIM per ROI against the noise-free ground truth;
-reports aggregate the worst-case ROI (the number that exposes how the
-darkest or most damaged region fared) alongside the mean.
+on the same scene with the same seed.  The main seed's noise realization is
+drawn once and read out under each of the four plans, so methods are
+compared on identical photon arrivals and the comparison is paired:
+strategies that coincide on an ROI produce identical pixels there.
+Estimates are normalized by well capacity, gamma corrected, and scored with
+SSIM per ROI against the noise-free ground truth.  The ROIs are scored in
+stacks of same-shape blocks, and the ground truth's blur statistics are
+computed once per scene and view and shared by the four methods.  Reports
+aggregate the worst-case ROI (the number that exposes how the darkest or
+most damaged region fared) alongside the mean.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .gain import GainMap, plan_gain_roi
-from .readout import BinMap, capture_spatially_varying, plan_bin_roi
+from .readout import BinMap, native_estimate_blocks, plan_bin_roi, read_plan
 from .roi import RoiGrid
-from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
+from .sensor import (RadianceMap, SensorConfig, draw_noise, estimate_photons,
+                     simulate_capture)
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
            "const_gain_vary_bin", "vary_gain_vary_bin")
@@ -37,6 +41,11 @@ METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
 _SSIM_SIGMA = 1.5
 _SSIM_TRUNCATE = 10.0 / 3.0
 _SSIM_RADIUS = 5
+# ROI pixels the stacked SSIM blurs at once: its working set is about a
+# dozen float64 arrays of this size at any frame size.  2**16 timed fastest
+# at 512x512 and 2048x2048 on a 2-core x86 host; 2**18 added 12 MB to the
+# peak RSS of a 512x512 evaluation.
+_SSIM_CHUNK_PIXELS = 1 << 16
 
 
 def gamma_correct(image: np.ndarray, exponent: float,
@@ -48,35 +57,133 @@ def gamma_correct(image: np.ndarray, exponent: float,
     return np.clip(x ** exponent, 0.0, 1.0)
 
 
-def ssim(ref: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, float]:
+def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
+    """The protocol's rendering: photons over well capacity, gamma 1/3.2."""
+    return gamma_correct(photons / config.well_capacity, 1.0 / 3.2)
+
+
+def _blur(stack: np.ndarray) -> np.ndarray:
+    """The SSIM window over each block of an (n, h, w) stack; sigma 0 on the
+    stack axis keeps every block's reflect boundary to itself."""
+    from scipy.ndimage import gaussian_filter  # slow to import; only SSIM needs it
+    return gaussian_filter(stack, (0.0, _SSIM_SIGMA, _SSIM_SIGMA),
+                           truncate=_SSIM_TRUNCATE, mode="reflect")
+
+
+def _reference_stats(a: np.ndarray):
+    """Local mean and variance of an (n, h, w) stack of reference blocks."""
+    mu_a = _blur(a)
+    return mu_a, _blur(a * a) - mu_a * mu_a
+
+
+def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     """Structural similarity on unit-range images.
 
     Gaussian-weighted local statistics (11x11, sigma 1.5) with the standard
-    stabilizers C1 = 0.01^2 and C2 = 0.03^2.  Returns the per-pixel map and
-    its mean over the interior (window margins cropped when the image is
-    large enough).
+    stabilizers C1 = 0.01^2 and C2 = 0.03^2.  ``ref`` and ``test`` are two
+    images, or two (n, h, w) stacks of same-shape blocks scored block by
+    block, each with its own reflect boundary.  Returns the per-pixel map
+    and its mean over the interior (window margins cropped when the image is
+    large enough): a float for images, one value per block for stacks.
+    ``ref_stats`` may hold the reference stack's ``_reference_stats`` from
+    an earlier call, which then need not be blurred again.
     """
-    from scipy.ndimage import gaussian_filter  # slow to import; only SSIM needs it
-
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("SSIM inputs must share dimensions")
+    if a.shape != b.shape or a.ndim not in (2, 3):
+        raise ShapeError("SSIM inputs must be two images or two block stacks "
+                         "of one shape")
+    image = a.ndim == 2
+    if image:
+        a, b = a[None], b[None]
+    mu_a, var_a = _reference_stats(a) if ref_stats is None else ref_stats
     c1, c2 = 0.01 ** 2, 0.03 ** 2
-    blur = lambda x: gaussian_filter(x, _SSIM_SIGMA, truncate=_SSIM_TRUNCATE,
-                                     mode="reflect")
-    mu_a, mu_b = blur(a), blur(b)
-    var_a = blur(a * a) - mu_a * mu_a
-    var_b = blur(b * b) - mu_b * mu_b
-    cov = blur(a * b) - mu_a * mu_b
+    mu_b = _blur(b)
+    var_b = _blur(b * b) - mu_b * mu_b
+    cov = _blur(a * b) - mu_a * mu_b
     smap = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
            ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
     r = _SSIM_RADIUS
-    if min(smap.shape) > 2 * r:
-        scalar = float(smap[r:-r, r:-r].mean())
-    else:
-        scalar = float(smap.mean())
-    return smap, scalar
+    inner = smap[:, r:-r, r:-r] if min(smap.shape[1:]) > 2 * r else smap
+    means = inner.mean(axis=(1, 2))
+    return (smap[0], float(means[0])) if image else (smap, means)
+
+
+class RoiScorer:
+    """Per-ROI SSIM and mean squared error of test images against one
+    reference on the ROI grid ``grid``.
+
+    ``reference(k)`` renders the reference at native view k, one pixel per
+    k x k superpixel (k = 1 is the unit view), so that ROI (i, j) starts at
+    row ``i * grid.size // k`` and column ``j * grid.size // k``.  A view's
+    reference blocks and their blur statistics are computed for every ROI
+    the first time the view is scored and reused for every test image.
+    Same-shape blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels
+    at a time.
+    """
+
+    def __init__(self, grid: RoiGrid, reference):
+        self.grid = grid
+        self._reference = reference
+        self._views = {}
+
+    def _view(self, k: int) -> list:
+        """(ROI rows, ROI columns, reference blocks, mu_a, var_a) for each
+        same-shape ROI group whose blocks view k tiles."""
+        if k not in self._views:
+            r, parts = self.grid.size, []
+            if r % k == 0:
+                ref = self._reference(k)
+                for rs, cs, (bh, bw) in self.grid.parts():
+                    if bh % k or bw % k:
+                        continue
+                    blocks = _blocks(ref, rs, cs, r // k, (bh // k, bw // k))
+                    mu, var = np.empty(blocks.shape), np.empty(blocks.shape)
+                    for i, j in _chunks(np.ones(blocks.shape[:2], bool),
+                                        blocks):
+                        mu[i, j], var[i, j] = _reference_stats(blocks[i, j])
+                    parts.append((rs, cs, blocks, mu, var))
+            self._views[k] = parts
+        return self._views[k]
+
+    def scores(self, test: np.ndarray, k: int = 1, select=None):
+        """Per-ROI SSIM and MSE grids of ``test``, an image at view k, on
+        the ROIs where the boolean grid ``select`` holds (all by default);
+        NaN elsewhere and where k does not tile the ROI."""
+        ssims = np.full(self.grid.shape, np.nan)
+        mse = np.full(self.grid.shape, np.nan)
+        for rs, cs, ref, mu, var in self._view(k):
+            sel = (np.ones(ref.shape[:2], bool) if select is None
+                   else select[rs, cs])
+            blocks = _blocks(test, rs, cs, self.grid.size // k, ref.shape[2:])
+            for i, j in _chunks(sel, ref):
+                a, b = ref[i, j], blocks[i, j]
+                at = (rs.start + i, cs.start + j)
+                ssims[at] = ssim(a, b, (mu[i, j], var[i, j]))[1]
+                mse[at] = ((a - b) ** 2).mean(axis=(1, 2))
+        return ssims, mse
+
+
+def _blocks(image: np.ndarray, rs: slice, cs: slice, step: int, shape):
+    """(ROI rows, ROI columns, h, w) view of the h x w blocks of ``image``
+    for the ROIs ``rs`` x ``cs``, whose corners lie ``step`` pixels apart."""
+    (bh, bw), nr, nc = shape, rs.stop - rs.start, cs.stop - cs.start
+    top, left = rs.start * step, cs.start * step
+    return image[top:top + nr * bh, left:left + nc * bw].reshape(
+        nr, bh, nc, bw).swapaxes(1, 2)
+
+
+def _chunks(select: np.ndarray, blocks: np.ndarray):
+    """Yield (ROI row, ROI column) index arrays of the selected blocks,
+    ``_SSIM_CHUNK_PIXELS`` pixels' worth at a time."""
+    ii, jj = np.nonzero(select)
+    step = max(1, _SSIM_CHUNK_PIXELS // (blocks.shape[2] * blocks.shape[3]))
+    for s in range(0, ii.size, step):
+        yield ii[s:s + step], jj[s:s + step]
+
+
+def _decibels(mse: float) -> float:
+    return math.inf if mse == 0 else -10.0 * math.log10(mse)
 
 
 def psnr(ref: np.ndarray, test: np.ndarray) -> float:
@@ -85,10 +192,7 @@ def psnr(ref: np.ndarray, test: np.ndarray) -> float:
     b = np.asarray(test, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError("PSNR inputs must share dimensions")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0:
-        return math.inf
-    return -10.0 * math.log10(mse)
+    return _decibels(float(np.mean((a - b) ** 2)))
 
 
 @dataclass
@@ -135,33 +239,20 @@ class EvalReport:
         return rows
 
 
-def _score_method(gt_gamma: np.ndarray, scene: RadianceMap, raw, config,
-                  roi_size: int) -> MethodScores:
-    est = estimate_photons(raw, config).data
-    img_gamma = gamma_correct(est / config.well_capacity, 1.0 / 3.2)
-    grid = RoiGrid(scene.height, scene.width, roi_size)
-    ssims = np.empty(grid.shape)
-    psnrs = np.empty(grid.shape)
-    native = np.empty(grid.shape)
-    for (i, j), sl in grid.slices():
-        ref_blk, test_blk = gt_gamma[sl], img_gamma[sl]
-        _, ssims[i, j] = ssim(ref_blk, test_blk)
-        psnrs[i, j] = psnr(ref_blk, test_blk)
-        # native view: superpixel-resolution estimate vs block-mean reference
-        k = math.isqrt(int(raw.bin_factor[sl][0, 0]))
-        if k > 1 and ref_blk.shape[0] % k == 0 and ref_blk.shape[1] % k == 0:
-            blk = scene.data[sl]
-            ref_native = blk.reshape(blk.shape[0] // k, k,
-                                     blk.shape[1] // k, k).mean(axis=(1, 3))
-            ref_native = gamma_correct(ref_native / config.well_capacity, 1.0 / 3.2)
-            est_native = gamma_correct(est[sl][::k, ::k] / config.well_capacity,
-                                       1.0 / 3.2)
-            _, native[i, j] = ssim(ref_native, est_native)
-        else:
-            native[i, j] = ssims[i, j]
+def _score_method(scorer: RoiScorer, img: np.ndarray, raw, est,
+                  config: SensorConfig) -> MethodScores:
+    """Score one method's rendered estimate ``img`` per ROI; binned ROIs are
+    also scored at native resolution against the block-mean reference."""
+    ssims, mse = scorer.scores(img)
+    native = ssims.copy()
+    for k, rois, view in native_estimate_blocks(raw, est):
+        if k > 1:
+            at_k, _ = scorer.scores(_tonemap(view, config), k, rois)
+            native = np.where(np.isnan(at_k), native, at_k)
     return MethodScores(worst_ssim=float(ssims.min()),
                         mean_ssim=float(ssims.mean()),
-                        worst_psnr=float(psnrs.min()),
+                        worst_psnr=float(np.min([_decibels(m) for m in
+                                                 mse.ravel().tolist()])),
                         worst_ssim_native=float(native.min()),
                         ssim_grid=ssims)
 
@@ -181,8 +272,8 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
         raise ConfigError(f"unknown methods: {sorted(unknown)}")
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
-    pilot_raw = simulate_capture(scene, 1.0, None, config, seed=pilot_seed)
-    pilot = estimate_photons(pilot_raw, config)
+    pilot = estimate_photons(
+        simulate_capture(scene, 1.0, None, config, seed=pilot_seed), config)
     gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
     # the constant gain protects the brightest pixel: one ROI over the frame
     whole, _ = plan_gain_roi(pilot, max(scene.height, scene.width, roi_size),
@@ -192,6 +283,7 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     # bin plan from the pilot at unit gain, per-ROI mean level
     bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)
     factors = bins.factors
+    del pilot
 
     base_grid = np.full(factors.shape, g_base)
     trivial = BinMap(roi_size=roi_size, factors=np.ones_like(factors),
@@ -206,7 +298,18 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
             gmap, BinMap(roi_size=roi_size, factors=factors, mode="digital")),
     }
 
-    gt_gamma = gamma_correct(scene.data / config.well_capacity, 1.0 / 3.2)
+    gt_gamma = _tonemap(scene.data, config)
+
+    def reference(k):
+        # the ground truth at native view k: the mean of each k x k block
+        if k == 1:
+            return gt_gamma
+        h, w = scene.height // k * k, scene.width // k * k
+        return _tonemap(scene.data[:h, :w].reshape(h // k, k, w // k, k)
+                        .mean(axis=(1, 3)), config)
+
+    scorer = RoiScorer(RoiGrid(scene.height, scene.width, roi_size),
+                       reference)
     report = EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
                         seed=seed)
     if dump_dir is not None:
@@ -216,15 +319,18 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
         dump.mkdir(parents=True, exist_ok=True)
         write_pgm16(dump / "ground_truth.pgm",
                     np.rint(gt_gamma * 65535).astype(np.uint16))
+    # one realization for all methods, drawn to the largest superpixel any
+    # of their plans bins at
+    noise = draw_noise(scene, config, main_seed, max(
+        (math.isqrt(int(plans[name][1].factors.max())) for name in methods),
+        default=1))
     for name in methods:
         gm, bm = plans[name]
-        raw, _ = capture_spatially_varying(scene, gm, bm, config,
-                                           seed=main_seed)
-        report.scores[name] = _score_method(gt_gamma, scene, raw, config,
-                                            roi_size)
+        raw, est = read_plan(noise, gm, bm, config)
+        img = _tonemap(est.data, config)
+        report.scores[name] = _score_method(scorer, img, raw, est, config)
         if dump_dir is not None:
-            est = estimate_photons(raw, config).data
-            img = gamma_correct(est / config.well_capacity, 1.0 / 3.2)
             write_pgm16(dump / f"{name}.pgm",
                         np.rint(img * 65535).astype(np.uint16))
+        del raw, est, img  # free before the next readout
     return report

@@ -14,15 +14,15 @@ All modes cut the photon-noise term by N and are decoded by the same nominal
 gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
 Reproducibility: one seed is one noise realization.  Every planned capture
-goes through ``read_out``, which takes its draws from ``sensor.draw_noise``:
-the whole frame in a fixed order, independent of the plan (unit-pixel
-photons and read noise, then superpixel post-amp normals on the global
-k-grids).  Captures of the same scene with the same seed but different plans
-therefore share their physical noise realization: a scalar gain and a grid
-of that gain give the same digits, and paired method comparisons in the
-evaluation protocol are exact.  The per-pixel adaptive loop
-(``gain.capture_adaptive``) reads the same draws through its own sequential
-recursion.
+goes through ``read_out``, which digitizes a ``sensor.draw_noise``
+realization: the whole frame drawn in a fixed order, independent of the
+plan (unit-pixel photons and read noise, then superpixel post-amp normals on
+the global k-grids).  Captures of the same scene with the same seed but
+different plans therefore share their physical noise realization: a scalar
+gain and a grid of that gain give the same digits, and the evaluation
+protocol draws one realization and reads it out under each method's plan
+(``read_plan``).  The per-pixel adaptive loop (``gain.capture_adaptive``)
+reads the same draws through its own sequential recursion.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .gain import GainMap
+from .gain import GainMap, is_json_int
 from .roi import RoiGrid
-from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     draw_noise, estimate_photons, quantize)
+from .sensor import (PhotonEstimate, RadianceMap, RawCapture, Realization,
+                     SensorConfig, draw_noise, estimate_photons, quantize)
 from .theory import BIN_LADDER, TheoryParams, optimal_pitch
 
 BIN_MODES = ("additive", "average", "digital")
@@ -78,10 +78,15 @@ class BinMap:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BinMap":
         try:
-            ks = np.asarray(doc["values"], dtype=np.int64).reshape(doc["shape"])
+            ks = np.asarray(doc["values"], dtype=np.float64).reshape(doc["shape"])
             roi_size, mode = doc["roi_size"], doc["mode"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed bin plan ({exc!r})") from exc
+        if not is_json_int(roi_size):
+            raise DataError(f"bin plan roi_size {roi_size!r} is not an integer")
+        if not np.all(np.isfinite(ks) & (ks == np.rint(ks))):
+            raise DataError("bin plan linear factors must be integers")
+        ks = ks.astype(np.int64)
         return cls(roi_size=roi_size, factors=ks * ks, mode=mode)
 
 
@@ -141,11 +146,18 @@ def _check_gains(gain, factor, mode: str, config: SensorConfig) -> None:
     config.check_gain(g[~additive])
 
 
-def read_out(scene: RadianceMap, gain, factor, mode: str,
-             config: SensorConfig, seed: int):
-    """The capture kernel: digitize the ``draw_noise`` realization of
-    (scene, seed) under a per-pixel gain and bin factor (arrays or scalars)
-    and one binning mode.
+def _max_k(factor, mode: str) -> int:
+    """Largest superpixel side whose post-amp draws a readout reads; digital
+    binning reads only unit-pixel draws."""
+    return 1 if mode == "digital" else math.isqrt(int(np.max(factor)))
+
+
+def read_out(noise: Realization, gain, factor, mode: str,
+             config: SensorConfig):
+    """The capture kernel: digitize a ``draw_noise`` realization under a
+    per-pixel gain and bin factor (arrays or scalars) and one binning mode.
+    Analog modes read the superpixel draws of every k they bin at, so the
+    realization must be drawn at least that far.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
     starts at a multiple of k in both axes; gain and factor must be constant
@@ -154,12 +166,10 @@ def read_out(scene: RadianceMap, gain, factor, mode: str,
     replication.  Returns unit-resolution digits, each superpixel's value
     replicated over its footprint, and the saturation mask.
     """
-    h, w = scene.data.shape
+    charge = noise.charge
+    h, w = charge.shape
     factor = np.broadcast_to(np.asarray(factor, dtype=np.int64), (h, w))
-    # digital binning reads only unit-pixel draws
-    max_k = 1 if mode == "digital" else math.isqrt(int(factor.max()))
-    charge, n_post, sup_post = draw_noise(scene, config, seed, max_k)
-    unit = quantize(gain * charge + n_post, config)
+    unit = quantize(gain * charge + noise.n_post, config)
     unit_sat = unit == config.digital_max
     digits, sat = unit, unit_sat
     for k in BIN_LADDER[1:]:
@@ -178,9 +188,9 @@ def read_out(scene: RadianceMap, gain, factor, mode: str,
             if mode == "additive":
                 # shared sense node holds at most N wells' worth of charge
                 summed = np.minimum(summed, n * config.well_capacity)
-                v = (g / n) * summed + sup_post[k]
+                v = (g / n) * summed + noise.sup_post[k]
             else:
-                v = g * (summed / n) + sup_post[k]
+                v = g * (summed / n) + noise.sup_post[k]
             d_sup = quantize(v, config)
             sat_sup = d_sup == config.digital_max
         digits = np.where(sel, _replicate(d_sup, k)[:h, :w], digits)
@@ -202,7 +212,8 @@ def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
         raise ShapeError("scene dimensions must be divisible by the bin factor")
     _check_gains(gain, factor, mode, config)
 
-    digits, sat = read_out(scene, float(gain), factor, mode, config, seed)
+    noise = draw_noise(scene, config, seed, _max_k(factor, mode))
+    digits, sat = read_out(noise, float(gain), factor, mode, config)
     digits, sat = digits[::k, ::k], sat[::k, ::k]
     return RawCapture(digits=digits, gain=np.full(digits.shape, float(gain)),
                       bin_factor=np.full(digits.shape, factor, dtype=np.int64),
@@ -220,7 +231,16 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
     upsampled view); ``native_estimate_blocks`` recovers the per-ROI native
     resolution.  Metadata records the per-ROI parameters.
     """
-    grid = RoiGrid(scene.height, scene.width, bin_map.roi_size)
+    noise = draw_noise(scene, config, seed,
+                       _max_k(bin_map.factors, bin_map.mode))
+    return read_plan(noise, gain_map, bin_map, config)
+
+
+def read_plan(noise: Realization, gain_map, bin_map: BinMap,
+              config: SensorConfig) -> tuple[RawCapture, PhotonEstimate]:
+    """``capture_spatially_varying`` of a drawn realization: read it out
+    under per-ROI gains and bin factors, without drawing again."""
+    grid = RoiGrid(*noise.charge.shape, bin_map.roi_size)
     grid.check(bin_map.factors, "bin map")
     if isinstance(gain_map, GainMap):
         gain_grid = gain_map.on_grid(grid)
@@ -231,10 +251,9 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
 
     gain_full = grid.expand(gain_grid)
     bin_full = grid.expand(bin_map.factors)
-    digits, sat = read_out(scene, gain_full, bin_full, bin_map.mode, config,
-                           seed)
+    digits, sat = read_out(noise, gain_full, bin_full, bin_map.mode, config)
     raw = RawCapture(digits=digits, gain=gain_full, bin_factor=bin_full,
-                     saturation_mask=sat, seed=seed,
+                     saturation_mask=sat, seed=noise.seed,
                      meta={"roi_size": grid.size, "mode": bin_map.mode,
                            "gain_grid": gain_grid.tolist(),
                            "bin_grid": bin_map.factors.tolist()})
@@ -268,17 +287,18 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 
-def native_estimate_blocks(raw: RawCapture, config: SensorConfig):
-    """Yield ((roi_row, roi_col), native-resolution estimate block, factor)
-    for a spatially-varying capture."""
+def native_estimate_blocks(raw: RawCapture, estimate: PhotonEstimate):
+    """The native-resolution views of a spatially-varying capture's
+    estimate: yield (k, ROIs read out at linear bin factor k, the estimate
+    sampled ``[::k, ::k]``) for each k the capture uses.  The view holds one
+    value per k x k superpixel; ROI (i, j)'s superpixels fill its rows
+    ``i * roi_size // k`` onward and columns ``j * roi_size // k`` onward."""
     r = raw.meta.get("roi_size")
     if r is None:
         raise DataError("capture carries no ROI metadata")
-    est = estimate_photons(raw, config).data
-    for idx, sl in RoiGrid(raw.height, raw.width, r).slices():
-        n = int(raw.bin_factor[sl][0, 0])
-        k = math.isqrt(n)
-        yield idx, est[sl][::k, ::k], n
+    ks = np.sqrt(raw.bin_factor[::r, ::r]).astype(np.int64)
+    for k in np.unique(ks).tolist():
+        yield k, ks == k, estimate.data[::k, ::k]
 
 
 def compose_from_gain_stack(stack: GainStack, gain_map: GainMap

@@ -37,6 +37,21 @@ class RoiGrid:
                 yield (i, j), (slice(i * r, min((i + 1) * r, self.height)),
                                slice(j * r, min((j + 1) * r, self.width)))
 
+    def parts(self):
+        """The ROIs in at most four groups of one block shape each: yield
+        (ROI row slice, ROI column slice, (block height, block width)) for
+        the full ROIs, the clipped right column, the clipped bottom row and
+        the clipped corner."""
+        (rows, cols), r = self.shape, self.size
+        row_parts = ((slice(0, self.height // r), r),
+                     (slice(self.height // r, rows), self.height % r))
+        col_parts = ((slice(0, self.width // r), r),
+                     (slice(self.width // r, cols), self.width % r))
+        for rs, bh in row_parts:
+            for cs, bw in col_parts:
+                if rs.start < rs.stop and cs.start < cs.stop:
+                    yield rs, cs, (bh, bw)
+
     def check(self, grid, what: str) -> np.ndarray:
         """``grid`` as an array, or ShapeError if it is not one value per
         ROI."""

@@ -23,7 +23,9 @@ negligible next to read noise.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -244,8 +246,20 @@ def simulate_pixel(mean_electrons: float, gain: float, config: SensorConfig,
     return int(quantize(v, config)[()])
 
 
+@dataclass(frozen=True)
+class Realization:
+    """The read-only noise of one (scene, seed): each unit pixel's charge
+    (photon arrivals plus pre-amp noise) and post-amp normal, and the
+    post-amp normals of the k x k superpixels for each drawn k."""
+
+    seed: int
+    charge: np.ndarray
+    n_post: np.ndarray
+    sup_post: Mapping
+
+
 def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
-               max_k: int = 1):
+               max_k: int = 1) -> Realization:
     """The noise realization of one (scene, seed), whatever the plan.
 
     Every draw comes from the root stream ``default_rng(SeedSequence(seed))``
@@ -253,10 +267,8 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
     order), pre-amp normals, post-amp normals, then the post-amp normals of
     the k x k superpixels on the ``ceil(h/k) x ceil(w/k)`` grid for
     k = 2, 4, 8 up to ``max_k``.  Draws past ``max_k`` would come after all
-    of these, so skipping them changes no value that a plan reads.
-
-    Returns (charge, n_post, {k: superpixel post-amp normals}), where the
-    charge is each unit pixel's photon arrivals plus its pre-amp noise.
+    of these, so skipping them changes no value that a plan reads, and one
+    realization drawn to the largest k of several plans serves them all.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape = scene.data.shape
@@ -269,7 +281,9 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
         sup_post[k] = rng.normal(0.0, config.sigma_post,
                                  (-(-shape[0] // k), -(-shape[1] // k)))
         k *= 2
-    return charge, n_post, sup_post
+    for arr in (charge, n_post, *sup_post.values()):
+        arr.flags.writeable = False
+    return Realization(seed, charge, n_post, MappingProxyType(sup_post))
 
 
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
@@ -305,7 +319,8 @@ def simulate_capture(scene: RadianceMap, gain_map, bin_map,
         raise ShapeError("gain map does not conform to scene dimensions")
     config.check_gain(gain_full)
 
-    digits, sat = read_out(scene, gain_full, 1, "digital", config, seed)
+    digits, sat = read_out(draw_noise(scene, config, seed), gain_full, 1,
+                           "digital", config)
     return RawCapture(digits=digits, gain=gain_full,
                       bin_factor=np.ones_like(digits, dtype=np.int64),
                       saturation_mask=sat, seed=seed)

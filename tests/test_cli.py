@@ -205,6 +205,18 @@ _BAD_INPUTS = [
        ["compose", "--stack", "{stack}", "--gain-map", "{bad}",
         "--output", "{out}"], doc)
       for name, doc in _malformed(_GAIN).items()],
+    ("capture_gain_map_string_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+     {"mode": "per_roi", "roi_size": "32", "shape": [1, 1], "values": [2.0]}),
+    ("capture_gain_map_string_eta", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+     dict(_GAIN, eta="x")),
+    ("capture_bin_map_string_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, roi_size="32")),
+    ("capture_bin_map_fractional_factor", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, values=[2.5, 1.9, 1, 1])),
     ("config_not_utf8", 2,
      ["simulate", "{scene}", "--config", "{bad}", *_RUN], b"\xff\xfe"),
     ("pitches_not_numbers", 2,

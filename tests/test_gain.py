@@ -233,6 +233,14 @@ class TestGainMapType:
         assert again.values.shape == gm.values.shape
         assert np.array_equal(again.values, gm.values)
 
+    @pytest.mark.parametrize("key, value", [
+        ("roi_size", "32"), ("roi_size", 2.5), ("roi_size", True),
+        ("eta", "x"), ("eta", None)])
+    def test_wrong_typed_fields_rejected(self, key, value):
+        doc = GainMap("per_roi", np.ones((1, 1)), roi_size=32).to_json_dict()
+        with pytest.raises(DataError):
+            GainMap.from_json_dict(dict(doc, **{key: value}))
+
     def test_on_grid(self):
         grid = RoiGrid(32, 20, 16)
         per_roi = GainMap("per_roi", np.array([[1.0, 2.0], [3.0, 4.0]]),

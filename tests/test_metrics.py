@@ -3,14 +3,18 @@
 import hashlib
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from svsensor import (ConfigError, SceneSpec, SensorConfig, ShapeError,
-                      evaluate_protocol, gamma_correct, load_and_normalize,
-                      psnr, ssim)
-from svsensor.metrics import METHODS
+from svsensor import metrics
+from svsensor import (ConfigError, RoiGrid, SceneSpec, SensorConfig,
+                      ShapeError, evaluate_protocol, gamma_correct,
+                      load_and_normalize, psnr, ssim)
+from svsensor.metrics import METHODS, RoiScorer
 
 
 def ssim_reference(ref, test):
@@ -90,6 +94,56 @@ class TestSsim:
         with pytest.raises(ShapeError):
             ssim(np.zeros((8, 8)), np.zeros((8, 9)))
 
+    def test_stack_scores_each_block_alone(self):
+        rng = np.random.default_rng(113)
+        ref = rng.uniform(0, 1, (3, 12, 20))
+        test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
+        smaps, scores = ssim(ref, test)
+        for n in range(3):
+            smap, score = ssim(ref[n], test[n])
+            assert np.array_equal(smaps[n], smap)
+            assert scores[n] == score
+
+
+def _block_means(image, k):
+    h, w = image.shape[0] // k * k, image.shape[1] // k * k
+    return image[:h, :w].reshape(h // k, k, w // k, k).mean(axis=(1, 3))
+
+
+class TestRoiScorer:
+    @given(h=st.integers(1, 70), w=st.integers(1, 70),
+           roi=st.sampled_from([8, 16, 24, 32]),
+           chunk=st.sampled_from([1, 300, 1 << 18]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stacked_scores_equal_per_roi_ssim(self, h, w, roi, chunk, seed):
+        # bit for bit, on clipped edge ROIs, at every native view and with
+        # chunks from one block to the whole frame
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0, 1, (h, w))
+        test = np.clip(ref + rng.normal(0, 0.1, (h, w)), 0, 1)
+        grid = RoiGrid(h, w, roi)
+        scorer = RoiScorer(grid, lambda k: ref if k == 1
+                           else _block_means(ref, k))
+        with mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk):
+            ssims, mse = scorer.scores(test)
+            for (i, j), sl in grid.slices():
+                assert ssims[i, j] == ssim(ref[sl], test[sl])[1]
+                assert mse[i, j] == np.mean((ref[sl] - test[sl]) ** 2)
+            for k in (2, 4, 8):
+                select = rng.random(grid.shape) < 0.7
+                at_k, _ = scorer.scores(test[::k, ::k], k, select)
+                ref_k = _block_means(ref, k)
+                for (i, j), (rs, cs) in grid.slices():
+                    if (select[i, j] and roi % k == 0
+                            and (rs.stop - rs.start) % k == 0
+                            and (cs.stop - cs.start) % k == 0):
+                        native = ref_k[rs.start // k:rs.stop // k,
+                                       cs.start // k:cs.stop // k]
+                        assert at_k[i, j] == ssim(
+                            native, test[rs, cs][::k, ::k])[1]
+                    else:
+                        assert np.isnan(at_k[i, j])
+
 
 class TestPsnr:
     def test_identical_is_infinite(self):
@@ -149,6 +203,24 @@ class TestProtocol:
         a = evaluate_protocol(scene, config, roi_size=32, seed=42)
         b = evaluate_protocol(scene, config, roi_size=32, seed=42)
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_one_main_draw(self, config, monkeypatch):
+        # the pilot and one main realization, read out under all four plans
+        import svsensor.sensor as sensor_mod
+        real, seeds = sensor_mod.draw_noise, []
+
+        def counting(scene, config, seed, *args, **kwargs):
+            seeds.append(seed)
+            return real(scene, config, seed, *args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("svsensor")
+                    and getattr(mod, "draw_noise", None) is real):
+                monkeypatch.setattr(mod, "draw_noise", counting)
+        scene = self.hdr_scene(config, seed=71)
+        report = evaluate_protocol(scene, config, roi_size=32, seed=72)
+        assert set(report.scores) == set(METHODS)
+        assert len(seeds) == 2 and seeds[0] != seeds[1]
 
     @pytest.mark.parametrize("size, roi, digest", [
         (512, 32, "25a930cca541faa97848b02ee3c041d513f51e4623e437087e949633de08c950"),

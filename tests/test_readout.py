@@ -6,6 +6,7 @@ equivalence with direct capture.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
                       compose_from_gain_stack, estimate_photons,
                       native_estimate_blocks, plan_bin_roi,
                       quantize_to_ladder, simulate_capture)
-from svsensor.readout import BIN_MODES
+from svsensor.readout import BIN_MODES, read_plan
+from svsensor.sensor import draw_noise
 
 
 def binned_estimates(level, gain, factor, mode, config, n_super, seed):
@@ -155,6 +157,46 @@ class TestBinModes:
 
 
 class TestSpatiallyVarying:
+    @pytest.mark.parametrize("mode", BIN_MODES)
+    def test_one_realization_reads_out_as_seeded_captures(self, mode):
+        # the protocol's four plans read from one realization drawn to the
+        # largest k give the captures that each plan's own seeded draw gives
+        config = SensorConfig(gain_max=128.0)
+        rng = np.random.default_rng(70)
+        scene = RadianceMap(data=rng.uniform(0, 400, (72, 88)))
+        shape = (5, 6)  # clipped 8-pixel ROIs on the bottom and right
+        factors = rng.choice([1, 2, 4, 8], shape) ** 2
+        gains = rng.uniform(1.0, 2.0, shape)
+        unbinned = BinMap(16, np.ones(shape, dtype=int), "digital")
+        binned = BinMap(16, factors, mode)
+        plans = [(np.full(shape, 1.5), unbinned), (gains, unbinned),
+                 (1.5 * factors, binned),
+                 (gains * factors if mode == "additive" else gains, binned)]
+        noise = draw_noise(scene, config, 71, max_k=8)
+        for values, bm in plans:
+            gm = GainMap("per_roi", values, roi_size=16)
+            raw, est = read_plan(noise, gm, bm, config)
+            ref, ref_est = capture_spatially_varying(scene, gm, bm, config,
+                                                     seed=71)
+            assert np.array_equal(raw.digits, ref.digits)
+            assert np.array_equal(raw.saturation_mask, ref.saturation_mask)
+            assert np.array_equal(est.data, ref_est.data)
+            assert (raw.seed, raw.meta) == (ref.seed, ref.meta)
+
+    def test_realization_is_read_only(self, config):
+        scene = RadianceMap(data=np.full((20, 12), 30.0))
+        noise = draw_noise(scene, config, 5, max_k=8)
+        assert sorted(noise.sup_post) == [2, 4, 8]
+        assert noise.sup_post[8].shape == (3, 2)
+        for arr in (noise.charge, noise.n_post, *noise.sup_post.values()):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            noise.charge[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            noise.sup_post[16] = np.zeros((2, 1))
+        with pytest.raises(AttributeError):
+            noise.charge = np.zeros((20, 12))
+
     def test_trivial_maps_equal_plain_capture(self, config):
         rng = np.random.default_rng(60)
         scene = RadianceMap(data=rng.uniform(0, 300, (64, 64)))
@@ -207,8 +249,14 @@ class TestSpatiallyVarying:
                     mode="digital")
         raw, est = capture_spatially_varying(scene, gm, bm, config, seed=65)
         assert raw.meta["bin_grid"] == [[1, 4], [16, 64]]
-        shapes = {idx: blk.shape for idx, blk, _ in
-                  native_estimate_blocks(raw, config)}
+        shapes = {}
+        for k, rois, view in native_estimate_blocks(raw, est):
+            r = 32 // k
+            for i, j in zip(*np.nonzero(rois)):
+                blk = view[i * r:(i + 1) * r, j * r:(j + 1) * r]
+                assert np.array_equal(
+                    blk, est.data[i * 32:(i + 1) * 32:k, j * 32:(j + 1) * 32:k])
+                shapes[int(i), int(j)] = blk.shape
         assert shapes == {(0, 0): (32, 32), (0, 1): (16, 16),
                           (1, 0): (8, 8), (1, 1): (4, 4)}
         # replicated view is constant within each superpixel footprint
@@ -336,13 +384,32 @@ class TestBinPlanner:
 
 
 class TestBinMapType:
-    def test_json_roundtrip(self):
-        bm = BinMap(roi_size=32, factors=np.array([[1, 4], [16, 64]]),
-                    mode="average")
-        again = BinMap.from_json_dict(bm.to_json_dict())
+    @given(mode=st.sampled_from(BIN_MODES), roi_size=st.sampled_from([8, 16, 64]),
+           rows=st.integers(1, 6), cols=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_json_roundtrip(self, mode, roi_size, rows, cols, seed):
+        ks = np.random.default_rng(seed).choice([1, 2, 4, 8], (rows, cols))
+        bm = BinMap(roi_size=roi_size, factors=ks * ks, mode=mode)
+        again = BinMap.from_json_dict(json.loads(json.dumps(
+            bm.to_json_dict())))
         assert again.mode == bm.mode
         assert again.roi_size == bm.roi_size
+        assert again.factors.dtype == bm.factors.dtype
         assert np.array_equal(again.factors, bm.factors)
+
+    @pytest.mark.parametrize("key, value", [
+        ("values", [2.5, 1.9]), ("values", [2, float("nan")]),
+        ("roi_size", "32"), ("roi_size", 32.0)])
+    def test_malformed_plan_rejected(self, key, value):
+        doc = BinMap(roi_size=32, factors=np.ones((1, 2), dtype=int),
+                     mode="digital").to_json_dict()
+        with pytest.raises(DataError):
+            BinMap.from_json_dict(dict(doc, **{key: value}))
+
+    def test_integral_float_factors_accepted(self):
+        doc = {"roi_size": 32, "mode": "digital", "shape": [1, 2],
+               "values": [2.0, 8.0]}
+        assert BinMap.from_json_dict(doc).factors.tolist() == [[4, 64]]
 
     def test_rejects_non_square_factor(self):
         with pytest.raises(ConfigError):

@@ -30,13 +30,18 @@ class TestAdc:
             d = simulate_pixel(2.0 * config.well_capacity, g, config, rng)
             assert d == config.digital_max
 
-    def test_quantization_roundtrip_within_half_step(self, config):
-        # away from the clamp boundaries the ADC loses at most half a step
-        rng = np.random.default_rng(2)
-        v = rng.uniform(10.0, config.well_capacity - 10.0, 20000)
+    @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
+           bit_depth=st.integers(8, 16))
+    @example(fracs=[0.0, 0.5, 1.0], bit_depth=12)
+    def test_quantization_roundtrip_within_half_step(self, fracs, bit_depth):
+        # away from the clamp boundaries (one step inside digit 0 and
+        # digital_max) the ADC loses at most half a step
+        config = SensorConfig(bit_depth=bit_depth)
+        step = 1.0 / config.adc_slope
+        lo = -config.black_level * step + step
+        v = lo + np.asarray(fracs) * (config.well_capacity - step - lo)
         back = dequantize(quantize(v, config), config)
-        half_step = 0.5 / config.adc_slope
-        assert np.max(np.abs(back - v)) <= half_step + 1e-12
+        assert np.max(np.abs(back - v)) <= 0.5 * step * (1 + 1e-12)
 
     def test_round_half_to_even(self, config):
         # a voltage exactly between two codes rounds to the even one

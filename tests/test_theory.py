@@ -6,12 +6,14 @@ formula against direct numerical integration of a sinusoid over pixel
 footprints.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from svsensor import (ConfigError, TheoryParams, contrast,
+from svsensor import (BinLut, ConfigError, TheoryParams, contrast,
                       cutoff_frequency, light_to_bin_lut, noise_sigma,
                       optimal_pitch, sweep_pitch)
 
@@ -197,14 +199,22 @@ class TestBinLut:
         with pytest.raises(ConfigError):
             light_to_bin_lut(params, config, 0.5)
 
-    def test_json_roundtrip(self, config):
-        from svsensor import BinLut
-        params = TheoryParams(snr_t=4.0, pitch_candidates=(0.5, 1.0, 2.0, 4.0),
-                              light_grid=(1.0, 10.0, 100.0))
-        lut = light_to_bin_lut(params, config, 0.5)
-        again = BinLut.from_json_dict(lut.to_json_dict())
+    @given(n=st.integers(1, 24), lo=st.floats(1e-3, 10.0),
+           span=st.floats(1.0, 1e4), unit_pitch=st.floats(0.1, 4.0),
+           snr_t=st.floats(0.5, 10.0), gain=st.floats(1.0, 27.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_json_roundtrip(self, n, lo, span, unit_pitch, snr_t, gain, seed):
+        lights = np.geomspace(lo, lo * span, n)
+        factors = -np.sort(-np.random.default_rng(seed).choice(
+            [1, 4, 16, 64], n))
+        lut = BinLut(lights=lights, factors=factors, unit_pitch=unit_pitch,
+                     snr_t=snr_t, gain=gain)
+        again = BinLut.from_json_dict(json.loads(json.dumps(
+            lut.to_json_dict())))
         assert np.array_equal(again.factors, lut.factors)
         assert np.array_equal(again.lights, lut.lights)
+        assert (again.unit_pitch, again.snr_t, again.gain) == (
+            unit_pitch, snr_t, gain)
 
 
 class TestParamsValidation:
