@@ -1,5 +1,6 @@
 """Command-line contracts: exit codes, file outputs, byte-identical reruns."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -362,3 +363,79 @@ def test_evaluate_writes_report(tmp_path, scene_path, config_path):
     assert "ground_truth.pgm" in rendered
     assert "vary_gain_vary_bin.pgm" in rendered
     assert read_pgm16(dump / "ground_truth.pgm").shape == (64, 64)
+
+
+def _pinned_inputs(root):
+    """A clipped 100x70 scene (ROIs of 32 leave a 4-row bottom row and a
+    6-column right column), one per-ROI gain plan, a bin plan with factors
+    1, 4 and 16 that every mode can read at those gains, and a gain stack
+    at gains 1, 2, 4 and 8 drawn at one seed."""
+    rng = np.random.default_rng(2027)
+    write_pfm(root / "scene.pfm", rng.uniform(0, 900, (100, 70)))
+    gains = [[1.5, 6, 20], [5, 2, 17], [16, 4.5, 1], [1, 18, 4]]
+    save_json(root / "gains.json", GainMap("per_roi", np.array(gains),
+                                           roi_size=32).to_json_dict())
+    ks = np.array([[1, 2, 4], [2, 1, 4], [4, 2, 1], [1, 4, 2]])
+    for mode in ("additive", "average", "digital"):
+        save_json(root / f"bins_{mode}.json",
+                  BinMap(32, ks * ks, mode).to_json_dict())
+    plan = [[1.5, 3, 8], [5, 1, 2.5], [7.9, 4.5, 1], [1, 9, 2]]
+    save_json(root / "plan.json", GainMap("per_roi", np.array(plan),
+                                          roi_size=32).to_json_dict())
+    (root / "stack").mkdir()
+    frames = []
+    for g in (1, 2, 4, 8):
+        assert main(["simulate", str(root / "scene.pfm"), "--gain", str(g),
+                     "--seed", "5",
+                     "--output", str(root / "stack" / f"gain_{g}")]) == 0
+        frames.append({"gain": float(g), "base": f"gain_{g}"})
+    save_json(root / "stack" / "manifest.json", {"frames": frames})
+
+
+_SCENE = ["{root}/scene.pfm", "--seed", "9", "--output", "{root}/out",
+          "--estimate", "{root}/out.pfm"]
+# additive and average binning read the same digits here: they differ only
+# where a superpixel's charge exceeds N wells, which saturates either way
+_BINNED = ("9ef8696ac438cbdff561b4f4fe4199ad55d24137d163933c05d6f99303c57bab",
+           "29c365a7b71f8c5d3a2b1f8dcec3b750a1ac8d7360f660121cad3a7b326a36ef")
+_PINNED = [
+    ("simulate_gain", ["simulate", *_SCENE, "--gain", "2"],
+     "4de182fd6b41b485456f8fdc305f928ee85abccc7ef35fbc83904a292eb154a1",
+     "46815a0b0414e8c2fb0d4c81ae229025cd9c5a6bed21da10732504ab504dcee8"),
+    ("simulate_gain_map",
+     ["simulate", *_SCENE, "--gain-map", "{root}/gains.json"],
+     "177926e812f5cb4efdc2f48021476ef384dbe7864c4b3532b77e727cf6702465",
+     "ac8583f120ab11adc522131b4b29a11fa08f38ed7d099a5152539fa28db4f703"),
+    *[(f"capture_{mode}",
+       ["capture", *_SCENE, "--gain-map", "{root}/gains.json",
+        "--bin-map", f"{{root}}/bins_{mode}.json"], *digests)
+      for mode, digests in (("additive", _BINNED), ("average", _BINNED))],
+    ("capture_digital",
+     ["capture", *_SCENE, "--gain-map", "{root}/gains.json",
+      "--bin-map", "{root}/bins_digital.json"],
+     "ed3adbbc0cb2d02b015107655ce22dc765269c325bc05d6d3961e8c40e77f78f",
+     "14536180231dcf428ec146da5b55b125a38d2a6729ea58a0782a65c9bc78285a"),
+    ("capture_per_pixel", ["capture", *_SCENE, "--per-pixel-eta", "4"],
+     "ad559e7473f3e1c5fd1bbc178dd376a39c4f3ec3a939c04b9d9592939c8abcf8",
+     "3cf9255107e6962849b004efdd078276971f67e0d287820ec322ebb167af8a21"),
+    ("compose_snap",
+     ["compose", "--stack", "{root}/stack", "--gain-map", "{root}/plan.json",
+      "--snap", "--output", "{root}/out"],
+     "120452b6a9897df37f21702333859c86af0b1d1ee06b9e790043b475064d30ce",
+     None),
+]
+
+
+@pytest.mark.parametrize("argv, pgm, pfm", [case[1:] for case in _PINNED],
+                         ids=[case[0] for case in _PINNED])
+def test_cli_outputs_pinned(tmp_path, argv, pgm, pfm):
+    # SHA-256 of the capture PGM and the --estimate PFM, fixed so that a
+    # change to how captures are planned, stored or decoded cannot change
+    # a byte of the digits or the estimate
+    _pinned_inputs(tmp_path)
+    assert main([a.format(root=tmp_path) for a in argv]) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("out.pgm", "out.pfm")
+              if (tmp_path / name).exists()}
+    assert digest.get("out.pgm") == pgm
+    assert digest.get("out.pfm") == pfm
