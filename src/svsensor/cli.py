@@ -19,8 +19,7 @@ from .calibrate import dark_variance, fit_read_noise
 from .errors import ConfigError, DataError, NumericalError, ShapeError
 from .gain import GainMap, capture_adaptive, gain_from_vignetting, plan_gain_roi, quantize_to_ladder
 from .metrics import METHODS, evaluate_protocol
-from .readout import (BinMap, capture_spatially_varying,
-                      compose_from_gain_stack, plan_bin_roi)
+from .readout import BinMap, compose_from_gain_stack, plan_bin_roi
 from .scenes import SceneSpec, load_and_normalize
 from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
 from .theory import TheoryParams, light_to_bin_lut, sweep_pitch
@@ -59,15 +58,16 @@ def _float_list(text):
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     scene = _load_scene(args.scene, config, args.mean_frac)
-    if args.gain_map:
-        gm = GainMap.from_json_dict(fileio.load_json(args.gain_map))
-    else:
-        gm = GainMap(mode="constant", values=np.asarray(args.gain))
-    raw = simulate_capture(scene, gm, None, config, seed=args.seed)
+    gm = (GainMap.from_json_dict(fileio.load_json(args.gain_map))
+          if args.gain_map else args.gain)
+    return _save_capture(args, simulate_capture(scene, gm, None, config,
+                                                seed=args.seed), config)
+
+
+def _save_capture(args, raw, config) -> int:
     fileio.save_capture(args.output, raw)
     if args.estimate:
-        est = estimate_photons(raw, config)
-        fileio.write_pfm(args.estimate, est.data)
+        fileio.write_pfm(args.estimate, estimate_photons(raw, config).data)
     return EXIT_OK
 
 
@@ -117,17 +117,10 @@ def cmd_capture(args) -> int:
         if not args.gain_map:
             raise ConfigError("capture needs --gain-map or --per-pixel-eta")
         gm = GainMap.from_json_dict(fileio.load_json(args.gain_map))
-        if args.bin_map:
-            bm = BinMap.from_json_dict(fileio.load_json(args.bin_map))
-            raw, _ = capture_spatially_varying(scene, gm, bm, config,
-                                               seed=args.seed)
-        else:
-            raw = simulate_capture(scene, gm, None, config, seed=args.seed)
-    fileio.save_capture(args.output, raw)
-    if args.estimate:
-        est = estimate_photons(raw, config)
-        fileio.write_pfm(args.estimate, est.data)
-    return EXIT_OK
+        bm = (BinMap.from_json_dict(fileio.load_json(args.bin_map))
+              if args.bin_map else None)
+        raw = simulate_capture(scene, gm, bm, config, seed=args.seed)
+    return _save_capture(args, raw, config)
 
 
 def cmd_compose(args) -> int:
@@ -168,25 +161,25 @@ def cmd_theory(args) -> int:
     params = TheoryParams(snr_t=args.snr_t, pitch_candidates=pitches,
                           light_grid=lights)
     curve = sweep_pitch(params, config, gain=args.gain)
-    out = sys.stdout if args.output == "-" else open(args.output, "w")
-    try:
-        out.write("l0,p,f_cutoff\n")
-        for i, l0 in enumerate(curve.lights):
-            for j, p in enumerate(curve.pitches):
-                fc = curve.cutoffs[i, j]
-                out.write(f"{l0:.9g},{p:.9g},"
-                          f"{'' if np.isnan(fc) else format(fc, '.9g')}\n")
-        out.write("l0,p_star,N\n")
-        for i, l0 in enumerate(curve.lights):
-            ps = curve.best_pitch[i]
-            if np.isnan(ps):
-                out.write(f"{l0:.9g},,\n")
-            else:
-                n = int(round((ps / pitches[0]) ** 2))
-                out.write(f"{l0:.9g},{ps:.9g},{n}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = ["l0,p,f_cutoff"]
+    for i, l0 in enumerate(curve.lights):
+        for j, p in enumerate(curve.pitches):
+            fc = curve.cutoffs[i, j]
+            rows.append(f"{l0:.9g},{p:.9g},"
+                        f"{'' if np.isnan(fc) else format(fc, '.9g')}")
+    rows.append("l0,p_star,N")
+    for i, l0 in enumerate(curve.lights):
+        ps = curve.best_pitch[i]
+        if np.isnan(ps):
+            rows.append(f"{l0:.9g},,")
+        else:
+            n = int(round((ps / pitches[0]) ** 2))
+            rows.append(f"{l0:.9g},{ps:.9g},{n}")
+    text = "\n".join(rows) + "\n"
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        fileio.write_text(args.output, text)
     if args.lut_out:
         lut = light_to_bin_lut(params, config, pitches[0], gain=args.gain)
         fileio.save_json(args.lut_out, lut.to_json_dict())
@@ -203,8 +196,7 @@ def cmd_evaluate(args) -> int:
                                dump_dir=args.dump_dir)
     fileio.save_json(args.output, report.to_json_dict())
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(report.csv_rows()) + "\n")
+        fileio.write_text(args.csv, "\n".join(report.csv_rows()) + "\n")
     return EXIT_OK
 
 

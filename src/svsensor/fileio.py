@@ -8,7 +8,7 @@ scale marks little endianness.  PGM is the binary 'P5' variant with 16-bit
 big-endian samples, per the netpbm convention.
 
 Every reader turns unreadable, missing or malformed files into
-``DataError``.
+``DataError``, and every writer a file it cannot write.
 """
 
 from __future__ import annotations
@@ -23,26 +23,27 @@ import numpy as np
 
 from .errors import DataError
 
-SIDECAR_FORMAT = 2
+SIDECAR_FORMAT = 3
 
 
 @contextmanager
-def _reading(path):
-    """Report OS and parse errors while reading ``path`` as DataError."""
+def file_errors(path, action: str = "read"):
+    """Report OS and parse errors while reading or writing ``path`` as
+    DataError."""
     try:
         yield
     except DataError:
         raise
     except (OSError, ValueError, KeyError, TypeError,
             zipfile.BadZipFile) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot {action} {path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- PFM
 
 def read_pfm(path) -> np.ndarray:
     """Read a single-channel PFM into a float array (top-down row order)."""
-    with _reading(path), open(path, "rb") as fh:
+    with file_errors(path), open(path, "rb") as fh:
         header = fh.readline().strip()
         if header == b"PF":
             raise DataError(f"{path}: color PFM not supported, expected 'Pf'")
@@ -72,7 +73,7 @@ def write_pfm(path, data: np.ndarray) -> None:
     if arr.ndim != 2:
         raise DataError("PFM writer takes a 2-D array")
     height, width = arr.shape
-    with open(path, "wb") as fh:
+    with file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(b"Pf\n")
         fh.write(f"{width} {height}\n".encode())
         fh.write(b"-1.0\n")
@@ -86,13 +87,13 @@ def write_pgm16(path, digits: np.ndarray) -> None:
     if arr.ndim != 2:
         raise DataError("PGM writer takes a 2-D array")
     height, width = arr.shape
-    with open(path, "wb") as fh:
+    with file_errors(path, "write"), open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n65535\n".encode())
         fh.write(arr.astype(">u2").tobytes())
 
 
 def read_pgm16(path) -> np.ndarray:
-    with _reading(path), open(path, "rb") as fh:
+    with file_errors(path), open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise DataError(f"{path}: not a binary PGM")
@@ -111,32 +112,27 @@ def read_pgm16(path) -> np.ndarray:
 
 # ------------------------------------------------------- captures + sidecar
 
-def _uniform(arr: np.ndarray, kind):
-    """The single value of a uniform array as a Python scalar, else None."""
-    flat = arr.ravel()
-    if flat.size and np.all(flat == flat[0]):
-        return kind(flat[0])
-    return None
-
-
 def save_capture(path_base, raw) -> None:
-    """Write a capture as <base>.pgm (digits), <base>.json (seed, metadata,
-    and the gain and bin factor when uniform) and <base>.npz (saturation
-    mask, plus the gain and bin factor arrays when not uniform)."""
+    """Write a capture as <base>.pgm (digits), <base>.json (format, seed,
+    metadata, ROI size and binning mode) and <base>.npz (the gain grid, the
+    bin grid and the saturation mask packed eight pixels to a byte)."""
     base = Path(path_base)
     write_pgm16(base.with_suffix(".pgm"), raw.digits)
-    doc = {"format": SIDECAR_FORMAT, "seed": raw.seed, "meta": _plain(raw.meta)}
-    arrays = {"saturation_mask": raw.saturation_mask}
-    for name, kind in (("gain", float), ("bin_factor", int)):
-        doc[name] = _uniform(getattr(raw, name), kind)
-        if doc[name] is None:
-            arrays[name] = getattr(raw, name)
-    np.savez(base.with_suffix(".npz"), **arrays)
-    base.with_suffix(".json").write_text(json.dumps(doc, sort_keys=True))
+    npz_path = base.with_suffix(".npz")
+    with file_errors(npz_path, "write"):
+        # bin factors are at most 64
+        np.savez(npz_path, gain_grid=raw.gain_grid,
+                 bin_grid=raw.bin_grid.astype(np.uint8),
+                 saturation_mask=np.packbits(raw.saturation_mask))
+    write_text(base.with_suffix(".json"), json.dumps({
+        "format": SIDECAR_FORMAT, "seed": raw.seed, "meta": _plain(raw.meta),
+        "roi_size": raw.roi_size, "mode": raw.mode}, sort_keys=True))
 
 
 def load_capture(path_base, config):
     """Read a capture back from its PGM, JSON and .npz files."""
+    from .gain import is_json_int
+    from .readout import BIN_MODES
     from .sensor import RawCapture
     base = Path(path_base)
     digits = read_pgm16(base.with_suffix(".pgm"))
@@ -147,39 +143,44 @@ def load_capture(path_base, config):
     if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
         raise DataError(f"{base}.json: not a format-{SIDECAR_FORMAT} capture "
                         "sidecar")
+    roi_size, mode = doc.get("roi_size"), doc.get("mode")
+    if not is_json_int(roi_size) or roi_size < 1:
+        raise DataError(f"{base}.json: roi_size {roi_size!r} is not a "
+                        "positive integer")
+    if mode not in BIN_MODES:
+        raise DataError(f"{base}.json: unknown binning mode {mode!r}")
     npz_path = base.with_suffix(".npz")
-    with _reading(npz_path), np.load(npz_path) as npz:
-        fields = {"saturation_mask": npz["saturation_mask"]}
-        for name, dtype in (("gain", np.float64), ("bin_factor", np.int64)):
-            value = doc.get(name)
-            fields[name] = np.asarray(npz[name] if value is None else value,
-                                      dtype=dtype)
-    for name, arr in fields.items():
-        if arr.ndim and arr.shape != digits.shape:
-            raise DataError(f"{npz_path}: {name} has shape {arr.shape}, "
-                            f"digits have {digits.shape}")
-    return RawCapture(digits=digits, seed=doc.get("seed"),
-                      meta=doc.get("meta", {}), **fields)
+    with file_errors(npz_path), np.load(npz_path) as npz:
+        gains, bins, packed = (npz["gain_grid"], npz["bin_grid"],
+                               npz["saturation_mask"])
+        if packed.shape != (-(-digits.size // 8),):
+            raise DataError(f"{npz_path}: saturation mask does not fit the "
+                            f"{digits.shape} digits")
+        mask = np.unpackbits(packed, count=digits.size).reshape(digits.shape)
+    return RawCapture(digits=digits, saturation_mask=mask, roi_size=roi_size,
+                      gain_grid=gains, bin_grid=bins, mode=mode,
+                      seed=doc.get("seed"), meta=doc.get("meta", {}))
 
 
 def save_gain_stack(directory, stack) -> None:
     """Write a stack as frame PGM/JSON pairs plus a manifest."""
     d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
+    with file_errors(d, "write"):
+        d.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (g, frame) in enumerate(zip(stack.gains, stack.frames)):
         name = f"frame_{i:03d}"
         save_capture(d / name, frame)
         entries.append({"gain": float(g), "base": name})
-    (d / "manifest.json").write_text(
-        json.dumps({"frames": entries}, sort_keys=True, indent=2))
+    write_text(d / "manifest.json",
+               json.dumps({"frames": entries}, sort_keys=True, indent=2))
 
 
 def load_gain_stack(directory, config):
     from .readout import GainStack
     d = Path(directory)
     doc = load_json(d / "manifest.json")
-    with _reading(d / "manifest.json"):
+    with file_errors(d / "manifest.json"):
         entries = [(float(e["gain"]), e["base"]) for e in doc["frames"]]
     frames = tuple(load_capture(d / name, config) for _, name in entries)
     return GainStack(gains=tuple(g for g, _ in entries), frames=frames)
@@ -204,12 +205,15 @@ def _plain(obj):
     return obj
 
 
+def write_text(path, text: str) -> None:
+    with file_errors(path, "write"):
+        Path(path).write_text(text)
+
+
 def save_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(_plain(doc), sort_keys=True, indent=2))
+    write_text(path, json.dumps(_plain(doc), sort_keys=True, indent=2))
 
 
 def load_json(path) -> dict:
-    try:
+    with file_errors(path):
         return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read JSON document {path}: {exc}") from exc

@@ -56,27 +56,24 @@ class GainMap:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    def grid(self, height: int, width: int) -> RoiGrid:
+        """The plan's own ROI grid on an image of the given size: one ROI
+        over the frame for a constant plan, one per pixel for a per-pixel
+        plan."""
+        size = {"constant": max(height, width), "per_roi": self.roi_size,
+                "per_pixel": 1}[self.mode]
+        return RoiGrid(height, width, size)
+
     def on_grid(self, grid: RoiGrid) -> np.ndarray:
         """The plan's gain for each ROI of ``grid``; ShapeError for a
-        per-pixel plan or a per-ROI plan on another grid."""
+        per-ROI or per-pixel plan on another grid."""
         if self.mode == "constant":
             return np.full(grid.shape, float(self.values))
-        if self.mode == "per_pixel":
-            raise ShapeError("a per-pixel gain map has no per-ROI gains")
-        if self.roi_size != grid.size:
-            raise ShapeError(f"gain map roi_size {self.roi_size} differs from "
-                             f"the ROI grid's {grid.size}")
+        size = self.grid(grid.height, grid.width).size
+        if size != grid.size:
+            raise ShapeError(f"a {self.mode} gain map on {size}-pixel ROIs "
+                             f"does not fit {grid.size}-pixel ROIs")
         return grid.check(self.values, "gain map")
-
-    def expand(self, height: int, width: int) -> np.ndarray:
-        """Per-pixel gain array for an image of the given size."""
-        if self.mode == "per_pixel":
-            if self.values.shape != (height, width):
-                raise ShapeError("per_pixel gain map does not match image size")
-            return np.asarray(self.values)
-        size = self.roi_size if self.mode == "per_roi" else max(height, width)
-        grid = RoiGrid(height, width, size)
-        return grid.expand(self.on_grid(grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,7 +97,10 @@ class GainMap:
             raise DataError(f"gain plan roi_size {roi_size!r} is not an integer")
         if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
             raise DataError(f"gain plan eta {eta!r} is not a number")
-        return cls(mode=mode, values=vals, roi_size=roi_size, eta=eta)
+        try:
+            return cls(mode=mode, values=vals, roi_size=roi_size, eta=eta)
+        except ConfigError as exc:
+            raise DataError(f"bad gain plan: {exc}") from exc
 
 
 def is_json_int(value) -> bool:
@@ -232,10 +232,9 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
         gains[row] = row_gains
 
     sat = digits == dmax
-    raw = RawCapture(digits=digits, gain=gains,
-                     bin_factor=np.ones_like(digits, dtype=np.int64),
-                     saturation_mask=sat, seed=seed,
-                     meta={"strategy": "per_pixel", "eta": eta})
+    raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=1,
+                     gain_grid=gains, bin_grid=np.ones(shape, dtype=np.int64),
+                     seed=seed, meta={"strategy": "per_pixel", "eta": eta})
     report = PlanReport(measured_saturation_frac=float(sat.mean()))
     return raw, report
 

@@ -314,9 +314,10 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
                         seed=seed)
     if dump_dir is not None:
         from pathlib import Path
-        from .fileio import write_pgm16
+        from .fileio import file_errors, write_pgm16
         dump = Path(dump_dir)
-        dump.mkdir(parents=True, exist_ok=True)
+        with file_errors(dump, "write"):
+            dump.mkdir(parents=True, exist_ok=True)
         write_pgm16(dump / "ground_truth.pgm",
                     np.rint(gt_gamma * 65535).astype(np.uint16))
     # one realization for all methods, drawn to the largest superpixel any
@@ -326,7 +327,8 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
         default=1))
     for name in methods:
         gm, bm = plans[name]
-        raw, est = read_plan(noise, gm, bm, config)
+        raw = read_plan(noise, gm, bm, config)
+        est = estimate_photons(raw, config)
         img = _tonemap(est.data, config)
         report.scores[name] = _score_method(scorer, img, raw, est, config)
         if dump_dir is not None:

@@ -14,21 +14,21 @@ All modes cut the photon-noise term by N and are decoded by the same nominal
 gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
 Reproducibility: one seed is one noise realization.  Every planned capture
-goes through ``read_out``, which digitizes a ``sensor.draw_noise``
+goes through ``read_plan``, which digitizes a ``sensor.draw_noise``
 realization: the whole frame drawn in a fixed order, independent of the
 plan (unit-pixel photons and read noise, then superpixel post-amp normals on
 the global k-grids).  Captures of the same scene with the same seed but
 different plans therefore share their physical noise realization: a scalar
 gain and a grid of that gain give the same digits, and the evaluation
-protocol draws one realization and reads it out under each method's plan
-(``read_plan``).  The per-pixel adaptive loop (``gain.capture_adaptive``)
-reads the same draws through its own sequential recursion.
+protocol draws one realization and reads it out under each method's plan.
+The per-pixel adaptive loop (``gain.capture_adaptive``) reads the same draws
+through its own sequential recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .errors import ConfigError, DataError, ShapeError
 from .gain import GainMap, is_json_int
 from .roi import RoiGrid
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, Realization,
-                     SensorConfig, draw_noise, estimate_photons, quantize)
+                     SensorConfig, estimate_photons, quantize,
+                     simulate_capture)
 from .theory import BIN_LADDER, TheoryParams, optimal_pitch
 
 BIN_MODES = ("additive", "average", "digital")
@@ -53,6 +54,8 @@ class BinMap:
     def __post_init__(self):
         if self.mode not in BIN_MODES:
             raise ConfigError(f"unknown binning mode {self.mode!r}")
+        if self.roi_size < 1:
+            raise ConfigError("roi_size must be positive")
         f = np.asarray(self.factors, dtype=np.int64)
         if f.ndim != 2:
             raise ShapeError("bin factors must form a 2-D ROI grid")
@@ -87,7 +90,10 @@ class BinMap:
         if not np.all(np.isfinite(ks) & (ks == np.rint(ks))):
             raise DataError("bin plan linear factors must be integers")
         ks = ks.astype(np.int64)
-        return cls(roi_size=roi_size, factors=ks * ks, mode=mode)
+        try:
+            return cls(roi_size=roi_size, factors=ks * ks, mode=mode)
+        except ConfigError as exc:
+            raise DataError(f"bad bin plan: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,8 @@ class GainStack:
         shapes = {f.digits.shape for f in self.frames}
         if len(shapes) > 1:
             raise ShapeError("stack frames must share dimensions")
+        if len({f.mode for f in self.frames}) > 1:
+            raise DataError("stack frames must share one binning mode")
 
     def frame_for_gain(self, gain: float) -> tuple[int, RawCapture]:
         for i, g in enumerate(self.gains):
@@ -129,12 +137,11 @@ def _pad_to_multiple(arr: np.ndarray, k: int) -> np.ndarray:
     return np.pad(arr, ((0, -h % k), (0, -w % k)), mode="edge")
 
 
-def _check_gains(gain, factor, mode: str, config: SensorConfig) -> None:
-    """Every amplifier setting must lie in the configured gain range.  Under
-    additive binning with N > 1 the amplifier runs at g / N, which must not
-    fall below gain_min."""
-    g = np.asarray(gain, dtype=np.float64)
-    n = np.broadcast_to(factor, g.shape)
+def _check_gains(g: np.ndarray, n: np.ndarray, mode: str,
+                 config: SensorConfig) -> None:
+    """Every amplifier setting of a plan's gain and bin grids must lie in
+    the configured gain range.  Under additive binning with N > 1 the
+    amplifier runs at g / N, which must not fall below gain_min."""
     additive = (n > 1) & (mode == "additive")
     low = additive & (g / n < config.gain_min)
     if low.any():
@@ -146,44 +153,76 @@ def _check_gains(gain, factor, mode: str, config: SensorConfig) -> None:
     config.check_gain(g[~additive])
 
 
-def _max_k(factor, mode: str) -> int:
-    """Largest superpixel side whose post-amp draws a readout reads; digital
-    binning reads only unit-pixel draws."""
-    return 1 if mode == "digital" else math.isqrt(int(np.max(factor)))
+def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
+                config: SensorConfig, seed: int = 0) -> RawCapture:
+    """Capture the whole scene under one gain and one bin factor, returning
+    the reduced-resolution superpixel image.  Its digits are those of a
+    uniform ``BinMap`` capture at the same seed, subsampled ``[::k, ::k]``,
+    and its plan is that constant plan on the superpixel image."""
+    k = math.isqrt(int(factor))
+    if k * k != factor or k not in BIN_LADDER:
+        raise ConfigError(f"bin factor must be a square of {BIN_LADDER}")
+    if scene.height % k or scene.width % k:
+        raise ShapeError("scene dimensions must be divisible by the bin factor")
+    plan = BinMap(max(scene.data.shape), np.full((1, 1), factor), mode)
+    full = simulate_capture(scene, float(gain), plan, config, seed)
+    return replace(full, digits=full.digits[::k, ::k],
+                   saturation_mask=full.saturation_mask[::k, ::k],
+                   roi_size=max(scene.height // k, scene.width // k))
 
 
-def read_out(noise: Realization, gain, factor, mode: str,
-             config: SensorConfig):
+def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
+                              config: SensorConfig, seed: int = 0
+                              ) -> tuple[RawCapture, PhotonEstimate]:
+    """Capture with per-ROI gain and bin factor, and its photon estimate.
+
+    The returned capture and estimate are at unit resolution with each
+    superpixel's value replicated over its footprint (the nearest-neighbor
+    upsampled view); ``native_estimate_blocks`` recovers the per-ROI native
+    resolution.
+    """
+    raw = simulate_capture(scene, gain_map, bin_map, config, seed)
+    return raw, estimate_photons(raw, config)
+
+
+def read_plan(noise: Realization, gain_map, bin_map: BinMap,
+              config: SensorConfig) -> RawCapture:
     """The capture kernel: digitize a ``draw_noise`` realization under a
-    per-pixel gain and bin factor (arrays or scalars) and one binning mode.
-    Analog modes read the superpixel draws of every k they bin at, so the
-    realization must be drawn at least that far.
+    gain plan (a ``GainMap``, or a scalar or grid of gains) and a bin plan
+    on the same ROI grid.  Analog modes read the superpixel draws of every
+    k they bin at, so the realization must be drawn at least that far.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
-    starts at a multiple of k in both axes; gain and factor must be constant
-    over each such superpixel (an ROI grid whose size every k divides
-    guarantees it).  Superpixels cut by the frame edge are padded by edge
-    replication.  Returns unit-resolution digits, each superpixel's value
-    replicated over its footprint, and the saturation mask.
+    starts at a multiple of k in both axes; every k divides the ROI size,
+    so gain and factor are constant over each superpixel.  Superpixels cut
+    by the frame edge are padded by edge replication.  The capture's digits
+    are at unit resolution, each superpixel's value replicated over its
+    footprint, and it carries the plan it was read under.
     """
     charge = noise.charge
     h, w = charge.shape
-    factor = np.broadcast_to(np.asarray(factor, dtype=np.int64), (h, w))
+    grid = RoiGrid(h, w, bin_map.roi_size)
+    bins = grid.check(bin_map.factors, "bin map")
+    if isinstance(gain_map, GainMap):
+        gains = gain_map.on_grid(grid)
+    else:
+        gains = np.broadcast_to(np.asarray(gain_map, dtype=float), grid.shape)
+    mode = bin_map.mode
+    _check_gains(gains, bins, mode, config)
+
+    gain = grid.expand(gains)
     unit = quantize(gain * charge + noise.n_post, config)
     unit_sat = unit == config.digital_max
     digits, sat = unit, unit_sat
-    for k in BIN_LADDER[1:]:
-        n = k * k
-        sel = factor == n
-        if not sel.any():
-            continue
+    for n in np.unique(bins[bins > 1]).tolist():
+        k = math.isqrt(n)
         if mode == "digital":
             # integer block sums of digits and of clipped unit pixels
             d_sup = np.rint(_block_sum(_pad_to_multiple(unit, k), k) / n
                             ).astype(np.uint16)
             sat_sup = _block_sum(_pad_to_multiple(unit_sat, k), k) > 0
         else:
-            g = np.broadcast_to(gain, (h, w))[::k, ::k]
+            g = gain[::k, ::k]
             summed = _block_sum(_pad_to_multiple(charge, k), k)
             if mode == "additive":
                 # shared sense node holds at most N wells' worth of charge
@@ -193,71 +232,12 @@ def read_out(noise: Realization, gain, factor, mode: str,
                 v = g * (summed / n) + noise.sup_post[k]
             d_sup = quantize(v, config)
             sat_sup = d_sup == config.digital_max
+        sel = grid.expand(bins == n)
         digits = np.where(sel, _replicate(d_sup, k)[:h, :w], digits)
         sat = np.where(sel, _replicate(sat_sup, k)[:h, :w], sat)
-    return digits, sat
-
-
-def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
-                config: SensorConfig, seed: int = 0) -> RawCapture:
-    """Capture the whole scene under one gain and one bin factor, returning
-    the reduced-resolution superpixel image.  Its digits are those of a
-    uniform ``BinMap`` capture at the same seed, subsampled ``[::k, ::k]``."""
-    if mode not in BIN_MODES:
-        raise ConfigError(f"unknown binning mode {mode!r}")
-    k = math.isqrt(int(factor))
-    if k * k != factor or k not in BIN_LADDER:
-        raise ConfigError(f"bin factor must be a square of {BIN_LADDER}")
-    if scene.height % k or scene.width % k:
-        raise ShapeError("scene dimensions must be divisible by the bin factor")
-    _check_gains(gain, factor, mode, config)
-
-    noise = draw_noise(scene, config, seed, _max_k(factor, mode))
-    digits, sat = read_out(noise, float(gain), factor, mode, config)
-    digits, sat = digits[::k, ::k], sat[::k, ::k]
-    return RawCapture(digits=digits, gain=np.full(digits.shape, float(gain)),
-                      bin_factor=np.full(digits.shape, factor, dtype=np.int64),
-                      saturation_mask=sat, seed=seed,
-                      meta={"mode": mode, "factor": int(factor)})
-
-
-def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
-                              config: SensorConfig, seed: int = 0
-                              ) -> tuple[RawCapture, PhotonEstimate]:
-    """Capture with per-ROI gain and bin factor.
-
-    The returned capture and estimate are at unit resolution with each
-    superpixel's value replicated over its footprint (the nearest-neighbor
-    upsampled view); ``native_estimate_blocks`` recovers the per-ROI native
-    resolution.  Metadata records the per-ROI parameters.
-    """
-    noise = draw_noise(scene, config, seed,
-                       _max_k(bin_map.factors, bin_map.mode))
-    return read_plan(noise, gain_map, bin_map, config)
-
-
-def read_plan(noise: Realization, gain_map, bin_map: BinMap,
-              config: SensorConfig) -> tuple[RawCapture, PhotonEstimate]:
-    """``capture_spatially_varying`` of a drawn realization: read it out
-    under per-ROI gains and bin factors, without drawing again."""
-    grid = RoiGrid(*noise.charge.shape, bin_map.roi_size)
-    grid.check(bin_map.factors, "bin map")
-    if isinstance(gain_map, GainMap):
-        gain_grid = gain_map.on_grid(grid)
-    else:
-        gain_grid = np.broadcast_to(np.asarray(gain_map, dtype=float),
-                                    grid.shape).copy()
-    _check_gains(gain_grid, bin_map.factors, bin_map.mode, config)
-
-    gain_full = grid.expand(gain_grid)
-    bin_full = grid.expand(bin_map.factors)
-    digits, sat = read_out(noise, gain_full, bin_full, bin_map.mode, config)
-    raw = RawCapture(digits=digits, gain=gain_full, bin_factor=bin_full,
-                     saturation_mask=sat, seed=noise.seed,
-                     meta={"roi_size": grid.size, "mode": bin_map.mode,
-                           "gain_grid": gain_grid.tolist(),
-                           "bin_grid": bin_map.factors.tolist()})
-    return raw, estimate_photons(raw, config)
+    return RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
+                      gain_grid=gains, bin_grid=bins, mode=mode,
+                      seed=noise.seed)
 
 
 def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
@@ -293,10 +273,7 @@ def native_estimate_blocks(raw: RawCapture, estimate: PhotonEstimate):
     sampled ``[::k, ::k]``) for each k the capture uses.  The view holds one
     value per k x k superpixel; ROI (i, j)'s superpixels fill its rows
     ``i * roi_size // k`` onward and columns ``j * roi_size // k`` onward."""
-    r = raw.meta.get("roi_size")
-    if r is None:
-        raise DataError("capture carries no ROI metadata")
-    ks = np.sqrt(raw.bin_factor[::r, ::r]).astype(np.int64)
+    ks = np.sqrt(raw.bin_grid).astype(np.int64)
     for k in np.unique(ks).tolist():
         yield k, ks == k, estimate.data[::k, ::k]
 
@@ -313,22 +290,26 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     that seed, byte for byte.  Also returns the per-ROI frame provenance.
     """
     h, w = stack.frames[0].digits.shape
-    per_roi = gain_map.mode == "per_roi"
-    grid = RoiGrid(h, w, gain_map.roi_size if per_roi else max(h, w))
+    grid = gain_map.grid(h, w)
     gains = gain_map.on_grid(grid)
 
     digits = np.empty((h, w), dtype=np.uint16)
     sat = np.empty((h, w), dtype=bool)
-    bin_full = np.empty((h, w), dtype=np.int64)
+    bins = np.empty(grid.shape, dtype=np.int64)
     provenance = np.empty(grid.shape, dtype=np.int64)
     for (i, j), sl in grid.slices():
         idx, frame = stack.frame_for_gain(float(gains[i, j]))
         digits[sl] = frame.digits[sl]
         sat[sl] = frame.saturation_mask[sl]
-        bin_full[sl] = frame.bin_factor[sl]
+        factors = frame.bin_factor[sl]
+        if np.any(factors != factors[0, 0]):
+            raise DataError(f"stack frame {idx} is binned unevenly over ROI "
+                            f"({i}, {j}) of the composite")
+        bins[i, j] = factors[0, 0]
         provenance[i, j] = idx
-    raw = RawCapture(digits=digits, gain=grid.expand(gains),
-                     bin_factor=bin_full, saturation_mask=sat,
-                     meta={"composed_from": list(map(float, stack.gains)),
-                           "roi_size": grid.size if per_roi else None})
+    raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
+                     gain_grid=gains, bin_grid=bins,
+                     mode=stack.frames[0].mode,
+                     meta={"composed_from": list(map(float, stack.gains))})
     return raw, provenance
+

@@ -79,7 +79,12 @@ class RoiGrid:
         return fn(blocks.reshape(rows, cols, r * r), axis=-1)
 
     def expand(self, grid) -> np.ndarray:
-        """Per-pixel array holding each ROI's value over its footprint."""
-        full = np.repeat(np.repeat(self.check(grid, "ROI"), self.size, axis=0),
-                         self.size, axis=1)
-        return full[:self.height, :self.width]
+        """Read-only per-pixel array holding each ROI's value over its
+        footprint."""
+        full = self.check(grid, "ROI")
+        for axis, n in ((0, self.height), (1, self.width)):
+            # each ROI row (column) repeated over the pixels it covers
+            edges = np.minimum(np.arange(full.shape[axis] + 1) * self.size, n)
+            full = np.repeat(full, np.diff(edges), axis=axis)
+        full.flags.writeable = False
+        return full

@@ -23,13 +23,16 @@ negligible next to read noise.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .roi import RoiGrid
 
 CONFIG_FIELDS = (
     "pixel_pitch", "well_capacity", "sigma_pre", "sigma_post",
@@ -146,19 +149,27 @@ class RadianceMap:
 
 @dataclass(frozen=True)
 class RawCapture:
-    """Quantized digital image plus the per-pixel readout parameters needed
-    to invert it.
+    """Quantized digital image plus the readout plan needed to invert it.
 
-    ``gain`` is the nominal decode gain per pixel (for binned readouts this
-    already includes the bin factor, so decoding is uniformly
-    ``dequantize(digits) / gain``).  ``bin_factor`` records how many unit
-    pixels were combined under each output pixel.
+    The plan is one gain and one bin factor per ROI of ``grid``, the
+    ``roi_size`` tiling of the digits, and one binning ``mode``: a constant
+    plan is the 1 x 1 grid at ``roi_size = max(height, width)``, a per-pixel
+    plan (the adaptive capture, a per-pixel gain array) the grid at
+    ``roi_size = 1``.  ``gain`` and ``bin_factor`` are the plan expanded to
+    one read-only value per pixel.  ``gain`` is the nominal decode gain (for
+    binned readouts it already includes the bin factor, so decoding is
+    uniformly ``dequantize(digits) / gain``); ``bin_factor`` records how
+    many unit pixels were combined under each output pixel.  ``meta`` holds
+    what the plan does not: the adaptive strategy and its eta, or the stack
+    gains a composite was copied from.
     """
 
     digits: np.ndarray
-    gain: np.ndarray
-    bin_factor: np.ndarray
     saturation_mask: np.ndarray
+    roi_size: int
+    gain_grid: np.ndarray
+    bin_grid: np.ndarray
+    mode: str = "digital"
     seed: int | None = None
     meta: dict = field(default_factory=dict)
 
@@ -166,23 +177,27 @@ class RawCapture:
         d = np.asarray(self.digits)
         if d.ndim != 2:
             raise ShapeError("digits must be 2-D")
-        g = np.broadcast_to(np.asarray(self.gain, dtype=np.float64), d.shape).copy()
-        b = np.broadcast_to(np.asarray(self.bin_factor, dtype=np.int64), d.shape).copy()
-        m = np.broadcast_to(np.asarray(self.saturation_mask, dtype=bool), d.shape).copy()
-        for arr in (d, g, b, m):
+        m = np.asarray(self.saturation_mask, dtype=bool)
+        if m.shape != d.shape:
+            raise ShapeError("saturation mask and digits differ in shape")
+        g = np.array(self.grid.check(self.gain_grid, "gain"), dtype=np.float64)
+        b = np.array(self.grid.check(self.bin_grid, "bin"), dtype=np.int64)
+        for name, arr in (("digits", d), ("saturation_mask", m),
+                          ("gain_grid", g), ("bin_grid", b)):
             arr.flags.writeable = False
-        object.__setattr__(self, "digits", d)
-        object.__setattr__(self, "gain", g)
-        object.__setattr__(self, "bin_factor", b)
-        object.__setattr__(self, "saturation_mask", m)
+            object.__setattr__(self, name, arr)
 
     @property
-    def height(self) -> int:
-        return self.digits.shape[0]
+    def grid(self) -> RoiGrid:
+        return RoiGrid(*np.shape(self.digits), self.roi_size)
 
-    @property
-    def width(self) -> int:
-        return self.digits.shape[1]
+    @cached_property
+    def gain(self) -> np.ndarray:
+        return self.grid.expand(self.gain_grid)
+
+    @cached_property
+    def bin_factor(self) -> np.ndarray:
+        return self.grid.expand(self.bin_grid)
 
 
 @dataclass(frozen=True)
@@ -288,42 +303,35 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
 
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
                      config: SensorConfig, seed: int = 0) -> RawCapture:
-    """Simulate a full capture of ``scene``.
+    """Simulate a full capture of ``scene``: ``draw_noise`` at ``seed``,
+    read out by ``readout.read_plan``.
 
     ``gain_map`` may be a scalar gain, a per-pixel gain array, or a
-    ``GainMap`` plan; ``bin_map`` of None means unit pixels.  Non-trivial
-    binning is delegated to ``readout.capture_spatially_varying``; here
-    every output pixel is one unit pixel.
+    ``GainMap`` plan; ``bin_map`` may be a ``BinMap`` plan on the same ROI
+    grid, or None for unit pixels on the gain plan's own grid (one ROI for
+    a scalar, one per pixel for an array).
 
-    One seed is one noise realization (``draw_noise``): a scalar gain, a
-    per-ROI grid of that gain at any ROI size and a per-pixel array of it
-    give the same digits.
+    One seed is one noise realization: a scalar gain, a per-ROI grid of
+    that gain at any ROI size and a per-pixel array of it give the same
+    digits.
     """
     from .gain import GainMap  # local imports: both build on sensor types
-    from .readout import capture_spatially_varying, read_out
+    from .readout import BinMap, read_plan
 
-    if bin_map is not None:
-        factors = getattr(bin_map, "factors", bin_map)
-        if np.any(np.asarray(factors) != 1):
-            raw, _ = capture_spatially_varying(scene, gain_map, bin_map,
-                                               config, seed)
-            return raw
-
-    if isinstance(gain_map, GainMap):
-        gain_full = gain_map.expand(scene.height, scene.width)
-    else:
-        gain_full = np.broadcast_to(
-            np.asarray(gain_map, dtype=np.float64),
-            (scene.height, scene.width))
-    if gain_full.shape != scene.data.shape:
-        raise ShapeError("gain map does not conform to scene dimensions")
-    config.check_gain(gain_full)
-
-    digits, sat = read_out(draw_noise(scene, config, seed), gain_full, 1,
-                           "digital", config)
-    return RawCapture(digits=digits, gain=gain_full,
-                      bin_factor=np.ones_like(digits, dtype=np.int64),
-                      saturation_mask=sat, seed=seed)
+    if bin_map is None:
+        h, w = scene.data.shape
+        if isinstance(gain_map, GainMap):
+            grid = gain_map.grid(h, w)
+        else:
+            grid = RoiGrid(h, w, max(h, w) if np.ndim(gain_map) == 0 else 1)
+        bin_map = BinMap(grid.size, np.ones(grid.shape, dtype=np.int64),
+                         "digital")
+    # the largest superpixel whose post-amp draws the readout reads; digital
+    # binning reads only unit-pixel draws
+    k = (1 if bin_map.mode == "digital"
+         else math.isqrt(int(bin_map.factors.max())))
+    return read_plan(draw_noise(scene, config, seed, k), gain_map, bin_map,
+                     config)
 
 
 def estimate_photons(raw: RawCapture, config: SensorConfig) -> PhotonEstimate:

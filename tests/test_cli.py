@@ -229,6 +229,42 @@ _BAD_INPUTS = [
       "--ladder", "1,two", "--output", "{out}"], None),
     ("negative_per_pixel_eta", 2,
      ["capture", "{scene}", "--per-pixel-eta", "-1", *_RUN], None),
+    ("capture_bin_map_unknown_mode", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, mode="bogus")),
+    ("capture_bin_map_zero_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, roi_size=0)),
+    ("capture_bin_map_linear_factor_3", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, values=[3, 1, 1, 1])),
+    ("capture_gain_map_unknown_mode", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+     dict(_GAIN, mode="roi")),
+    ("capture_gain_map_negative_eta", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN], dict(_GAIN, eta=-1)),
+    ("capture_gain_map_zero_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+     dict(_GAIN, roi_size=0)),
+    *[(f"{name}_into_missing_dir", 3, argv, None) for name, argv in [
+        ("simulate", ["simulate", "{scene}", "--seed", "1",
+                      "--output", "{nodir}/x"]),
+        ("simulate_estimate", ["simulate", "{scene}", *_RUN,
+                               "--estimate", "{nodir}/e.pfm"]),
+        ("theory", ["theory", "--pitches", "0.5,1", "--lights", "1,2",
+                    "--output", "{nodir}/t.csv"]),
+        ("theory_lut", ["theory", "--pitches", "0.5,1,2,4", "--lights",
+                        "1,2", "--lut-out", "{nodir}/lut.json"]),
+        ("plan_gain", ["plan-gain", "--pilot", "{stack}/frame_000",
+                       "--roi-size", "32", "--output", "{nodir}/p.json"]),
+        ("compose", ["compose", "--stack", "{stack}", "--gain-map", "{gain}",
+                     "--output", "{nodir}/c"]),
+        ("evaluate_csv", ["evaluate", "{scene}", "--roi-size", "32", *_RUN,
+                          "--csv", "{nodir}/r.csv"]),
+    ]],
+    ("evaluate_dump_dir_under_a_file", 3,
+     ["evaluate", "{scene}", "--roi-size", "32", *_RUN,
+      "--dump-dir", "{scene}/dump"], None),
 ]
 
 
@@ -240,7 +276,8 @@ def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
              "bad": str(tmp_path / "bad.json"),
              "gain": str(tmp_path / "gain.json"),
              "stack": str(tmp_path / "stack"),
-             "vignette": str(tmp_path / "vignette.pfm")}
+             "vignette": str(tmp_path / "vignette.pfm"),
+             "nodir": str(tmp_path / "nodir")}
     if isinstance(bad, bytes):
         Path(files["bad"]).write_bytes(bad)
     elif bad is not None:

@@ -2,15 +2,21 @@
 errors raised for malformed or missing files."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from svsensor import (BinMap, DataError, GainMap, SceneSpec, SensorConfig,
+from svsensor import (BinMap, DataError, GainMap, GainStack, RadianceMap,
+                      RoiGrid, SceneSpec, SensorConfig, bin_capture,
                       capture_adaptive, capture_spatially_varying,
-                      load_and_normalize, simulate_capture)
+                      compose_from_gain_stack, load_and_normalize,
+                      simulate_capture)
 from svsensor.fileio import (load_capture, load_gain_stack, read_pfm,
                              read_pgm16, save_capture)
+from svsensor.readout import BIN_MODES
 
 
 def _hdr_scene(config, size, seed=1):
@@ -21,11 +27,57 @@ def _hdr_scene(config, size, seed=1):
 
 def _assert_same_capture(a, b):
     assert np.array_equal(a.digits, b.digits)
-    assert np.array_equal(a.gain, b.gain)
-    assert np.array_equal(a.bin_factor, b.bin_factor)
     assert np.array_equal(a.saturation_mask, b.saturation_mask)
+    assert (a.roi_size, a.mode) == (b.roi_size, b.mode)
+    for name in ("gain_grid", "bin_grid", "gain", "bin_factor"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert a.seed == b.seed
     assert a.meta == b.meta
+
+
+def _capture(kind, height, width, seed):
+    """A capture of a random scene under one plan kind; per-ROI plans use
+    16-pixel ROIs, clipped on the bottom and right unless 16 divides the
+    frame."""
+    config = SensorConfig()
+    rng = np.random.default_rng(seed)
+    scene = RadianceMap(data=rng.uniform(0, 900, (height, width)))
+    shape = RoiGrid(height, width, 16).shape
+    if kind == "constant":
+        return simulate_capture(scene, 2.0, None, config, seed)
+    if kind == "per_roi":
+        gm = GainMap("per_roi", rng.uniform(1, 8, shape), roi_size=16)
+        return simulate_capture(scene, gm, None, config, seed)
+    if kind == "per_pixel":
+        gm = GainMap("per_pixel", rng.uniform(1, 8, (height, width)))
+        return simulate_capture(scene, gm, None, config, seed)
+    if kind == "adaptive":
+        return capture_adaptive(scene, 2.0, config, seed)[0]
+    if kind in BIN_MODES:
+        n = rng.choice([1, 4, 16], shape)
+        gm = GainMap("per_roi", n * rng.uniform(1, 1.5, shape), roi_size=16)
+        return simulate_capture(scene, gm, BinMap(16, n, kind), config, seed)
+    if kind == "bin_capture":
+        even = RadianceMap(data=scene.data[:height // 2 * 2, :width // 2 * 2])
+        return bin_capture(even, 8.0, 4, "average", config, seed)
+    ladder = (1.0, 2.0, 4.0)
+    stack = GainStack(gains=ladder, frames=tuple(
+        simulate_capture(scene, g, None, config, seed) for g in ladder))
+    plan = GainMap("per_roi", rng.choice(ladder, shape), roi_size=16)
+    return compose_from_gain_stack(stack, plan)[0]
+
+
+@given(kind=st.sampled_from(["constant", "per_roi", "per_pixel", "adaptive",
+                             *BIN_MODES, "bin_capture", "composite"]),
+       height=st.integers(2, 40), width=st.integers(2, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_plan_kind_round_trips(kind, height, width, seed):
+    raw = _capture(kind, height, width, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_capture(Path(tmp) / "cap", raw)
+        _assert_same_capture(load_capture(Path(tmp) / "cap", SensorConfig()),
+                             raw)
 
 
 def test_saturation_mask_survives_round_trip(tmp_path, config):
@@ -41,14 +93,18 @@ def test_saturation_mask_survives_round_trip(tmp_path, config):
 
 
 def test_uniform_arrays_stored_as_scalars(tmp_path, config):
+    # a constant plan is one ROI over the frame: one gain, one bin factor
     raw = simulate_capture(_hdr_scene(config, 64), 2.0, None, config, seed=4)
     save_capture(tmp_path / "cap", raw)
     doc = json.loads((tmp_path / "cap.json").read_text())
-    assert doc["format"] == 2
-    assert doc["gain"] == 2.0
-    assert doc["bin_factor"] == 1
+    assert doc == {"format": 3, "seed": 4, "meta": {}, "roi_size": 64,
+                   "mode": "digital"}
     with np.load(tmp_path / "cap.npz") as npz:
-        assert sorted(npz.files) == ["saturation_mask"]
+        assert sorted(npz.files) == ["bin_grid", "gain_grid",
+                                     "saturation_mask"]
+        assert npz["gain_grid"].tolist() == [[2.0]]
+        assert npz["bin_grid"].tolist() == [[1]]
+        assert npz["saturation_mask"].shape == (64 * 64 // 8,)
     _assert_same_capture(load_capture(tmp_path / "cap", config), raw)
 
 
@@ -60,10 +116,23 @@ def test_per_roi_capture_round_trip(tmp_path, config):
     raw, _ = capture_spatially_varying(scene, gm, bm, config, seed=6)
     save_capture(tmp_path / "cap", raw)
     doc = json.loads((tmp_path / "cap.json").read_text())
-    assert doc["gain"] is None and doc["bin_factor"] is None
+    assert (doc["roi_size"], doc["mode"], doc["meta"]) == (32, "average", {})
     with np.load(tmp_path / "cap.npz") as npz:
-        assert sorted(npz.files) == ["bin_factor", "gain", "saturation_mask"]
+        assert npz["gain_grid"].tolist() == [[1.0, 4.0], [8.0, 2.0]]
+        assert npz["bin_grid"].tolist() == [[1, 4], [16, 1]]
     _assert_same_capture(load_capture(tmp_path / "cap", config), raw)
+
+
+def test_plan_sidecar_is_small(tmp_path, config):
+    # the grids, not per-pixel copies of them: a 512x512 capture with gain
+    # and bin maps at roi 64 stores 64 gains, 64 factors and a 32 KB mask
+    scene = _hdr_scene(config, 512)
+    rng = np.random.default_rng(8)
+    n = rng.choice([1, 4, 16, 64], (8, 8))
+    gm = GainMap("per_roi", rng.uniform(1, 27, (8, 8)), roi_size=64)
+    raw = simulate_capture(scene, gm, BinMap(64, n, "digital"), config, seed=9)
+    save_capture(tmp_path / "cap", raw)
+    assert (tmp_path / "cap.npz").stat().st_size < 64 * 1024
 
 
 def test_per_pixel_capture_round_trip(tmp_path, config):
@@ -84,6 +153,20 @@ def test_list_format_sidecar_rejected(tmp_path, config):
         load_capture(tmp_path / "cap", config)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("format", 2), ("roi_size", 0), ("roi_size", -16), ("roi_size", 2.5),
+    ("roi_size", "16"), ("roi_size", True), ("roi_size", None),
+    ("roi_size", 8), ("mode", "bogus"), ("mode", None)])
+def test_malformed_sidecar_rejected(tmp_path, config, key, value):
+    # roi 8 puts the stored 1 x 1 grids on a 2 x 2 ROI grid
+    raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
+    save_capture(tmp_path / "cap", raw)
+    doc = json.loads((tmp_path / "cap.json").read_text())
+    (tmp_path / "cap.json").write_text(json.dumps(dict(doc, **{key: value})))
+    with pytest.raises(DataError):
+        load_capture(tmp_path / "cap", config)
+
+
 def test_missing_npz_rejected(tmp_path, config):
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
     save_capture(tmp_path / "cap", raw)
@@ -95,9 +178,16 @@ def test_missing_npz_rejected(tmp_path, config):
 def test_npz_shape_mismatch_rejected(tmp_path, config):
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
     save_capture(tmp_path / "cap", raw)
-    np.savez(tmp_path / "cap.npz", saturation_mask=np.zeros((4, 4), bool))
-    with pytest.raises(DataError):
-        load_capture(tmp_path / "cap", config)
+    with np.load(tmp_path / "cap.npz") as npz:
+        arrays = dict(npz)
+    for name, value in [
+            ("saturation_mask", np.packbits(np.zeros((4, 4), bool))),
+            ("saturation_mask", np.zeros((16, 16), bool)),
+            ("gain_grid", np.ones((2, 2))),
+            ("bin_grid", np.ones((1, 2), np.uint8))]:
+        np.savez(tmp_path / "cap.npz", **dict(arrays, **{name: value}))
+        with pytest.raises(DataError):
+            load_capture(tmp_path / "cap", config)
 
 
 def test_capture_from_deeper_adc_rejected(tmp_path, config):

@@ -250,14 +250,12 @@ class TestGainMapType:
         for other in (RoiGrid(48, 20, 16), RoiGrid(32, 20, 8)):
             with pytest.raises(ShapeError):
                 per_roi.on_grid(other)
+        per_pixel = GainMap("per_pixel", np.arange(640.0).reshape(32, 20))
         with pytest.raises(ShapeError):
-            GainMap("per_pixel", np.ones((32, 20))).on_grid(grid)
-
-    def test_expand_covers_odd_sizes(self):
-        gm = GainMap("per_roi", np.array([[1.0, 2.0], [3.0, 4.0]]), roi_size=10)
-        full = gm.expand(15, 17)
-        assert full.shape == (15, 17)
-        assert full[0, 0] == 1.0 and full[14, 16] == 4.0
+            per_pixel.on_grid(grid)
+        assert np.array_equal(per_pixel.on_grid(per_pixel.grid(32, 20)),
+                              per_pixel.values)
+        assert GainMap("constant", 2.0).grid(32, 20).shape == (1, 1)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -175,13 +175,17 @@ class TestSpatiallyVarying:
         noise = draw_noise(scene, config, 71, max_k=8)
         for values, bm in plans:
             gm = GainMap("per_roi", values, roi_size=16)
-            raw, est = read_plan(noise, gm, bm, config)
+            raw = read_plan(noise, gm, bm, config)
             ref, ref_est = capture_spatially_varying(scene, gm, bm, config,
                                                      seed=71)
             assert np.array_equal(raw.digits, ref.digits)
             assert np.array_equal(raw.saturation_mask, ref.saturation_mask)
-            assert np.array_equal(est.data, ref_est.data)
+            assert np.array_equal(estimate_photons(raw, config).data,
+                                  ref_est.data)
             assert (raw.seed, raw.meta) == (ref.seed, ref.meta)
+            assert (raw.roi_size, raw.mode) == (16, bm.mode)
+            assert np.array_equal(raw.gain_grid, values)
+            assert np.array_equal(raw.bin_grid, bm.factors)
 
     def test_realization_is_read_only(self, config):
         scene = RadianceMap(data=np.full((20, 12), 30.0))
@@ -248,7 +252,7 @@ class TestSpatiallyVarying:
         bm = BinMap(roi_size=32, factors=np.array([[1, 4], [16, 64]]),
                     mode="digital")
         raw, est = capture_spatially_varying(scene, gm, bm, config, seed=65)
-        assert raw.meta["bin_grid"] == [[1, 4], [16, 64]]
+        assert raw.bin_grid.tolist() == [[1, 4], [16, 64]]
         shapes = {}
         for k, rois, view in native_estimate_blocks(raw, est):
             r = 32 // k
@@ -359,6 +363,34 @@ class TestCompose:
         f = simulate_capture(scene, 1.0, None, config, seed=80)
         with pytest.raises(DataError):
             GainStack(gains=(2.0, 1.0), frames=(f, f))
+        binned = simulate_capture(scene, 4.0, BinMap(64, [[4]], "additive"),
+                                  config, seed=80)
+        with pytest.raises(DataError, match="mode"):
+            GainStack(gains=(1.0, 4.0), frames=(f, binned))
+
+    def test_bin_factors_come_from_the_frames(self, config, make_uniform):
+        # each ROI of the composite takes its bin factor from its frame's
+        # plan, which must bin that whole ROI alike
+        scene = make_uniform(100.0)
+        plan = GainMap("per_roi", np.array([[1.0, 4.0], [4.0, 1.0]]),
+                       roi_size=32)
+        unit = simulate_capture(scene, 1.0, None, config, seed=81)
+        even = simulate_capture(scene, 4.0, BinMap(16, np.full((4, 4), 4),
+                                                   "digital"), config, seed=81)
+        composed, _ = compose_from_gain_stack(
+            GainStack(gains=(1.0, 4.0), frames=(unit, even)), plan)
+        assert composed.bin_grid.tolist() == [[1, 4], [4, 1]]
+        assert composed.mode == "digital"
+        uneven = simulate_capture(
+            scene, 4.0, BinMap(16, np.tile([[1, 4], [4, 1]], (2, 2)),
+                               "digital"), config, seed=81)
+        assert composed.roi_size == 32 and uneven.roi_size == 16
+        stack = GainStack(gains=(1.0, 4.0), frames=(unit, uneven))
+        compose_from_gain_stack(stack, GainMap("per_roi", np.full(
+            (4, 4), 1.0), roi_size=16))
+        with pytest.raises(DataError, match="unevenly"):
+            compose_from_gain_stack(stack, GainMap("per_roi", np.full(
+                (2, 2), 4.0), roi_size=32))
 
 
 class TestBinPlanner:
