@@ -60,8 +60,8 @@ def cmd_simulate(args) -> int:
     scene = _load_scene(args.scene, config, args.mean_frac)
     gm = (GainMap.from_json_dict(fileio.load_json(args.gain_map))
           if args.gain_map else args.gain)
-    return _save_capture(args, simulate_capture(scene, gm, None, config,
-                                                seed=args.seed), config)
+    raw = simulate_capture(scene, gm, None, config, seed=args.seed)
+    return _save_capture(args, raw, config)
 
 
 def _save_capture(args, raw, config) -> int:

@@ -134,6 +134,7 @@ def load_capture(path_base, config):
     from .gain import is_json_int
     from .readout import BIN_MODES
     from .sensor import RawCapture
+    from .theory import BIN_LADDER
     base = Path(path_base)
     digits = read_pgm16(base.with_suffix(".pgm"))
     if digits.size and int(digits.max()) > config.digital_max:
@@ -157,6 +158,10 @@ def load_capture(path_base, config):
             raise DataError(f"{npz_path}: saturation mask does not fit the "
                             f"{digits.shape} digits")
         mask = np.unpackbits(packed, count=digits.size).reshape(digits.shape)
+        if not (np.all(np.isfinite(gains) & (gains > 0))
+                and np.isin(bins, [k * k for k in BIN_LADDER]).all()):
+            raise DataError(f"{npz_path}: gains must be positive and finite, "
+                            f"bin factors squares of {BIN_LADDER}")
     return RawCapture(digits=digits, saturation_mask=mask, roi_size=roi_size,
                       gain_grid=gains, bin_grid=bins, mode=mode,
                       seed=doc.get("seed"), meta=doc.get("meta", {}))
@@ -216,4 +221,4 @@ def save_json(path, doc: dict) -> None:
 
 def load_json(path) -> dict:
     with file_errors(path):
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -218,6 +218,8 @@ _BAD_INPUTS = [
     ("capture_bin_map_fractional_factor", 3,
      ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
       *_RUN], dict(_BIN, values=[2.5, 1.9, 1, 1])),
+    ("capture_gain_map_not_utf8", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN], b"\xff\xfe"),
     ("config_not_utf8", 2,
      ["simulate", "{scene}", "--config", "{bad}", *_RUN], b"\xff\xfe"),
     ("pitches_not_numbers", 2,

@@ -190,6 +190,19 @@ def test_npz_shape_mismatch_rejected(tmp_path, config):
             load_capture(tmp_path / "cap", config)
 
 
+def test_plan_values_off_the_ladder_rejected(tmp_path, config):
+    raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
+    save_capture(tmp_path / "cap", raw)
+    with np.load(tmp_path / "cap.npz") as npz:
+        arrays = dict(npz)
+    for name, value in [("gain_grid", [[0.0]]), ("gain_grid", [[-2.0]]),
+                        ("gain_grid", [[np.nan]]), ("gain_grid", [[np.inf]]),
+                        ("bin_grid", [[3]]), ("bin_grid", [[0]])]:
+        np.savez(tmp_path / "cap.npz", **dict(arrays, **{name: value}))
+        with pytest.raises(DataError, match="bin factors"):
+            load_capture(tmp_path / "cap", config)
+
+
 def test_capture_from_deeper_adc_rejected(tmp_path, config):
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
     save_capture(tmp_path / "cap", raw)
