@@ -145,11 +145,13 @@ def load_capture(path_base, config):
         raise DataError(f"{base}.json: not a format-{SIDECAR_FORMAT} capture "
                         "sidecar")
     roi_size, mode = doc.get("roi_size"), doc.get("mode")
-    if not is_json_int(roi_size) or roi_size < 1:
-        raise DataError(f"{base}.json: roi_size {roi_size!r} is not a "
-                        "positive integer")
-    if mode not in BIN_MODES:
-        raise DataError(f"{base}.json: unknown binning mode {mode!r}")
+    seed, meta = doc.get("seed"), doc.get("meta", {})
+    if not (is_json_int(roi_size) and roi_size > 0 and mode in BIN_MODES
+            and (seed is None or is_json_int(seed)) and isinstance(meta, dict)):
+        raise DataError(f"{base}.json: needs a positive integer roi_size, a "
+                        f"mode of {BIN_MODES}, an integer or null seed and "
+                        f"an object meta, not {roi_size!r}, {mode!r}, "
+                        f"{seed!r} and {meta!r}")
     npz_path = base.with_suffix(".npz")
     with file_errors(npz_path), np.load(npz_path) as npz:
         gains, bins, packed = (npz["gain_grid"], npz["bin_grid"],
@@ -164,7 +166,7 @@ def load_capture(path_base, config):
                             f"bin factors squares of {BIN_LADDER}")
     return RawCapture(digits=digits, saturation_mask=mask, roi_size=roi_size,
                       gain_grid=gains, bin_grid=bins, mode=mode,
-                      seed=doc.get("seed"), meta=doc.get("meta", {}))
+                      seed=seed, meta=meta)
 
 
 def save_gain_stack(directory, stack) -> None:

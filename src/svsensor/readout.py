@@ -54,8 +54,6 @@ class BinMap:
     def __post_init__(self):
         if self.mode not in BIN_MODES:
             raise ConfigError(f"unknown binning mode {self.mode!r}")
-        if self.roi_size < 1:
-            raise ConfigError("roi_size must be positive")
         f = np.asarray(self.factors, dtype=np.int64)
         if f.ndim != 2:
             raise ShapeError("bin factors must form a 2-D ROI grid")
@@ -85,8 +83,9 @@ class BinMap:
             roi_size, mode = doc["roi_size"], doc["mode"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed bin plan ({exc!r})") from exc
-        if not is_json_int(roi_size):
-            raise DataError(f"bin plan roi_size {roi_size!r} is not an integer")
+        if not is_json_int(roi_size) or roi_size < 1:
+            raise DataError(f"bin plan roi_size {roi_size!r} is not a "
+                            "positive integer")
         if not np.all(np.isfinite(ks) & (ks == np.rint(ks))):
             raise DataError("bin plan linear factors must be integers")
         ks = ks.astype(np.int64)

@@ -175,11 +175,9 @@ class RawCapture:
 
     def __post_init__(self):
         d = np.asarray(self.digits)
-        if d.ndim != 2:
-            raise ShapeError("digits must be 2-D")
         m = np.asarray(self.saturation_mask, dtype=bool)
-        if m.shape != d.shape:
-            raise ShapeError("saturation mask and digits differ in shape")
+        if d.ndim != 2 or m.shape != d.shape:
+            raise ShapeError("digits must be 2-D and the mask of their shape")
         g = np.array(self.grid.check(self.gain_grid, "gain"), dtype=np.float64)
         b = np.array(self.grid.check(self.bin_grid, "bin"), dtype=np.int64)
         for name, arr in (("digits", d), ("saturation_mask", m),

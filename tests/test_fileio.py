@@ -156,7 +156,8 @@ def test_list_format_sidecar_rejected(tmp_path, config):
 @pytest.mark.parametrize("key, value", [
     ("format", 2), ("roi_size", 0), ("roi_size", -16), ("roi_size", 2.5),
     ("roi_size", "16"), ("roi_size", True), ("roi_size", None),
-    ("roi_size", 8), ("mode", "bogus"), ("mode", None)])
+    ("roi_size", 8), ("mode", "bogus"), ("mode", None), ("seed", "1"),
+    ("seed", 1.5), ("meta", [1])])
 def test_malformed_sidecar_rejected(tmp_path, config, key, value):
     # roi 8 puts the stored 1 x 1 grids on a 2 x 2 ROI grid
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)

@@ -386,8 +386,9 @@ class TestCompose:
                                "digital"), config, seed=81)
         assert composed.roi_size == 32 and uneven.roi_size == 16
         stack = GainStack(gains=(1.0, 4.0), frames=(unit, uneven))
-        compose_from_gain_stack(stack, GainMap("per_roi", np.full(
-            (4, 4), 1.0), roi_size=16))
+        on_own_grid, _ = compose_from_gain_stack(stack, GainMap(
+            "per_roi", np.full((4, 4), 4.0), roi_size=16))
+        assert np.array_equal(on_own_grid.bin_grid, uneven.bin_grid)
         with pytest.raises(DataError, match="unevenly"):
             compose_from_gain_stack(stack, GainMap("per_roi", np.full(
                 (2, 2), 4.0), roi_size=32))
