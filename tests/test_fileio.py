@@ -15,7 +15,8 @@ from svsensor import (BinMap, DataError, GainMap, GainStack, RadianceMap,
                       compose_from_gain_stack, load_and_normalize,
                       simulate_capture)
 from svsensor.fileio import (load_capture, load_gain_stack, read_pfm,
-                             read_pgm16, save_capture)
+                             read_pgm16, save_capture, save_gain_stack,
+                             save_json, write_pfm, write_pgm16)
 from svsensor.readout import BIN_MODES
 
 
@@ -227,6 +228,23 @@ def test_malformed_pgm_header_is_data_error(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(DataError):
         read_pgm16(path)
+
+
+def test_unwritable_paths_are_data_errors(tmp_path, config):
+    raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target in (tmp_path / "nodir" / "x", blocker / "x"):
+        for write in (lambda p: write_pgm16(p, raw.digits),
+                      lambda p: write_pfm(p, np.zeros((2, 2))),
+                      lambda p: save_json(p, {}),
+                      lambda p: save_capture(p, raw)):
+            with pytest.raises(DataError, match="cannot write"):
+                write(target)
+    # a stack directory is created with its parents, but not under a file
+    with pytest.raises(DataError, match="cannot write"):
+        save_gain_stack(blocker / "stack",
+                        GainStack(gains=(1.0,), frames=(raw,)))
 
 
 def test_missing_files_are_data_errors(tmp_path):
