@@ -182,6 +182,19 @@ class TestPerPixelPlanner:
         for k in range(1, len(d)):
             assert g[k] == next_gain(d[k - 1], g[k - 1], 2.0, config), k
 
+    def test_adaptive_capture_pinned_ragged(self, config):
+        # 300 x 257 = 77100 pixels is not a multiple of isqrt(77100) = 277,
+        # so a chunked scan has a tail and repairs to make
+        from svsensor import SceneSpec, load_and_normalize
+        spec = SceneSpec(source="hdr_blobs", seed=5, width=257, height=300,
+                         mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        raw, _ = capture_adaptive(scene, 4.0, config, seed=13)
+        digest = hashlib.sha256(raw.digits.tobytes()
+                                + raw.gain.tobytes()).hexdigest()
+        assert digest == ("a2cb33cdbb8f3d7d04cd787bd1c80320"
+                          "6295f736989dd589ff6a868b1096f595")
+
 
 class TestVignetting:
     def test_uniform_transmission_gives_unit_gain(self, config):
