@@ -109,6 +109,9 @@ def cmd_capture(args) -> int:
     config = _load_config(args.config)
     scene = _load_scene(args.scene, config, args.mean_frac)
     if args.per_pixel_eta is not None:
+        if args.gain_map or args.bin_map:
+            raise ConfigError("--per-pixel-eta sets its own gains; it takes "
+                              "no --gain-map or --bin-map")
         raw, report = capture_adaptive(scene, args.per_pixel_eta, config,
                                        seed=args.seed)
         print(f"saturation_frac {report.measured_saturation_frac:.6f}",

@@ -13,6 +13,7 @@ saturation probability).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
                      dequantize, draw_noise)
+
+_WARMUP = 32  # pixels replayed to guess a chunk's start gain
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,9 @@ class GainMap:
             raise ShapeError("per_roi/per_pixel modes take a 2-D value grid")
         if self.mode == "per_roi" and (self.roi_size is None or self.roi_size < 1):
             raise ConfigError("per_roi mode needs a positive roi_size")
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
+        check_eta(self.eta)
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("gain values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -103,6 +107,12 @@ class GainMap:
             raise DataError(f"bad gain plan: {exc}") from exc
 
 
+def check_eta(eta) -> None:
+    """ConfigError unless the headroom ``eta`` is finite and nonnegative."""
+    if not 0 <= eta < math.inf:
+        raise ConfigError(f"eta must be finite and nonnegative, not {eta}")
+
+
 def is_json_int(value) -> bool:
     """Whether a plan field read from JSON is an integer (not a bool, not a
     float that happens to be whole)."""
@@ -126,10 +136,9 @@ def gain_for_level(level, eta: float, config: SensorConfig):
     is always clamped to the configured gain range.
     """
     m = np.asarray(level, dtype=np.float64)
-    if np.any(m < 0):
-        raise DataError("estimated level must be nonnegative")
-    if eta < 0:
-        raise ConfigError("eta must be nonnegative")
+    if not np.all((m >= 0) & (m < np.inf)):
+        raise DataError("estimated level must be finite and nonnegative")
+    check_eta(eta)
     with np.errstate(divide="ignore", over="ignore"):  # clipped below
         g = config.well_capacity / (m + eta * np.sqrt(m))
     g = np.where(m == 0, config.gain_max,
@@ -183,15 +192,33 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
 
     The physical randomness (photon arrivals and read noise) does not depend
     on the gain choice, so ``draw_noise`` draws it up front, the same
-    realization every other capture reads at this seed; only the cheap gain
-    recursion runs sequentially, one row at a time over Python floats (numpy
-    scalar indexing costs several times more per pixel).  The first pixel of
-    the frame uses gain 1.  The loop applies ``next_gain`` inline.
+    realization every other capture reads at this seed.  The first pixel of
+    the frame uses gain 1 and each later pixel, in C order, the
+    ``next_gain`` of the readout before it.
+
+    That recursion is sequential, so it is solved by speculating and
+    repairing.  The scan is cut into chunks of ``isqrt(n)`` pixels.  Each
+    chunk guesses its start gain: chunk 0 knows it (1.0), every other chunk
+    replays the last 32 pixels of the chunk before from ``gain_max``.  All
+    chunks then run at once, one numpy step per column.  Last, in scan
+    order, a chunk whose true incoming gain (the repaired outgoing gain of
+    the chunk before) differs from its guess is run again by the scalar body
+    until its gain equals the speculative gain at the same pixel.  A gain is
+    all the state the recursion carries, so from that pixel on the guessed
+    trajectory is the true one; a chunk that never merges hands on its
+    recomputed outgoing gain.  Clamps (a saturated readout resets the gain
+    to 1, a dark one to ``gain_max``) erase all history, so on natural
+    scenes most guesses hold or merge within a few pixels.
+
+    The result is exact, not approximate: both bodies do the same float
+    operations in the same order (``np.rint`` rounds half to even like
+    ``round``, ``np.sqrt`` is correctly rounded like ``math.sqrt``), so
+    every digit and gain is bit for bit that of the plain sequential loop.
     """
-    if eta < 0:
-        raise ConfigError("eta must be nonnegative")
+    check_eta(eta)
     noise = draw_noise(scene, config, seed)
     shape = scene.data.shape
+    n = scene.data.size
 
     slope = config.adc_slope
     black = config.black_level
@@ -199,16 +226,23 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     lwc = config.well_capacity
     gmin, gmax = config.gain_min, config.gain_max
 
-    digits = np.empty(shape, dtype=np.uint16)
-    gains = np.empty(shape, dtype=np.float64)
+    charge, n_post = noise.charge.ravel(), noise.n_post.ravel()
+    digits = np.empty(n, dtype=np.uint16)
+    gains = np.empty(n, dtype=np.float64)
     sqrt = math.sqrt
-    g = 1.0
-    # Plain comparisons stand in for min/max: this body runs once per pixel.
-    for row in range(shape[0]):
-        row_digits, row_gains = [], []
-        put_digit, put_gain = row_digits.append, row_gains.append
-        for c, post in zip(noise.charge[row].tolist(),
-                           noise.n_post[row].tolist()):
+
+    def scan(g, start, stop, guess=itertools.repeat(None)):
+        """The scalar body over pixels [start, stop) from incoming gain
+        ``g``: write their digits and gains and return the outgoing gain,
+        or None at the first pixel whose gain equals its ``guess``."""
+        out_d, out_g = [], []
+        put_digit, put_gain = out_d.append, out_g.append
+        # Plain comparisons stand in for min/max: this runs once per pixel.
+        for c, post, s in zip(charge[start:stop].tolist(),
+                              n_post[start:stop].tolist(), guess):
+            if g == s:
+                g = None
+                break
             put_gain(g)
             d = round((g * c + post) * slope) + black
             if d < 0:
@@ -228,9 +262,47 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
                 g = gmin
             elif g > gmax:
                 g = gmax
-        digits[row] = row_digits
-        gains[row] = row_gains
+        digits[start:start + len(out_d)] = out_d
+        gains[start:start + len(out_g)] = out_g
+        return g
 
+    def step(g, c, post):
+        """One pixel of every chunk at once: the scalar body on arrays."""
+        d = np.rint((g * c + post) * slope) + black
+        np.minimum(np.maximum(d, 0, out=d), dmax, out=d)
+        level = (d - black) / slope / g
+        nxt = lwc / (level + eta * np.sqrt(level))
+        np.minimum(np.maximum(nxt, gmin, out=nxt), gmax, out=nxt)
+        nxt[level <= 0] = gmax
+        nxt[d == dmax] = 1.0
+        return d, nxt
+
+    size = math.isqrt(n)
+    m = n // size if n > 1 else 0  # chunks; a frame of one pixel has none
+    g = 1.0
+    if m:
+        cut = m * size
+        c_rows = charge[:cut].reshape(m, size)
+        p_rows = n_post[:cut].reshape(m, size)
+        d_rows = digits[:cut].reshape(m, size)
+        g_rows = gains[:cut].reshape(m, size)
+        guess = np.full(m, gmax)
+        with np.errstate(invalid="ignore", divide="ignore"):  # dark: gmax
+            for j in range(size - min(_WARMUP, size), size):
+                guess[1:] = step(guess[1:], c_rows[:-1, j], p_rows[:-1, j])[1]
+            guess[0] = 1.0
+            for j in range(size):
+                g_rows[:, j] = guess
+                d_rows[:, j], guess = step(guess, c_rows[:, j], p_rows[:, j])
+        starts, ends = g_rows[:, 0].tolist(), guess.tolist()
+        g = ends[0]
+        for i in range(1, m):
+            got = (None if g == starts[i] else
+                   scan(g, i * size, (i + 1) * size, g_rows[i].tolist()))
+            g = ends[i] if got is None else got  # None: the guess holds
+    scan(g, m * size, n)
+
+    digits, gains = digits.reshape(shape), gains.reshape(shape)
     sat = digits == dmax
     raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=1,
                      gain_grid=gains, bin_grid=np.ones(shape, dtype=np.int64),

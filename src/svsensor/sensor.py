@@ -97,7 +97,7 @@ class SensorConfig:
 
     def check_gain(self, gain) -> None:
         g = np.asarray(gain, dtype=float)
-        if np.any(g < self.gain_min) or np.any(g > self.gain_max):
+        if not np.all((g >= self.gain_min) & (g <= self.gain_max)):
             raise ConfigError(
                 f"gain outside [{self.gain_min}, {self.gain_max}]")
 

@@ -40,15 +40,21 @@ class TheoryParams:
     light_grid: tuple = ()
 
     def __post_init__(self):
-        if self.snr_t <= 0:
-            raise ConfigError("snr_t must be positive")
+        if not 0 < self.snr_t < math.inf:
+            raise ConfigError("snr_t must be positive and finite")
         p = np.asarray(self.pitch_candidates, dtype=float)
-        if p.size == 0 or np.any(p <= 0) or np.any(np.diff(p) <= 0):
-            raise ConfigError("pitch candidates must be positive and strictly ascending")
-        if len(self.light_grid):
-            l = np.asarray(self.light_grid, dtype=float)
-            if np.any(l <= 0) or np.any(np.diff(l) <= 0):
-                raise ConfigError("light grid must be positive and strictly ascending")
+        if p.size == 0 or not _finite_ascending(p):
+            raise ConfigError("pitch candidates must be positive, finite and "
+                              "strictly ascending")
+        if len(self.light_grid) and not _finite_ascending(
+                np.asarray(self.light_grid, dtype=float)):
+            raise ConfigError("light grid must be positive, finite and "
+                              "strictly ascending")
+
+
+def _finite_ascending(values: np.ndarray) -> bool:
+    return bool(np.all((values > 0) & (values < np.inf))
+                and np.all(np.diff(values) > 0))
 
 
 def contrast(freq: float, photon_density: float, pitch: float) -> float:

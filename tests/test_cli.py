@@ -267,6 +267,44 @@ _BAD_INPUTS = [
     ("evaluate_dump_dir_under_a_file", 3,
      ["evaluate", "{scene}", "--roi-size", "32", *_RUN,
       "--dump-dir", "{scene}/dump"], None),
+    *[(f"{name}_{value}", 2, [a.replace("V", value) for a in argv], None)
+      for value in ("nan", "inf") for name, argv in [
+        ("per_pixel_eta", ["capture", "{scene}", "--per-pixel-eta", "V",
+                           *_RUN]),
+        ("simulate_gain", ["simulate", "{scene}", "--gain", "V", *_RUN]),
+        ("plan_gain_eta", ["plan-gain", "--pilot", "{stack}/frame_000",
+                           "--roi-size", "32", "--eta", "V",
+                           "--output", "{out}"]),
+        ("plan_gain_vignetting_eta", ["plan-gain", "--vignetting",
+                                      "{vignette}", "--roi-size", "8",
+                                      "--eta", "V", "--output", "{out}"]),
+        ("plan_bin_snr_t", ["plan-bin", "--pilot", "{stack}/frame_000",
+                            "--roi-size", "32", "--snr-t", "V",
+                            "--output", "{out}"]),
+        ("evaluate_eta", ["evaluate", "{scene}", "--roi-size", "32",
+                          "--eta", "V", *_RUN]),
+        ("evaluate_snr_t", ["evaluate", "{scene}", "--roi-size", "32",
+                            "--snr-t", "V", *_RUN]),
+        ("theory_snr_t", ["theory", "--pitches", "0.5,1", "--lights", "1,2",
+                          "--snr-t", "V"]),
+        ("theory_pitches", ["theory", "--pitches", "0.5,V",
+                            "--lights", "1,2"]),
+        ("theory_lights", ["theory", "--pitches", "0.5,1",
+                           "--lights", "1,V"]),
+    ]],
+    *[(f"capture_gain_map_{value.lower()}_eta", 3,
+       ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+       json.dumps(dict(_GAIN, eta="X")).replace('"X"', value).encode())
+      for value in ("NaN", "Infinity")],
+    ("capture_gain_map_null_value", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+     dict(_GAIN, values=[None, 1.0, 1.0, 1.0])),
+    ("capture_per_pixel_eta_with_plans", 2,
+     ["capture", "{scene}", "--per-pixel-eta", "4", "--gain-map", "{gain}",
+      "--bin-map", "{bad}", *_RUN], _BIN),
+    ("capture_per_pixel_eta_with_gain_map", 2,
+     ["capture", "{scene}", "--per-pixel-eta", "4", "--gain-map", "{gain}",
+      *_RUN], None),
 ]
 
 

@@ -6,13 +6,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
                       RadianceMap, RoiGrid, SensorConfig, ShapeError,
                       capture_adaptive, gain_for_level, gain_from_vignetting,
-                      next_gain, plan_gain_roi, quantize_to_ladder,
+                      next_gain, plan_gain_roi, quantize, quantize_to_ladder,
                       simulate_capture)
+from svsensor.sensor import draw_noise
 
 
 def snapshot_from(levels, valid=None):
@@ -45,6 +46,22 @@ class TestGainRule:
             gain_for_level(-1.0, 2.0, config)
         with pytest.raises(DataError):
             gain_for_level(np.array([1.0, -1.0]), 2.0, config)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, config, level):
+        with pytest.raises(DataError):
+            gain_for_level(level, 2.0, config)
+        with pytest.raises(DataError):
+            gain_for_level(np.array([1.0, level]), 2.0, config)
+
+    @pytest.mark.parametrize("eta", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_eta_rejected(self, config, eta):
+        with pytest.raises(ConfigError):
+            gain_for_level(1.0, eta, config)
+        with pytest.raises(ConfigError):
+            GainMap("constant", 2.0, eta=eta)
+        with pytest.raises(ConfigError):
+            capture_adaptive(RadianceMap(data=np.ones((2, 2))), eta, config)
 
     def test_saturation_probability_at_planned_gain(self, config):
         # eta = 2 leaves roughly a 2.2% saturation probability; Poisson skew
@@ -119,6 +136,33 @@ class TestRoiPlanner:
         assert gm.values.max() <= config.gain_max
 
 
+def chain_capture(scene, eta, config, seed):
+    """The closed loop as a plain chain, one pixel at a time in C order:
+    ``quantize`` then ``next_gain`` over the capture's own realization."""
+    noise = draw_noise(scene, config, seed)
+    digits, gains, g = [], [], 1.0
+    for c, post in zip(noise.charge.ravel().tolist(),
+                       noise.n_post.ravel().tolist()):
+        d = int(quantize(g * c + post, config))
+        digits.append(d)
+        gains.append(g)
+        g = next_gain(d, g, eta, config)
+    shape = scene.data.shape
+    return (np.array(digits, dtype=np.uint16).reshape(shape),
+            np.array(gains, dtype=np.float64).reshape(shape))
+
+
+def assert_matches_chain(scene, eta, config, seed):
+    raw, report = capture_adaptive(scene, eta, config, seed=seed)
+    digits, gains = chain_capture(scene, eta, config, seed)
+    assert raw.digits.tobytes() == digits.tobytes()
+    assert raw.gain.tobytes() == gains.tobytes()
+    sat = digits == config.digital_max
+    assert np.array_equal(raw.saturation_mask, sat)
+    assert report.measured_saturation_frac == float(sat.mean())
+    return raw
+
+
 class TestPerPixelPlanner:
     def test_constant_scene_converges_in_one_step(self, quiet_config,
                                                   monkeypatch):
@@ -181,6 +225,44 @@ class TestPerPixelPlanner:
         assert raw.saturation_mask.any() and max(g) == config.gain_max
         for k in range(1, len(d)):
             assert g[k] == next_gain(d[k - 1], g[k - 1], 2.0, config), k
+
+    # 1 x n and n x 1 scans, frames of fewer than 4 pixels (at most one
+    # chunk of one pixel each), and frames whose pixel count is not a
+    # multiple of the chunk length isqrt(n), which leaves a scalar tail
+    @example(h=1, w=1, eta=2.0, config=SensorConfig(), seed=0)
+    @example(h=1, w=3, eta=0.0, config=SensorConfig(gain_max=2.0), seed=1)
+    @example(h=37, w=1, eta=4.0, config=SensorConfig(bit_depth=8), seed=2)
+    @example(h=7, w=13, eta=1.0, config=SensorConfig(), seed=3)
+    @given(h=st.integers(1, 40), w=st.integers(1, 40), eta=st.floats(0.0, 6.0),
+           config=st.sampled_from([SensorConfig(), SensorConfig(gain_max=2.0),
+                                   SensorConfig(bit_depth=8)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_capture_matches_the_plain_chain(self, h, w, eta, config, seed):
+        # levels over five decades: dark, lit and saturating pixels mix, so
+        # chunk guesses both hold and miss
+        rng = np.random.default_rng(seed)
+        levels = rng.lognormal(0.0, 2.0, (h, w)) * rng.uniform(0.1, 100.0)
+        assert_matches_chain(RadianceMap(data=levels), eta, config, seed)
+
+    def test_unclamped_frame_repairs_every_chunk(self, config):
+        # no pixel after the first clamps its gain, so no chunk's guessed
+        # start gain can be right and every chunk is recomputed
+        scene = RadianceMap(data=np.full((40, 40), 100.0))
+        raw = assert_matches_chain(scene, 10.0, config, seed=27)
+        g = raw.gain.ravel()[1:]
+        assert np.all((g > config.gain_min) & (g < config.gain_max))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_step_edge_across_a_chunk_boundary(self, config, offset):
+        # 30 x 30 scans in chunks of 30 pixels: dark up to about pixel 450,
+        # where chunk 15 starts, then bright enough to saturate at gain 1
+        levels = np.zeros(900)
+        levels[450 + offset:] = 5000.0
+        scene = RadianceMap(data=levels.reshape(30, 30))
+        raw = assert_matches_chain(scene, 2.0, config, seed=28)
+        g = raw.gain.ravel()
+        assert raw.saturation_mask.ravel()[450 + offset]
+        assert g[450 + offset] == config.gain_max and g[451 + offset] == 1.0
 
     def test_adaptive_capture_pinned_ragged(self, config):
         # 300 x 257 = 77100 pixels is not a multiple of isqrt(77100) = 277,
@@ -273,3 +355,10 @@ class TestGainMapType:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             GainMap("roi", np.ones((2, 2)), roi_size=8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gain_rejected(self, value):
+        with pytest.raises(ConfigError):
+            GainMap("constant", value)
+        with pytest.raises(ConfigError):
+            GainMap("per_roi", np.array([[1.0, value]]), roi_size=8)

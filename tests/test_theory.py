@@ -225,3 +225,13 @@ class TestParamsValidation:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ConfigError):
             TheoryParams(snr_t=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("snr_t", float("nan")), ("snr_t", float("inf")),
+        ("pitch_candidates", (0.5, float("nan"))),
+        ("pitch_candidates", (0.5, float("inf"))),
+        ("light_grid", (1.0, float("nan"))),
+        ("light_grid", (1.0, float("inf")))])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ConfigError):
+            TheoryParams(**{field: value})
