@@ -53,7 +53,7 @@ class GainMap:
             raise ShapeError("per_roi/per_pixel modes take a 2-D value grid")
         if self.mode == "per_roi" and (self.roi_size is None or self.roi_size < 1):
             raise ConfigError("per_roi mode needs a positive roi_size")
-        check_eta(self.eta)
+        _check_eta(self.eta)
         if not np.all(np.isfinite(vals)):
             raise ConfigError("gain values must be finite")
         vals = vals.copy()
@@ -107,7 +107,7 @@ class GainMap:
             raise DataError(f"bad gain plan: {exc}") from exc
 
 
-def check_eta(eta) -> None:
+def _check_eta(eta) -> None:
     """ConfigError unless the headroom ``eta`` is finite and nonnegative."""
     if not 0 <= eta < math.inf:
         raise ConfigError(f"eta must be finite and nonnegative, not {eta}")
@@ -138,7 +138,7 @@ def gain_for_level(level, eta: float, config: SensorConfig):
     m = np.asarray(level, dtype=np.float64)
     if not np.all((m >= 0) & (m < np.inf)):
         raise DataError("estimated level must be finite and nonnegative")
-    check_eta(eta)
+    _check_eta(eta)
     with np.errstate(divide="ignore", over="ignore"):  # clipped below
         g = config.well_capacity / (m + eta * np.sqrt(m))
     g = np.where(m == 0, config.gain_max,
@@ -215,7 +215,7 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     ``round``, ``np.sqrt`` is correctly rounded like ``math.sqrt``), so
     every digit and gain is bit for bit that of the plain sequential loop.
     """
-    check_eta(eta)
+    _check_eta(eta)
     noise = draw_noise(scene, config, seed)
     shape = scene.data.shape
     n = scene.data.size

@@ -77,8 +77,9 @@ def noise_sigma(photon_density: float, pitch: float, gain: float,
                 config: SensorConfig) -> float:
     """Pooled standard deviation of shot plus read noise for a pitch-p pixel;
     independent of the signal frequency."""
-    if photon_density < 0 or pitch <= 0 or gain <= 0:
-        raise ConfigError("inputs must be positive")
+    if not (photon_density >= 0 and pitch > 0 and 0 < gain < math.inf):
+        raise ConfigError("need photon density >= 0, pitch > 0 and a finite "
+                          "gain > 0")
     var = (config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
            + photon_density * pitch * pitch / 2.0)
     return math.sqrt(var)

@@ -291,6 +291,11 @@ _BAD_INPUTS = [
                             "--lights", "1,2"]),
         ("theory_lights", ["theory", "--pitches", "0.5,1",
                            "--lights", "1,V"]),
+        ("theory_gain", ["theory", "--pitches", "0.5,1", "--lights", "1,2",
+                         "--gain", "V"]),
+        ("plan_bin_gain", ["plan-bin", "--pilot", "{stack}/frame_000",
+                           "--roi-size", "32", "--gain", "V",
+                           "--output", "{out}"]),
     ]],
     *[(f"capture_gain_map_{value.lower()}_eta", 3,
        ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
