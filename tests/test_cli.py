@@ -267,6 +267,8 @@ _BAD_INPUTS = [
     ("evaluate_dump_dir_under_a_file", 3,
      ["evaluate", "{scene}", "--roi-size", "32", *_RUN,
       "--dump-dir", "{scene}/dump"], None),
+    # a non-finite number where the command line reads one (V) is a
+    # configuration error
     *[(f"{name}_{value}", 2, [a.replace("V", value) for a in argv], None)
       for value in ("nan", "inf") for name, argv in [
         ("per_pixel_eta", ["capture", "{scene}", "--per-pixel-eta", "V",
