@@ -360,6 +360,39 @@ def test_plan_bin_writes_factors(tmp_path, scene_path, config_path):
     assert all(k in (1, 2, 4, 8) for k in doc["values"])
 
 
+@pytest.fixture(scope="module")
+def ragged_pilot(tmp_path_factory):
+    """A unit-gain capture of a 300x257 hdr_blobs scene: ROIs of 16 and 32
+    leave a clipped bottom row and right column."""
+    from svsensor import SceneSpec, load_and_normalize
+    root = tmp_path_factory.mktemp("pilot")
+    spec = SceneSpec(source="hdr_blobs", seed=7, width=257, height=300,
+                     mean_level_frac=0.05)
+    write_pfm(root / "scene.pfm", load_and_normalize(spec, SensorConfig()).data)
+    assert main(["simulate", str(root / "scene.pfm"), "--gain", "1",
+                 "--seed", "19", "--output", str(root / "pilot")]) == 0
+    return root / "pilot"
+
+
+@pytest.mark.parametrize("roi, gain, digest", [
+    (16, "1", "e56d24acfcc2dc845a559c52627278cd"
+     "a508c18e56f967c8c9a57181975d9169"),
+    (16, "27", "50a754b2ce065ff87e4d1d86ab597fec"
+     "2170430ca1435b39282f22b978197cd8"),
+    (32, "1", "eeb39bcfa36fe3cf042a4b6492235586"
+     "f92a83ce0850231235a2b789d8efc7f9"),
+    (32, "27", "13ca3dd40bff9aa34baa0c4161bb81c5"
+     "79ee7bae72efc5b3359f771a2757c7ca"),
+])
+def test_plan_bin_pinned(tmp_path, ragged_pilot, roi, gain, digest):
+    # SHA-256 of bins.json, fixed so that a rewrite of the pitch planner
+    # cannot move a single factor
+    out = tmp_path / "bins.json"
+    assert main(["plan-bin", "--pilot", str(ragged_pilot), "--roi-size",
+                 str(roi), "--gain", gain, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_theory_csv_monotone_curve(tmp_path, config_path, capsys):
     code = main(["theory", "--config", config_path, "--snr-t", "4",
                  "--pitches", "0.5,1,2,4",

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svsensor import metrics
 from svsensor import (ConfigError, RoiGrid, SceneSpec, SensorConfig,
@@ -103,6 +103,49 @@ class TestSsim:
             smap, score = ssim(ref[n], test[n])
             assert np.array_equal(smaps[n], smap)
             assert scores[n] == score
+
+
+def ssim_full_map(ref, test):
+    """Oracle: the SSIM map over every pixel of each (n, h, w) block, from
+    Gaussian statistics blurred over the whole block, and its mean over the
+    interior (the window margins cropped when the smaller side exceeds
+    twice the window radius)."""
+    from scipy.ndimage import gaussian_filter
+
+    def blur(x):
+        return gaussian_filter(x, (0.0, 1.5, 1.5), truncate=10.0 / 3.0,
+                               mode="reflect")
+
+    mu_a, mu_b = blur(ref), blur(test)
+    var_a = blur(ref * ref) - mu_a * mu_a
+    var_b = blur(test * test) - mu_b * mu_b
+    cov = blur(ref * test) - mu_a * mu_b
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
+    smap = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
+           ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    inner = smap[:, 5:-5, 5:-5] if min(smap.shape[1:]) > 10 else smap
+    return smap, inner.mean(axis=(1, 2))
+
+
+class TestSsimAgainstFullMap:
+    @given(n=st.integers(1, 4), h=st.integers(1, 40), w=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=2, h=10, w=10, seed=0)
+    @example(n=1, h=11, w=11, seed=1)
+    @example(n=3, h=12, w=40, seed=2)
+    @example(n=1, h=32, w=32, seed=3)
+    @example(n=2, h=9, w=33, seed=4)
+    def test_means_equal_full_map_reference(self, n, h, w, seed):
+        # bit for bit, for blocks above, at and below the crop threshold,
+        # as a stack and as single images
+        rng = np.random.default_rng(seed)
+        ref = rng.uniform(0, 1, (n, h, w))
+        test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
+        _, means = ssim_full_map(ref, test)
+        _, got = ssim(ref, test)
+        assert np.array_equal(got, means)
+        for i in range(n):
+            assert ssim(ref[i], test[i])[1] == means[i]
 
 
 def _block_means(image, k):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
                       PhotonEstimate, RadianceMap, SensorConfig, ShapeError,
@@ -20,7 +20,8 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
                       native_estimate_blocks, plan_bin_roi,
                       quantize_to_ladder, simulate_capture)
 from svsensor.readout import BIN_MODES, read_plan
-from svsensor.sensor import draw_noise
+from svsensor.roi import RoiGrid
+from svsensor.sensor import draw_noise, quantize
 
 
 def binned_estimates(level, gain, factor, mode, config, n_super, seed):
@@ -154,6 +155,78 @@ class TestBinModes:
         assert np.array_equal(raw.digits[::k, ::k], ref.digits)
         assert np.array_equal(raw.saturation_mask[::k, ::k],
                               ref.saturation_mask)
+
+
+def read_plan_reference(noise, gains, bins, mode, config, roi_size):
+    """Oracle: the whole-frame readout chain.  Every bin factor is read out
+    over the whole frame (edge-padded to a multiple of k, summed per k x k
+    superpixel, quantized, replicated back to unit pixels) and written by
+    ``np.where`` over the ROIs that carry it."""
+    def block_sum(arr, k):
+        h, w = arr.shape
+        return arr.reshape(h // k, k, w // k, k).sum(axis=(1, 3))
+
+    def replicate(arr, k):
+        return np.repeat(np.repeat(arr, k, axis=0), k, axis=1)
+
+    def pad(arr, k):
+        h, w = arr.shape
+        return np.pad(arr, ((0, -h % k), (0, -w % k)), mode="edge")
+
+    charge = noise.charge
+    h, w = charge.shape
+    grid = RoiGrid(h, w, roi_size)
+    gain = grid.expand(gains)
+    unit = quantize(gain * charge + noise.n_post, config)
+    unit_sat = unit == config.digital_max
+    digits, sat = unit, unit_sat
+    for n in np.unique(bins[bins > 1]).tolist():
+        k = math.isqrt(n)
+        if mode == "digital":
+            d_sup = np.rint(block_sum(pad(unit, k), k) / n).astype(np.uint16)
+            sat_sup = block_sum(pad(unit_sat, k), k) > 0
+        else:
+            g = gain[::k, ::k]
+            summed = block_sum(pad(charge, k), k)
+            if mode == "additive":
+                summed = np.minimum(summed, n * config.well_capacity)
+                v = (g / n) * summed + noise.sup_post[k]
+            else:
+                v = g * (summed / n) + noise.sup_post[k]
+            d_sup = quantize(v, config)
+            sat_sup = d_sup == config.digital_max
+        sel = grid.expand(bins == n)
+        digits = np.where(sel, replicate(d_sup, k)[:h, :w], digits)
+        sat = np.where(sel, replicate(sat_sup, k)[:h, :w], sat)
+    return digits, sat
+
+
+class TestReadPlan:
+    @given(h=st.integers(1, 70), w=st.integers(1, 70),
+           roi=st.sampled_from([8, 16, 24, 32]), mode=st.sampled_from(BIN_MODES),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=64, w=64, roi=32, mode="additive", seed=1)
+    @example(h=37, w=53, roi=8, mode="digital", seed=2)
+    @example(h=70, w=70, roi=24, mode="average", seed=3)
+    def test_matches_whole_frame_chain(self, h, w, roi, mode, seed):
+        # byte for byte, on clipped edge ROIs and mixed factor grids; bright
+        # pixels saturate unit pixels, and additive superpixels past N wells
+        config = SensorConfig(gain_max=128.0)
+        rng = np.random.default_rng(seed)
+        scene = RadianceMap(data=rng.uniform(0, 400, (h, w))
+                            * rng.choice([0.05, 1.0, 3.0], (h, w)))
+        grid = RoiGrid(h, w, roi)
+        factors = rng.choice([1, 2, 4, 8], grid.shape) ** 2
+        gains = rng.uniform(1.0, 2.0, grid.shape)
+        if mode == "additive":
+            gains = gains * factors
+        noise = draw_noise(scene, config, seed, max_k=8)
+        raw = read_plan(noise, gains, BinMap(roi, factors, mode), config)
+        digits, sat = read_plan_reference(noise, gains, factors, mode, config,
+                                          roi)
+        assert raw.digits.dtype == digits.dtype
+        assert np.array_equal(raw.digits, digits)
+        assert np.array_equal(raw.saturation_mask, sat)
 
 
 class TestSpatiallyVarying:
