@@ -62,18 +62,32 @@ def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
     return gamma_correct(photons / config.well_capacity, 1.0 / 3.2)
 
 
-def _blur(stack: np.ndarray) -> np.ndarray:
-    """The SSIM window over each block of an (n, h, w) stack; sigma 0 on the
-    stack axis keeps every block's reflect boundary to itself."""
-    from scipy.ndimage import gaussian_filter  # slow to import; only SSIM needs it
-    return gaussian_filter(stack, (0.0, _SSIM_SIGMA, _SSIM_SIGMA),
-                           truncate=_SSIM_TRUNCATE, mode="reflect")
+def _blur(stack: np.ndarray, crop: int) -> np.ndarray:
+    """The SSIM window over each block of an (n, h, w) stack, each block
+    with its own reflect boundary, cropped by ``crop`` pixels on every side.
+    The window is separable: the axis-1 pass runs over whole blocks and the
+    axis-2 pass only on the rows kept, which gives the same values as
+    blurring whole blocks and cropping after."""
+    from scipy.ndimage import gaussian_filter1d  # slow to import; only SSIM needs it
+    out = gaussian_filter1d(stack, _SSIM_SIGMA, 1, truncate=_SSIM_TRUNCATE,
+                            mode="reflect")
+    out = gaussian_filter1d(out[:, crop:out.shape[1] - crop], _SSIM_SIGMA, 2,
+                            truncate=_SSIM_TRUNCATE, mode="reflect")
+    return out[:, :, crop:out.shape[2] - crop]
+
+
+def _crop(shape) -> int:
+    """The window margin that SSIM leaves out of the blocks' mean: the
+    window radius when the blocks' smaller side exceeds twice that."""
+    return _SSIM_RADIUS if min(shape[-2:]) > 2 * _SSIM_RADIUS else 0
 
 
 def _reference_stats(a: np.ndarray):
-    """Local mean and variance of an (n, h, w) stack of reference blocks."""
-    mu_a = _blur(a)
-    return mu_a, _blur(a * a) - mu_a * mu_a
+    """Local mean and variance of an (n, h, w) stack of reference blocks,
+    on the interior that ``ssim`` averages."""
+    crop = _crop(a.shape)
+    mu_a = _blur(a, crop)
+    return mu_a, _blur(a * a, crop) - mu_a * mu_a
 
 
 def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
@@ -82,11 +96,13 @@ def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     Gaussian-weighted local statistics (11x11, sigma 1.5) with the standard
     stabilizers C1 = 0.01^2 and C2 = 0.03^2.  ``ref`` and ``test`` are two
     images, or two (n, h, w) stacks of same-shape blocks scored block by
-    block, each with its own reflect boundary.  Returns the per-pixel map
-    and its mean over the interior (window margins cropped when the image is
-    large enough): a float for images, one value per block for stacks.
-    ``ref_stats`` may hold the reference stack's ``_reference_stats`` from
-    an earlier call, which then need not be blurred again.
+    block, each with its own reflect boundary.  The map covers the interior
+    only: the window margins are cropped when a block's smaller side
+    exceeds twice the window radius, and nothing is computed for them.
+    Returns the map it averages and its mean: a map and a float for images,
+    a stack of maps and one value per block for stacks.  ``ref_stats`` may
+    hold the reference stack's ``_reference_stats`` from an earlier call,
+    which then need not be blurred again.
     """
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(test, dtype=np.float64)
@@ -97,15 +113,13 @@ def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     if image:
         a, b = a[None], b[None]
     mu_a, var_a = _reference_stats(a) if ref_stats is None else ref_stats
-    c1, c2 = 0.01 ** 2, 0.03 ** 2
-    mu_b = _blur(b)
-    var_b = _blur(b * b) - mu_b * mu_b
-    cov = _blur(a * b) - mu_a * mu_b
+    c1, c2, crop = 0.01 ** 2, 0.03 ** 2, _crop(a.shape)
+    mu_b = _blur(b, crop)
+    var_b = _blur(b * b, crop) - mu_b * mu_b
+    cov = _blur(a * b, crop) - mu_a * mu_b
     smap = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
            ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
-    r = _SSIM_RADIUS
-    inner = smap[:, r:-r, r:-r] if min(smap.shape[1:]) > 2 * r else smap
-    means = inner.mean(axis=(1, 2))
+    means = smap.mean(axis=(1, 2))
     return (smap[0], float(means[0])) if image else (smap, means)
 
 
@@ -117,9 +131,9 @@ class RoiScorer:
     k x k superpixel (k = 1 is the unit view), so that ROI (i, j) starts at
     row ``i * grid.size // k`` and column ``j * grid.size // k``.  A view's
     reference blocks and their blur statistics are computed for every ROI
-    the first time the view is scored and reused for every test image.
-    Same-shape blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels
-    at a time.
+    the first time the view is scored and reused for every test image;
+    the statistics cover the interior that ``ssim`` averages.  Same-shape
+    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time.
     """
 
     def __init__(self, grid: RoiGrid, reference):
@@ -137,8 +151,12 @@ class RoiScorer:
                 for rs, cs, (bh, bw) in self.grid.parts():
                     if bh % k or bw % k:
                         continue
-                    blocks = _blocks(ref, rs, cs, r // k, (bh // k, bw // k))
-                    mu, var = np.empty(blocks.shape), np.empty(blocks.shape)
+                    blocks = self.grid.blocks(ref, rs, cs,
+                                              (bh // k, bw // k), k)
+                    crop = _crop(blocks.shape)
+                    inner = (*blocks.shape[:2], blocks.shape[2] - 2 * crop,
+                             blocks.shape[3] - 2 * crop)
+                    mu, var = np.empty(inner), np.empty(inner)
                     for i, j in _chunks(np.ones(blocks.shape[:2], bool),
                                         blocks):
                         mu[i, j], var[i, j] = _reference_stats(blocks[i, j])
@@ -155,22 +173,13 @@ class RoiScorer:
         for rs, cs, ref, mu, var in self._view(k):
             sel = (np.ones(ref.shape[:2], bool) if select is None
                    else select[rs, cs])
-            blocks = _blocks(test, rs, cs, self.grid.size // k, ref.shape[2:])
+            blocks = self.grid.blocks(test, rs, cs, ref.shape[2:], k)
             for i, j in _chunks(sel, ref):
                 a, b = ref[i, j], blocks[i, j]
                 at = (rs.start + i, cs.start + j)
                 ssims[at] = ssim(a, b, (mu[i, j], var[i, j]))[1]
                 mse[at] = ((a - b) ** 2).mean(axis=(1, 2))
         return ssims, mse
-
-
-def _blocks(image: np.ndarray, rs: slice, cs: slice, step: int, shape):
-    """(ROI rows, ROI columns, h, w) view of the h x w blocks of ``image``
-    for the ROIs ``rs`` x ``cs``, whose corners lie ``step`` pixels apart."""
-    (bh, bw), nr, nc = shape, rs.stop - rs.start, cs.stop - cs.start
-    top, left = rs.start * step, cs.start * step
-    return image[top:top + nr * bh, left:left + nc * bw].reshape(
-        nr, bh, nc, bw).swapaxes(1, 2)
 
 
 def _chunks(select: np.ndarray, blocks: np.ndarray):

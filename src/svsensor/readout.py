@@ -38,7 +38,8 @@ from .roi import RoiGrid
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, Realization,
                      SensorConfig, estimate_photons, quantize,
                      simulate_capture)
-from .theory import BIN_LADDER, TheoryParams, optimal_pitch
+from .theory import (BIN_LADDER, TheoryParams, best_pitch_index,
+                     cutoff_frequencies)
 
 BIN_MODES = ("additive", "average", "digital")
 
@@ -122,20 +123,6 @@ class GainStack:
             "plan to the stack's gain ladder first")
 
 
-def _block_sum(arr: np.ndarray, k: int) -> np.ndarray:
-    h, w = arr.shape
-    return arr.reshape(h // k, k, w // k, k).sum(axis=(1, 3))
-
-
-def _replicate(arr: np.ndarray, k: int) -> np.ndarray:
-    return np.repeat(np.repeat(arr, k, axis=0), k, axis=1)
-
-
-def _pad_to_multiple(arr: np.ndarray, k: int) -> np.ndarray:
-    h, w = arr.shape
-    return np.pad(arr, ((0, -h % k), (0, -w % k)), mode="edge")
-
-
 def _check_gains(g: np.ndarray, n: np.ndarray, mode: str,
                  config: SensorConfig) -> None:
     """Every amplifier setting of a plan's gain and bin grids must lie in
@@ -197,6 +184,10 @@ def read_plan(noise: Realization, gain_map, bin_map: BinMap,
     by the frame edge are padded by edge replication.  The capture's digits
     are at unit resolution, each superpixel's value replicated over its
     footprint, and it carries the plan it was read under.
+
+    Each factor is read out only on the ROIs that carry it: per same-shape
+    ROI group (``RoiGrid.parts``), their blocks are gathered, summed per
+    superpixel, quantized and written over the unit-pixel digits and mask.
     """
     charge = noise.charge
     h, w = charge.shape
@@ -209,31 +200,46 @@ def read_plan(noise: Realization, gain_map, bin_map: BinMap,
     mode = bin_map.mode
     _check_gains(gains, bins, mode, config)
 
-    gain = grid.expand(gains)
-    unit = quantize(gain * charge + noise.n_post, config)
-    unit_sat = unit == config.digital_max
-    digits, sat = unit, unit_sat
-    for n in np.unique(bins[bins > 1]).tolist():
-        k = math.isqrt(n)
-        if mode == "digital":
-            # integer block sums of digits and of clipped unit pixels
-            d_sup = np.rint(_block_sum(_pad_to_multiple(unit, k), k) / n
-                            ).astype(np.uint16)
-            sat_sup = _block_sum(_pad_to_multiple(unit_sat, k), k) > 0
-        else:
-            g = gain[::k, ::k]
-            summed = _block_sum(_pad_to_multiple(charge, k), k)
-            if mode == "additive":
-                # shared sense node holds at most N wells' worth of charge
-                summed = np.minimum(summed, n * config.well_capacity)
-                v = (g / n) * summed + noise.sup_post[k]
+    digits = quantize(grid.expand(gains) * charge + noise.n_post, config)
+    sat = digits == config.digital_max
+    for rs, cs, (bh, bw) in grid.parts():
+        group = bins[rs, cs]
+        for n in np.unique(group[group > 1]).tolist():
+            k = math.isqrt(n)
+            ii, jj = np.nonzero(group == n)
+            edge = ((0, 0), (0, -bh % k), (0, -bw % k))
+
+            def superpixels(arr, reduce):
+                # reduce each k x k superpixel of the selected ROIs' blocks,
+                # those cut by the frame edge padded by edge replication
+                blocks = grid.blocks(arr, rs, cs, (bh, bw))[ii, jj]
+                if bh % k or bw % k:
+                    blocks = np.pad(blocks, edge, mode="edge")
+                m, sh, sw = blocks.shape
+                return reduce(blocks.reshape(m, sh // k, k, sw // k, k),
+                              axis=(2, 4))
+
+            if mode == "digital":
+                # integer sums of digits, any clipped unit pixel
+                d_sup = np.rint(superpixels(digits, np.sum) / n
+                                ).astype(np.uint16)
+                sat_sup = superpixels(sat, np.any)
             else:
-                v = g * (summed / n) + noise.sup_post[k]
-            d_sup = quantize(v, config)
-            sat_sup = d_sup == config.digital_max
-        sel = grid.expand(bins == n)
-        digits = np.where(sel, _replicate(d_sup, k)[:h, :w], digits)
-        sat = np.where(sel, _replicate(sat_sup, k)[:h, :w], sat)
+                g = gains[rs, cs][ii, jj][:, None, None]
+                post = grid.blocks(noise.sup_post[k], rs, cs,
+                                   (-(-bh // k), -(-bw // k)), k)[ii, jj]
+                summed = superpixels(charge, np.sum)
+                if mode == "additive":
+                    # shared sense node holds at most N wells' worth of charge
+                    summed = np.minimum(summed, n * config.well_capacity)
+                    v = (g / n) * summed + post
+                else:
+                    v = g * (summed / n) + post
+                d_sup = quantize(v, config)
+                sat_sup = d_sup == config.digital_max
+            for out, sup in ((digits, d_sup), (sat, sat_sup)):
+                grid.blocks(out, rs, cs, (bh, bw))[ii, jj] = np.repeat(
+                    np.repeat(sup, k, axis=1), k, axis=2)[:, :bh, :bw]
     return RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
                       gain_grid=gains, bin_grid=bins, mode=mode,
                       seed=noise.seed)
@@ -246,8 +252,9 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     Each ROI's mean valid level (negative estimates count as 0), as a photon
     density over the unit pitch, gets the bin factor of its exact optimal
     pitch among ``pixel_pitch * BIN_LADDER`` at ``gain`` and ``snr_t``
-    (``theory.optimal_pitch``).  Dark ROIs, ROIs without a valid pixel and
-    ROIs where no pitch resolves anything get the largest factor.
+    (``theory.optimal_pitch``, planned for all ROIs at once by
+    ``theory.cutoff_frequencies``).  Dark ROIs, ROIs without a valid pixel
+    and ROIs where no pitch resolves anything get the largest factor.
     """
     params = TheoryParams(snr_t=snr_t, pitch_candidates=tuple(
         config.pixel_pitch * k for k in BIN_LADDER))
@@ -258,11 +265,12 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     count = grid.reduce(valid, np.sum, False)
     density = np.divide(total, count, out=np.zeros(grid.shape),
                         where=count > 0) / config.pixel_pitch ** 2
+    lit = density > 0
+    best = best_pitch_index(cutoff_frequencies(
+        density[lit], params.pitch_candidates, gain, params.snr_t, config))
     factors = np.full(grid.shape, BIN_LADDER[-1] ** 2, dtype=np.int64)
-    for ij in zip(*np.nonzero(density > 0)):
-        p_star, _ = optimal_pitch(float(density[ij]), gain, params, config)
-        if p_star is not None:
-            factors[ij] = int(round((p_star / config.pixel_pitch) ** 2))
+    factors[lit] = np.where(best >= 0, np.asarray(BIN_LADDER)[best] ** 2,
+                            BIN_LADDER[-1] ** 2)
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 

@@ -52,6 +52,18 @@ class RoiGrid:
                 if rs.start < rs.stop and cs.start < cs.stop:
                     yield rs, cs, (bh, bw)
 
+    def blocks(self, image: np.ndarray, rs: slice, cs: slice, shape,
+               k: int = 1) -> np.ndarray:
+        """(ROI rows, ROI columns, h, w) view of the h x w blocks of
+        ``image``, a view of the frame with one pixel per k x k superpixel,
+        for the ROIs ``rs`` x ``cs`` (one group of ``parts()``).  ROI (i, j)
+        starts at row ``i * size // k`` and column ``j * size // k``."""
+        (bh, bw), step = shape, self.size // k
+        nr, nc = rs.stop - rs.start, cs.stop - cs.start
+        top, left = rs.start * step, cs.start * step
+        return image[top:top + nr * bh, left:left + nc * bw].reshape(
+            nr, bh, nc, bw).swapaxes(1, 2)
+
     def check(self, grid, what: str) -> np.ndarray:
         """``grid`` as an array, or ShapeError if it is not one value per
         ROI."""

@@ -85,27 +85,65 @@ def noise_sigma(photon_density: float, pitch: float, gain: float,
     return math.sqrt(var)
 
 
-def cutoff_frequency(photon_density: float, pitch: float, gain: float,
-                     snr_t: float, config: SensorConfig) -> float | None:
-    """Highest frequency whose contrast-to-noise ratio reaches ``snr_t``.
+def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
+                       config: SensorConfig) -> np.ndarray:
+    """Highest frequency whose contrast-to-noise ratio reaches ``snr_t``,
+    for every photon density (rows) and pitch (columns).
 
     Contrast decreases strictly on (0, 1/pitch) while the noise level is
-    flat, so the crossing is unique and bisection suffices.  Returns None
-    when even the zero-frequency contrast falls short: nothing is resolved
-    at this pitch and light level (distinct from a cutoff of 0).
+    flat, so each crossing is unique and bisection suffices.  All lanes are
+    bisected together, each with the float operations of ``contrast`` and
+    ``noise_sigma`` and stopping at its own bracket width, so a lane's
+    cutoff does not depend on the others.  NaN marks a lane where even the
+    zero-frequency contrast falls short: nothing is resolved at that pitch
+    and light level (distinct from a cutoff of 0).
     """
-    sigma = noise_sigma(photon_density, pitch, gain, config)
-    target = snr_t * sigma
-    if contrast(0.0, photon_density, pitch) < target:
-        return None
-    lo, hi = 0.0, 1.0 / pitch
-    while hi - lo > _CUTOFF_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if contrast(mid, photon_density, pitch) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    d = np.asarray(densities, dtype=np.float64).reshape(-1, 1)
+    p = np.asarray(pitches, dtype=np.float64).reshape(1, -1)
+    if not (np.all(d >= 0) and np.all(p > 0) and 0 < gain < math.inf):
+        raise ConfigError("need photon density >= 0, pitch > 0 and a finite "
+                          "gain > 0")
+    if not np.all(d > 0):
+        raise ConfigError("photon density and pitch must be positive")
+    read = config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
+    target = snr_t * np.sqrt(read + d * p * p / 2.0)
+    dc = d * p * p
+    resolved = ~(dc < target)
+    lo = np.zeros(np.broadcast_shapes(d.shape, p.shape))
+    hi = 1.0 / p + lo
+    active = resolved & (hi - lo > _CUTOFF_REL_TOL * hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            c = np.where(mid == 0, dc,
+                         d * p * np.sin(np.pi * p * mid) / (np.pi * mid))
+            above = c >= target
+            lo = np.where(active & above, mid, lo)
+            hi = np.where(active & ~above, mid, hi)
+            active &= hi - lo > _CUTOFF_REL_TOL * hi
+    return np.where(resolved, 0.5 * (lo + hi), np.nan)
+
+
+def best_pitch_index(cutoffs: np.ndarray) -> np.ndarray:
+    """Per row of a ``cutoff_frequencies`` table, the column with the
+    highest cutoff, or -1 where no pitch resolves anything.  Columns are
+    taken in ascending pitch order and a later one wins only above the best
+    cutoff plus 1e-15, so exact ties go to the smaller pitch."""
+    best = np.full(cutoffs.shape[0], -1)
+    best_fc = np.full(cutoffs.shape[0], np.nan)
+    for j, fc in enumerate(cutoffs.T):
+        take = ~np.isnan(fc) & ((best < 0) | (fc > best_fc + 1e-15))
+        best[take], best_fc[take] = j, fc[take]
+    return best
+
+
+def cutoff_frequency(photon_density: float, pitch: float, gain: float,
+                     snr_t: float, config: SensorConfig) -> float | None:
+    """``cutoff_frequencies`` of one density and pitch: the cutoff, or None
+    when nothing is resolved."""
+    fc = float(cutoff_frequencies(photon_density, pitch, gain, snr_t,
+                                  config)[0, 0])
+    return None if math.isnan(fc) else fc
 
 
 def optimal_pitch(photon_density: float, gain: float, params: TheoryParams,
@@ -116,16 +154,12 @@ def optimal_pitch(photon_density: float, gain: float, params: TheoryParams,
     smaller pitch.  Returns (pitch or None, {pitch: cutoff}); None means no
     candidate resolves anything and the caller should bin maximally.
     """
-    cutoffs = {}
-    best = None
-    for p in params.pitch_candidates:
-        fc = cutoff_frequency(photon_density, p, gain, params.snr_t, config)
-        cutoffs[p] = fc
-        if fc is None:
-            continue
-        if best is None or fc > best[1] + 1e-15:
-            best = (p, fc)
-    return (None, cutoffs) if best is None else (best[0], cutoffs)
+    table = cutoff_frequencies(photon_density, params.pitch_candidates, gain,
+                               params.snr_t, config)
+    cutoffs = {p: None if math.isnan(fc) else fc
+               for p, fc in zip(params.pitch_candidates, table[0].tolist())}
+    j = int(best_pitch_index(table)[0])
+    return (None if j < 0 else params.pitch_candidates[j]), cutoffs
 
 
 @dataclass(frozen=True)
@@ -146,15 +180,9 @@ def sweep_pitch(params: TheoryParams, config: SensorConfig,
     pitches = np.asarray(params.pitch_candidates, dtype=float)
     if lights.size == 0:
         raise ConfigError("light grid is empty")
-    table = np.full((lights.size, pitches.size), np.nan)
-    best = np.full(lights.size, np.nan)
-    for i, l0 in enumerate(lights):
-        p_star, cutoffs = optimal_pitch(l0, gain, params, config)
-        for j, p in enumerate(pitches):
-            if cutoffs[p] is not None:
-                table[i, j] = cutoffs[p]
-        if p_star is not None:
-            best[i] = p_star
+    table = cutoff_frequencies(lights, pitches, gain, params.snr_t, config)
+    best = best_pitch_index(table)
+    best = np.where(best >= 0, pitches[best], np.nan)
     return PitchCurve(lights=lights, pitches=pitches, cutoffs=table,
                       best_pitch=best)
 

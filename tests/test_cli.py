@@ -46,6 +46,53 @@ def test_missing_subcommand_exits_2():
     assert main([]) == 2
 
 
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    from svsensor import cli
+    real, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["theory", "--pitches", "0.5,1", "--lights", "1,2",
+                         "--output", str(tmp_path / "t.csv")]) == 0
+        assert main(["simulate"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_reused_parser_keeps_exit_codes_and_outputs(capsys):
+    # a failing parse, --help and a good command, run in that order in one
+    # process, exit and print as each does with a parser of its own
+    from svsensor import cli
+    argvs = [["theory", "--pitches", "0.5,1", "--lights", "1,2", "--bogus"],
+             ["theory", "--help"],
+             ["theory", "--pitches", "0.5,1", "--lights", "1,2"]]
+
+    def run(fresh):
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        return results
+
+    try:
+        alone, shared = run(fresh=True), run(fresh=False)
+    finally:
+        cli._parser.cache_clear()
+    assert [r[0] for r in shared] == [2, 0, 0]
+    assert shared == alone
+    assert "unrecognized arguments: --bogus" in shared[0][2]
+    assert shared[1][1].startswith("usage: svsensor theory")
+    assert shared[2][1].startswith("l0,p,f_cutoff\n")
+
+
 def test_simulate_writes_capture_pair(tmp_path, scene_path, config_path):
     out = tmp_path / "cap"
     est = tmp_path / "est.pfm"

@@ -489,6 +489,15 @@ class TestBinPlanner:
         assert bm.mode == "additive"
 
 
+    def test_non_finite_gain_rejected_on_a_dark_pilot(self, config):
+        # no ROI needs a pitch, but the gain is still checked
+        snapshot = PhotonEstimate(data=np.zeros((16, 16)),
+                                  validity_mask=np.ones((16, 16), bool))
+        for gain in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                plan_bin_roi(snapshot, 8, "digital", config, 4.0, gain)
+
+
 class TestBinMapType:
     @given(mode=st.sampled_from(BIN_MODES), roi_size=st.sampled_from([8, 16, 64]),
            rows=st.integers(1, 6), cols=st.integers(1, 6),

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from svsensor import (BinLut, ConfigError, TheoryParams, contrast,
-                      cutoff_frequency, light_to_bin_lut, noise_sigma,
-                      optimal_pitch, sweep_pitch)
+from svsensor import (BinLut, ConfigError, SensorConfig, TheoryParams,
+                      contrast, cutoff_frequency, light_to_bin_lut,
+                      noise_sigma, optimal_pitch, sweep_pitch)
+from svsensor.theory import best_pitch_index, cutoff_frequencies
 
 
 def contrast_by_quadrature(freq, density, pitch, samples=20001):
@@ -44,6 +45,22 @@ def brute_force_cutoff(density, pitch, gain, snr_t, config, points=10 ** 6):
     if not ok[0]:
         return None
     return float(freqs[np.nonzero(ok)[0].max()])
+
+
+def scalar_cutoff(density, pitch, gain, snr_t, config):
+    """Oracle: the one-lane bisection on ``contrast`` and ``noise_sigma``,
+    to a bracket of 1e-9 of its upper end."""
+    target = snr_t * noise_sigma(density, pitch, gain, config)
+    if contrast(0.0, density, pitch) < target:
+        return None
+    lo, hi = 0.0, 1.0 / pitch
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if contrast(mid, density, pitch) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestContrast:
@@ -121,6 +138,42 @@ class TestCutoff:
                 for l0 in np.geomspace(30, 3000, 12)]
         assert all(c is not None for c in cuts)
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
+
+
+class TestCutoffTable:
+    @given(densities=st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=12),
+           gain=st.sampled_from([1.0, 2.7, 27.0]),
+           snr_t=st.sampled_from([1.0, 4.0, 10.0]),
+           pitch=st.sampled_from([0.5, 0.3, 1.7]))
+    def test_lanes_equal_scalar_bisection(self, densities, gain, snr_t,
+                                          pitch):
+        # bit for bit per lane, and the best pitch that the scalar scan
+        # over ascending pitches picks (ties to the smaller one)
+        config = SensorConfig()
+        pitches = tuple(pitch * k for k in (1, 2, 4, 8))
+        table = cutoff_frequencies(densities, pitches, gain, snr_t, config)
+        assert table.shape == (len(densities), 4)
+        for i, density in enumerate(densities):
+            best = None
+            for j, p in enumerate(pitches):
+                fc = scalar_cutoff(density, p, gain, snr_t, config)
+                if fc is None:
+                    assert np.isnan(table[i, j])
+                    continue
+                assert table[i, j] == fc
+                if best is None or fc > best[1] + 1e-15:
+                    best = (j, fc)
+            assert best_pitch_index(table)[i] == (-1 if best is None
+                                                  else best[0])
+
+    @pytest.mark.parametrize("densities, pitches, gain", [
+        ([1.0, float("nan")], [0.5], 1.0), ([1.0, -1.0], [0.5], 1.0),
+        ([1.0, 0.0], [0.5], 1.0), ([1.0], [0.5, 0.0], 1.0),
+        ([1.0], [0.5], float("nan")), ([1.0], [0.5], float("inf")),
+        ([], [0.5], float("nan"))])
+    def test_rejects_bad_lanes(self, config, densities, pitches, gain):
+        with pytest.raises(ConfigError):
+            cutoff_frequencies(densities, pitches, gain, 4.0, config)
 
 
 class TestNoiseSigmaAgainstSimulation:
