@@ -222,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="normalize scene mean to this fraction of full well")
     p.add_argument("--output", required=True, help="capture base path")
     p.add_argument("--estimate", help="write photon estimate PFM here")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("plan-gain", help="plan per-ROI gains")
     common(p, seeded=False)
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=2.0)
     p.add_argument("--ladder", help="comma-separated discrete gains to snap onto")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_plan_gain)
 
     p = sub.add_parser("plan-bin", help="plan per-ROI bin factors")
     common(p, seeded=False)
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("additive", "average", "digital"),
                    default="additive")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_plan_bin)
 
     p = sub.add_parser("capture", help="spatially-varying capture")
     common(p)
@@ -255,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-frac", type=float, default=None)
     p.add_argument("--output", required=True)
     p.add_argument("--estimate")
-    p.set_defaults(func=cmd_capture)
 
     p = sub.add_parser("compose", help="composite a capture from a gain stack")
     common(p, seeded=False)
@@ -264,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snap", action="store_true",
                    help="snap the plan down onto the stack gains first")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("calibrate", help="fit read noise from dark frames")
     common(p, seeded=False)
@@ -273,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--electrons", action="store_true",
                    help="convert the fit to electron units")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("theory", help="cutoff-frequency and pitch sweep CSV")
     common(p, seeded=False)
@@ -283,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gain", type=float, default=1.0)
     p.add_argument("--output", default="-", help="CSV path or - for stdout")
     p.add_argument("--lut-out", help="also write the light-to-bin LUT JSON")
-    p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("evaluate", help="four-method protocol report")
     common(p)
@@ -296,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--csv")
     p.add_argument("--dump-dir", help="write per-method PGM renderings here")
-    p.set_defaults(func=cmd_evaluate)
     return top
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use: in-process callers run ``main`` many
-    times, and parsing leaves the parser as it was."""
+    times, and parsing leaves the parser as it was.  It names the command
+    to run; ``main`` looks the function up."""
     return build_parser()
 
 
@@ -313,7 +306,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # looked up by name when it runs, not bound when the parser was
+        # built, so that a command wrapped in this module's namespace (by a
+        # tracer or a test) is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -207,14 +207,14 @@ def read_plan(noise: Realization, gain_map, bin_map: BinMap,
         for n in np.unique(group[group > 1]).tolist():
             k = math.isqrt(n)
             ii, jj = np.nonzero(group == n)
-            edge = ((0, 0), (0, -bh % k), (0, -bw % k))
 
             def superpixels(arr, reduce):
                 # reduce each k x k superpixel of the selected ROIs' blocks,
                 # those cut by the frame edge padded by edge replication
                 blocks = grid.blocks(arr, rs, cs, (bh, bw))[ii, jj]
                 if bh % k or bw % k:
-                    blocks = np.pad(blocks, edge, mode="edge")
+                    blocks = np.pad(blocks, ((0, 0), (0, -bh % k),
+                                             (0, -bw % k)), mode="edge")
                 m, sh, sw = blocks.shape
                 return reduce(blocks.reshape(m, sh // k, k, sw // k, k),
                               axis=(2, 4))

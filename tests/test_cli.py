@@ -66,6 +66,17 @@ def test_parser_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) == 1
 
 
+def test_command_wrapped_after_the_parser_was_built_runs(monkeypatch):
+    # wrapping a command in the cli namespace (as a tracer does) takes
+    # effect also once the parser exists
+    from svsensor import cli
+    assert main(["theory", "--pitches", "0.5,1", "--lights", "1,2"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_theory", lambda args: seen.append(args) or 0)
+    assert main(["theory", "--pitches", "0.5,1", "--lights", "1,2"]) == 0
+    assert len(seen) == 1 and seen[0].command == "theory"
+
+
 def test_reused_parser_keeps_exit_codes_and_outputs(capsys):
     # a failing parse, --help and a good command, run in that order in one
     # process, exit and print as each does with a parser of its own
