@@ -12,8 +12,7 @@ from .readout import (BinMap, GainStack, bin_capture,
 from .roi import RoiGrid
 from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize, pixelate
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     dequantize, estimate_photons, quantize, simulate_capture,
-                     simulate_pixel)
+                     dequantize, estimate_photons, quantize, simulate_capture)
 from .theory import (BinLut, PitchCurve, TheoryParams, contrast,
                      cutoff_frequency, light_to_bin_lut, noise_sigma,
                      optimal_pitch, sweep_pitch)
@@ -33,6 +32,6 @@ __all__ = [
     "gamma_correct", "light_to_bin_lut", "load_and_normalize",
     "native_estimate_blocks", "next_gain", "noise_sigma", "optimal_pitch",
     "pixelate", "plan_bin_roi", "plan_gain_roi", "psnr",
-    "quantize", "quantize_to_ladder", "simulate_capture", "simulate_pixel",
+    "quantize", "quantize_to_ladder", "simulate_capture",
     "ssim", "sweep_pitch",
 ]

@@ -22,7 +22,7 @@ from .gain import GainMap, capture_adaptive, gain_from_vignetting, plan_gain_roi
 from .metrics import METHODS, evaluate_protocol
 from .readout import BinMap, compose_from_gain_stack, plan_bin_roi
 from .scenes import SceneSpec, load_and_normalize
-from .sensor import RadianceMap, SensorConfig, estimate_photons, simulate_capture
+from .sensor import BIN_MODES, RadianceMap, SensorConfig, estimate_photons, simulate_capture
 from .theory import TheoryParams, light_to_bin_lut, sweep_pitch
 
 EXIT_OK = 0
@@ -238,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roi-size", type=int, default=128)
     p.add_argument("--snr-t", type=float, default=4.0)
     p.add_argument("--gain", type=float, default=1.0)
-    p.add_argument("--mode", choices=("additive", "average", "digital"),
-                   default="additive")
+    p.add_argument("--mode", choices=BIN_MODES, default="additive")
     p.add_argument("--output", required=True)
 
     p = sub.add_parser("capture", help="spatially-varying capture")

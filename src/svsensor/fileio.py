@@ -132,9 +132,7 @@ def save_capture(path_base, raw) -> None:
 def load_capture(path_base, config):
     """Read a capture back from its PGM, JSON and .npz files."""
     from .gain import is_json_int
-    from .readout import BIN_MODES
     from .sensor import RawCapture
-    from .theory import BIN_LADDER
     base = Path(path_base)
     digits = read_pgm16(base.with_suffix(".pgm"))
     if digits.size and int(digits.max()) > config.digital_max:
@@ -146,12 +144,11 @@ def load_capture(path_base, config):
                         "sidecar")
     roi_size, mode = doc.get("roi_size"), doc.get("mode")
     seed, meta = doc.get("seed"), doc.get("meta", {})
-    if not (is_json_int(roi_size) and roi_size > 0 and mode in BIN_MODES
+    if not (is_json_int(roi_size) and roi_size > 0
             and (seed is None or is_json_int(seed)) and isinstance(meta, dict)):
-        raise DataError(f"{base}.json: needs a positive integer roi_size, a "
-                        f"mode of {BIN_MODES}, an integer or null seed and "
-                        f"an object meta, not {roi_size!r}, {mode!r}, "
-                        f"{seed!r} and {meta!r}")
+        raise DataError(f"{base}.json: needs a positive integer roi_size, an "
+                        "integer or null seed and an object meta, not "
+                        f"{roi_size!r}, {seed!r} and {meta!r}")
     npz_path = base.with_suffix(".npz")
     with file_errors(npz_path), np.load(npz_path) as npz:
         gains, bins, packed = (npz["gain_grid"], npz["bin_grid"],
@@ -160,10 +157,6 @@ def load_capture(path_base, config):
             raise DataError(f"{npz_path}: saturation mask does not fit the "
                             f"{digits.shape} digits")
         mask = np.unpackbits(packed, count=digits.size).reshape(digits.shape)
-        if not (np.all(np.isfinite(gains) & (gains > 0))
-                and np.isin(bins, [k * k for k in BIN_LADDER]).all()):
-            raise DataError(f"{npz_path}: gains must be positive and finite, "
-                            f"bin factors squares of {BIN_LADDER}")
     return RawCapture(digits=digits, saturation_mask=mask, roi_size=roi_size,
                       gain_grid=gains, bin_grid=bins, mode=mode,
                       seed=seed, meta=meta)

@@ -48,12 +48,11 @@ _SSIM_RADIUS = 5
 _SSIM_CHUNK_PIXELS = 1 << 16
 
 
-def gamma_correct(image: np.ndarray, exponent: float,
-                  scale: float = 1.0) -> np.ndarray:
-    """Power-law tonemap: (scale * image) ** exponent, clipped to [0, 1]."""
-    if exponent <= 0 or scale <= 0:
-        raise ConfigError("gamma exponent and scale must be positive")
-    x = np.clip(np.asarray(image, dtype=np.float64) * scale, 0.0, None)
+def gamma_correct(image: np.ndarray, exponent: float) -> np.ndarray:
+    """Power-law tonemap: image ** exponent, clipped to [0, 1]."""
+    if exponent <= 0:
+        raise ConfigError("gamma exponent must be positive")
+    x = np.clip(np.asarray(image, dtype=np.float64), 0.0, None)
     return np.clip(x ** exponent, 0.0, 1.0)
 
 

@@ -35,13 +35,10 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .gain import GainMap, is_json_int
 from .roi import RoiGrid
-from .sensor import (PhotonEstimate, RadianceMap, RawCapture, Realization,
-                     SensorConfig, estimate_photons, quantize,
-                     simulate_capture)
-from .theory import (BIN_LADDER, TheoryParams, best_pitch_index,
-                     cutoff_frequencies)
-
-BIN_MODES = ("additive", "average", "digital")
+from .sensor import (BIN_LADDER, BIN_MODES, PhotonEstimate, RadianceMap,
+                     RawCapture, Realization, SensorConfig, estimate_photons,
+                     quantize, simulate_capture)
+from .theory import TheoryParams, cutoff_frequencies, ladder_bin_factors
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,10 @@ class BinMap:
         f = np.asarray(self.factors, dtype=np.int64)
         if f.ndim != 2:
             raise ShapeError("bin factors must form a 2-D ROI grid")
-        allowed = {k * k for k in BIN_LADDER}
-        if not set(np.unique(f).tolist()) <= allowed:
-            raise ConfigError(f"bin factors must be squares from {sorted(allowed)}")
-        for n in np.unique(f):
-            if self.roi_size % int(math.isqrt(int(n))) != 0:
+        for n in np.unique(f).tolist():
+            if n not in {k * k for k in BIN_LADDER}:
+                raise ConfigError(f"bin factors must be squares of {BIN_LADDER}")
+            if self.roi_size % math.isqrt(n):
                 raise ConfigError("every linear bin factor must divide roi_size")
         f = f.copy()
         f.flags.writeable = False
@@ -136,7 +132,10 @@ def _check_gains(g: np.ndarray, n: np.ndarray, mode: str,
             f"additive binning at gain {g0} with N={n0} needs an amplifier "
             f"gain of {g0 / n0}, below gain_min={config.gain_min}; increase "
             "the gain or reduce the bin factor")
-    config.check_gain(g[~additive])
+    g = g[~additive]
+    if not np.all((g >= config.gain_min) & (g <= config.gain_max)):
+        raise ConfigError(
+            f"gain outside [{config.gain_min}, {config.gain_max}]")
 
 
 def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
@@ -171,12 +170,12 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
     return raw, estimate_photons(raw, config)
 
 
-def read_plan(noise: Realization, gain_map, bin_map: BinMap,
+def read_plan(noise: Realization, gain_map: GainMap, bin_map: BinMap,
               config: SensorConfig) -> RawCapture:
     """The capture kernel: digitize a ``draw_noise`` realization under a
-    gain plan (a ``GainMap``, or a scalar or grid of gains) and a bin plan
-    on the same ROI grid.  Analog modes read the superpixel draws of every
-    k they bin at, so the realization must be drawn at least that far.
+    ``GainMap`` and a bin plan on the same ROI grid.  Analog modes read the
+    superpixel draws of every k they bin at, so the realization must be
+    drawn at least that far.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
     starts at a multiple of k in both axes; every k divides the ROI size,
@@ -193,10 +192,7 @@ def read_plan(noise: Realization, gain_map, bin_map: BinMap,
     h, w = charge.shape
     grid = RoiGrid(h, w, bin_map.roi_size)
     bins = grid.check(bin_map.factors, "bin map")
-    if isinstance(gain_map, GainMap):
-        gains = gain_map.on_grid(grid)
-    else:
-        gains = np.broadcast_to(np.asarray(gain_map, dtype=float), grid.shape)
+    gains = gain_map.on_grid(grid)
     mode = bin_map.mode
     _check_gains(gains, bins, mode, config)
 
@@ -266,11 +262,9 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     density = np.divide(total, count, out=np.zeros(grid.shape),
                         where=count > 0) / config.pixel_pitch ** 2
     lit = density > 0
-    best = best_pitch_index(cutoff_frequencies(
-        density[lit], params.pitch_candidates, gain, params.snr_t, config))
     factors = np.full(grid.shape, BIN_LADDER[-1] ** 2, dtype=np.int64)
-    factors[lit] = np.where(best >= 0, np.asarray(BIN_LADDER)[best] ** 2,
-                            BIN_LADDER[-1] ** 2)
+    factors[lit] = ladder_bin_factors(cutoff_frequencies(
+        density[lit], params.pitch_candidates, gain, params.snr_t, config))
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 

@@ -1,10 +1,12 @@
-"""Scene construction: HDR file ingest, photon-count normalization, and
-analytic test scenes.
+"""Scene construction: three scene sources, photon-count normalization and
+the analytic boxed sinusoid.
 
-Scenes are expected photon arrivals per unit pixel per exposure.  HDR files
-come in as linear radiance and are rescaled so the mean sits at a chosen
-fraction of the well capacity (the simulation protocol uses 0.05); synthetic
-scenes are generated directly in photon units.
+Scenes are expected photon arrivals per unit pixel per exposure.  A
+``SceneSpec`` names a PFM file of linear radiance or one of the synthetic
+``texture`` and ``hdr_blobs`` scenes; ``load_and_normalize`` rescales it so
+the mean sits at a chosen fraction of the well capacity (the simulation
+protocol uses 0.05).  ``boxed_sinusoid`` is generated directly in photon
+units.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .sensor import RadianceMap, SensorConfig
 class SceneSpec:
     """Declarative scene source.
 
-    source            'pfm', 'sinusoid', 'step', 'texture' or 'hdr_blobs'
+    source            'pfm', 'texture' or 'hdr_blobs'
     path              input file for 'pfm'
     mean_level_frac   target mean as a fraction of well capacity; None keeps
-                      the source's own scale (analytic scenes)
-    exposure_scale    multiplier applied after normalization
-    freq, density     sinusoid parameters (cycles/um, e-/um^2)
+                      the source's own scale
     seed              texture/hdr generator seed
     width, height     synthetic scene size
     """
@@ -36,28 +36,23 @@ class SceneSpec:
     source: str
     path: str | None = None
     mean_level_frac: float | None = None
-    exposure_scale: float = 1.0
-    freq: float = 0.25
-    density: float = 100.0
     seed: int = 0
     width: int = 128
     height: int = 128
 
     def __post_init__(self):
-        if self.source not in ("pfm", "sinusoid", "step", "texture", "hdr_blobs"):
+        if self.source not in ("pfm", "texture", "hdr_blobs"):
             raise ConfigError(f"unknown scene source {self.source!r}")
         if self.mean_level_frac is not None and not (0 < self.mean_level_frac < 1):
             raise ConfigError("mean_level_frac must lie in (0, 1)")
-        if self.exposure_scale <= 0:
-            raise ConfigError("exposure_scale must be positive")
 
 
 def boxed_sinusoid(freq: float, density: float, pitch: float,
-                   width: int, height: int, phase: float = 0.0) -> np.ndarray:
+                   width: int, height: int) -> np.ndarray:
     """Expected photon counts of a horizontal sinusoid integrated over
     square pixels.
 
-    The scene is (density/2) * (cos(2*pi*freq*x + phase) + 1) photons per
+    The scene is (density/2) * (cos(2*pi*freq*x) + 1) photons per
     unit area; integrating over a pitch-sized pixel centered at
     x = (j + 1/2) * pitch gives the closed form below.
     """
@@ -68,7 +63,7 @@ def boxed_sinusoid(freq: float, density: float, pitch: float,
         row = np.full(width, density * pitch * pitch)
     else:
         amp = 0.5 * density * pitch * math.sin(math.pi * pitch * freq) / (math.pi * freq)
-        row = amp * np.cos(2 * math.pi * freq * centers + phase) \
+        row = amp * np.cos(2 * math.pi * freq * centers) \
             + 0.5 * density * pitch * pitch
     return np.tile(row, (height, 1))
 
@@ -89,8 +84,8 @@ def _texture(seed: int, width: int, height: int) -> np.ndarray:
     return img / mean
 
 
-def _hdr_blobs(seed: int, width: int, height: int, decades: float = 4.0) -> np.ndarray:
-    """Piecewise-smooth scene spanning several decades: a smooth log-domain
+def _hdr_blobs(seed: int, width: int, height: int) -> np.ndarray:
+    """Piecewise-smooth scene spanning four decades: a smooth log-domain
     illumination field modulated by mild texture."""
     from scipy.ndimage import gaussian_filter
     rng = np.random.default_rng(seed)
@@ -98,22 +93,16 @@ def _hdr_blobs(seed: int, width: int, height: int, decades: float = 4.0) -> np.n
                             0.125 * min(height, width))
     lo, hi = field.min(), field.max()
     field = (field - lo) / (hi - lo) if hi > lo else np.zeros_like(field)
-    img = 10.0 ** (field * decades - 1.0)
+    img = 10.0 ** (field * 4.0 - 1.0)
     tex = 1.0 + 0.35 * gaussian_filter(rng.standard_normal((height, width)), 1.0)
     img *= np.clip(tex, 0.05, None)
     return img
 
 
-def _step(width: int, height: int, low: float = 4.0, high: float = 900.0) -> np.ndarray:
-    img = np.full((height, width), low)
-    img[:, width // 2:] = high
-    return img
-
-
 def load_and_normalize(spec: SceneSpec, config: SensorConfig) -> RadianceMap:
     """Build the scene and rescale its mean to
-    ``mean_level_frac * well_capacity`` (exactly), then apply the exposure
-    multiplier.  Negative input values clip to zero before normalization."""
+    ``mean_level_frac * well_capacity`` (exactly).  Negative input values
+    clip to zero before normalization."""
     if spec.source == "pfm":
         if spec.path is None:
             raise DataError("pfm source needs a path")
@@ -121,11 +110,6 @@ def load_and_normalize(spec: SceneSpec, config: SensorConfig) -> RadianceMap:
         if not np.all(np.isfinite(data)):
             raise DataError(f"{spec.path} contains non-finite values")
         data = np.clip(np.asarray(data, dtype=np.float64), 0.0, None)
-    elif spec.source == "sinusoid":
-        data = boxed_sinusoid(spec.freq, spec.density, config.pixel_pitch,
-                              spec.width, spec.height)
-    elif spec.source == "step":
-        data = _step(spec.width, spec.height)
     elif spec.source == "texture":
         data = _texture(spec.seed, spec.width, spec.height)
     else:
@@ -136,7 +120,7 @@ def load_and_normalize(spec: SceneSpec, config: SensorConfig) -> RadianceMap:
         if mean <= 0:
             raise DataError("scene mean is zero: cannot normalize")
         data = data * (spec.mean_level_frac * config.well_capacity / mean)
-    return RadianceMap(data=data * spec.exposure_scale)
+    return RadianceMap(data=data)
 
 
 def pixelate(scene: RadianceMap, factor: int) -> RadianceMap:

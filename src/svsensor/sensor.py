@@ -34,6 +34,13 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
 
+BIN_LADDER = (1, 2, 4, 8)  # linear bin factors; N = k*k
+BIN_MODES = ("additive", "average", "digital")
+# whether each N up to the largest is a bin factor: a lookup in this table
+# takes a fraction of np.isin's time on a per-pixel plan
+_IS_BIN_FACTOR = np.isin(np.arange(BIN_LADDER[-1] ** 2 + 1),
+                         [k * k for k in BIN_LADDER])
+
 CONFIG_FIELDS = (
     "pixel_pitch", "well_capacity", "sigma_pre", "sigma_post",
     "bit_depth", "black_level_frac", "gain_min", "gain_max",
@@ -95,12 +102,6 @@ class SensorConfig:
         """Digits per amplified electron."""
         return (self.digital_max - self.black_level) / self.well_capacity
 
-    def check_gain(self, gain) -> None:
-        g = np.asarray(gain, dtype=float)
-        if not np.all((g >= self.gain_min) & (g <= self.gain_max)):
-            raise ConfigError(
-                f"gain outside [{self.gain_min}, {self.gain_max}]")
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
@@ -152,16 +153,18 @@ class RawCapture:
     """Quantized digital image plus the readout plan needed to invert it.
 
     The plan is one gain and one bin factor per ROI of ``grid``, the
-    ``roi_size`` tiling of the digits, and one binning ``mode``: a constant
-    plan is the 1 x 1 grid at ``roi_size = max(height, width)``, a per-pixel
-    plan (the adaptive capture, a per-pixel gain array) the grid at
-    ``roi_size = 1``.  ``gain`` and ``bin_factor`` are the plan expanded to
-    one read-only value per pixel.  ``gain`` is the nominal decode gain (for
-    binned readouts it already includes the bin factor, so decoding is
-    uniformly ``dequantize(digits) / gain``); ``bin_factor`` records how
-    many unit pixels were combined under each output pixel.  ``meta`` holds
-    what the plan does not: the adaptive strategy and its eta, or the stack
-    gains a composite was copied from.
+    ``roi_size`` tiling of the digits, and one binning ``mode`` of
+    ``BIN_MODES``: a constant plan is the 1 x 1 grid at
+    ``roi_size = max(height, width)``, a per-pixel plan (the adaptive
+    capture, a ``per_pixel`` GainMap) the grid at ``roi_size = 1``.  Gains
+    must be finite and positive and bin factors squares of ``BIN_LADDER``
+    (DataError otherwise).  ``gain`` and ``bin_factor`` are the plan
+    expanded to one read-only value per pixel.  ``gain`` is the nominal
+    decode gain (for binned readouts it already includes the bin factor, so
+    decoding is uniformly ``dequantize(digits) / gain``); ``bin_factor``
+    records how many unit pixels were combined under each output pixel.
+    ``meta`` holds what the plan does not: the adaptive strategy and its
+    eta, or the stack gains a composite was copied from.
     """
 
     digits: np.ndarray
@@ -179,7 +182,16 @@ class RawCapture:
         if d.ndim != 2 or m.shape != d.shape:
             raise ShapeError("digits must be 2-D and the mask of their shape")
         g = np.array(self.grid.check(self.gain_grid, "gain"), dtype=np.float64)
-        b = np.array(self.grid.check(self.bin_grid, "bin"), dtype=np.int64)
+        b_in = self.grid.check(self.bin_grid, "bin")
+        b = np.array(b_in, dtype=np.int64)
+        if not (self.mode in BIN_MODES
+                and g.min(initial=1.0) > 0 and g.max(initial=1.0) < np.inf
+                and b_in.dtype.kind in "iu" and b.min(initial=1) >= 0
+                and b.max(initial=1) < _IS_BIN_FACTOR.size
+                and _IS_BIN_FACTOR[b].all()):
+            raise DataError(f"a capture plan needs a mode of {BIN_MODES}, "
+                            "positive finite gains and bin factors "
+                            f"{[k * k for k in BIN_LADDER]}")
         for name, arr in (("digits", d), ("saturation_mask", m),
                           ("gain_grid", g), ("bin_grid", b)):
             arr.flags.writeable = False
@@ -247,18 +259,6 @@ def draw_photons(rng: np.random.Generator, mean_counts) -> np.ndarray:
     return np.asarray(rng.poisson(mean_counts), dtype=np.float64)
 
 
-def simulate_pixel(mean_electrons: float, gain: float, config: SensorConfig,
-                   rng: np.random.Generator) -> int:
-    """Simulate a single pixel readout and return its digital number."""
-    if mean_electrons < 0:
-        raise DataError("expected electrons must be nonnegative")
-    config.check_gain(gain)
-    l = draw_photons(rng, mean_electrons * config.quantum_efficiency)
-    v = (gain * (l + rng.normal(0.0, config.sigma_pre))
-         + rng.normal(0.0, config.sigma_post))
-    return int(quantize(v, config)[()])
-
-
 @dataclass(frozen=True)
 class Realization:
     """The read-only noise of one (scene, seed): each unit pixel's charge
@@ -304,24 +304,20 @@ def simulate_capture(scene: RadianceMap, gain_map, bin_map,
     """Simulate a full capture of ``scene``: ``draw_noise`` at ``seed``,
     read out by ``readout.read_plan``.
 
-    ``gain_map`` may be a scalar gain, a per-pixel gain array, or a
-    ``GainMap`` plan; ``bin_map`` may be a ``BinMap`` plan on the same ROI
-    grid, or None for unit pixels on the gain plan's own grid (one ROI for
-    a scalar, one per pixel for an array).
+    ``gain_map`` is a ``GainMap`` plan or a number, read as the constant
+    plan of that gain; ``bin_map`` is a ``BinMap`` plan on the same ROI
+    grid, or None for unit pixels on the gain plan's own grid.
 
-    One seed is one noise realization: a scalar gain, a per-ROI grid of
-    that gain at any ROI size and a per-pixel array of it give the same
-    digits.
+    One seed is one noise realization: a scalar gain and a per-ROI or
+    per-pixel GainMap of that gain give the same digits.
     """
     from .gain import GainMap  # local imports: both build on sensor types
     from .readout import BinMap, read_plan
 
+    if not isinstance(gain_map, GainMap):
+        gain_map = GainMap("constant", gain_map)
     if bin_map is None:
-        h, w = scene.data.shape
-        if isinstance(gain_map, GainMap):
-            grid = gain_map.grid(h, w)
-        else:
-            grid = RoiGrid(h, w, max(h, w) if np.ndim(gain_map) == 0 else 1)
+        grid = gain_map.grid(*scene.data.shape)
         bin_map = BinMap(grid.size, np.ones(grid.shape, dtype=np.int64),
                          "digital")
     # the largest superpixel whose post-amp draws the readout reads; digital

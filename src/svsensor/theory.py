@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .sensor import SensorConfig
+from .sensor import BIN_LADDER, SensorConfig
 
-BIN_LADDER = (1, 2, 4, 8)  # linear bin factors; N = k*k
 _CUTOFF_REL_TOL = 1e-9  # cutoff bisection stops at this relative bracket width
 
 
@@ -137,6 +136,15 @@ def best_pitch_index(cutoffs: np.ndarray) -> np.ndarray:
     return best
 
 
+def ladder_bin_factors(cutoffs: np.ndarray) -> np.ndarray:
+    """Per row of a ``cutoff_frequencies`` table over the pitch ladder
+    ``unit_pitch * BIN_LADDER``, the bin factor N = k * k of the
+    ``best_pitch_index``, or the largest factor where no pitch resolves."""
+    best = best_pitch_index(cutoffs)
+    return np.where(best >= 0, np.asarray(BIN_LADDER)[best] ** 2,
+                    BIN_LADDER[-1] ** 2)
+
+
 def cutoff_frequency(photon_density: float, pitch: float, gain: float,
                      snr_t: float, config: SensorConfig) -> float | None:
     """``cutoff_frequencies`` of one density and pitch: the cutoff, or None
@@ -212,13 +220,6 @@ class BinLut:
             "factors": self.factors.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "BinLut":
-        return cls(lights=np.asarray(doc["lights"], dtype=float),
-                   factors=np.asarray(doc["factors"], dtype=int),
-                   unit_pitch=doc["unit_pitch"], snr_t=doc["snr_t"],
-                   gain=doc["gain"])
-
 
 def light_to_bin_lut(params: TheoryParams, config: SensorConfig,
                      unit_pitch: float, gain: float = 1.0) -> BinLut:
@@ -231,11 +232,6 @@ def light_to_bin_lut(params: TheoryParams, config: SensorConfig,
         raise ConfigError(
             f"pitch candidates must be unit_pitch * {BIN_LADDER}")
     curve = sweep_pitch(params, config, gain)
-    factors = np.empty(curve.lights.size, dtype=int)
-    for i, p_star in enumerate(curve.best_pitch):
-        if math.isnan(p_star):
-            factors[i] = BIN_LADDER[-1] ** 2
-        else:
-            factors[i] = int(round((p_star / unit_pitch) ** 2))
-    return BinLut(lights=curve.lights, factors=factors,
+    return BinLut(lights=curve.lights,
+                  factors=ladder_bin_factors(curve.cutoffs),
                   unit_pitch=unit_pitch, snr_t=params.snr_t, gain=gain)

@@ -201,6 +201,14 @@ def test_plan_gain_pilot_without_npz_exits_3(tmp_path, scene_path,
     _assert_one_line_data_error(code, capsys)
 
 
+def test_every_public_name_resolves():
+    import svsensor
+    namespace = {}
+    exec("from svsensor import *", namespace)
+    assert len(set(svsensor.__all__)) == len(svsensor.__all__)
+    assert set(svsensor.__all__) <= set(namespace)
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize is only needed by calibrate's fit and scipy.ndimage by
     # evaluate's SSIM; importing them costs every command start-up time

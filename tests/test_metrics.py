@@ -48,8 +48,8 @@ class TestGamma:
         assert np.allclose(gamma_correct(x, 1.0), x)
 
     def test_display_table_value(self):
-        # (50 * 1/50) ** (1/2.2) = 1
-        assert gamma_correct(np.array([1 / 50]), 1 / 2.2, scale=50.0)[0] == 1.0
+        assert gamma_correct(np.array([0.25, 1.0]), 0.5).tolist() == \
+            pytest.approx([0.5, 1.0])
 
     def test_zero_maps_to_zero(self):
         assert gamma_correct(np.array([0.0]), 1 / 3.2)[0] == 0.0
@@ -61,7 +61,7 @@ class TestGamma:
         with pytest.raises(ConfigError):
             gamma_correct(np.zeros(3), -1.0)
         with pytest.raises(ConfigError):
-            gamma_correct(np.zeros(3), 0.5, scale=-2.0)
+            gamma_correct(np.zeros(3), 0.0)
 
     def test_negative_input_clipped(self):
         assert gamma_correct(np.array([-0.5]), 0.5)[0] == 0.0

@@ -221,7 +221,8 @@ class TestReadPlan:
         if mode == "additive":
             gains = gains * factors
         noise = draw_noise(scene, config, seed, max_k=8)
-        raw = read_plan(noise, gains, BinMap(roi, factors, mode), config)
+        raw = read_plan(noise, GainMap("per_roi", gains, roi_size=roi),
+                        BinMap(roi, factors, mode), config)
         digits, sat = read_plan_reference(noise, gains, factors, mode, config,
                                           roi)
         assert raw.digits.dtype == digits.dtype

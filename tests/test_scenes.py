@@ -85,14 +85,6 @@ class TestNormalization:
         with pytest.raises(DataError):
             load_and_normalize(spec, config)
 
-    def test_exposure_scale_applied_after(self, config):
-        a = load_and_normalize(SceneSpec(source="texture", seed=1,
-                                         mean_level_frac=0.05,
-                                         exposure_scale=2.0), config)
-        b = load_and_normalize(SceneSpec(source="texture", seed=1,
-                                         mean_level_frac=0.05), config)
-        assert np.allclose(a.data, 2.0 * b.data)
-
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             SceneSpec(source="texture", mean_level_frac=1.5)

@@ -1,14 +1,16 @@
 """Sensor model: ADC behavior, noise statistics, estimator bias/variance,
 determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
-                      RadianceMap, RoiGrid, SensorConfig, ShapeError,
-                      dequantize, estimate_photons, quantize,
-                      simulate_capture, simulate_pixel)
+from svsensor import (BinMap, ConfigError, DataError, GainMap,
+                      PhotonEstimate, RadianceMap, RawCapture, RoiGrid,
+                      SensorConfig, ShapeError, dequantize, estimate_photons,
+                      quantize, simulate_capture)
 
 
 def mc_estimates(level, gain, config, n, seed):
@@ -19,16 +21,21 @@ def mc_estimates(level, gain, config, n, seed):
     return est.data[est.validity_mask]
 
 
+def one_pixel(level):
+    return RadianceMap(data=np.full((1, 1), float(level)))
+
+
 class TestAdc:
     def test_zero_signal_zero_noise_hits_black_level(self, quiet_config):
-        rng = np.random.default_rng(0)
-        assert simulate_pixel(0.0, 1.0, quiet_config, rng) == quiet_config.black_level
+        raw = simulate_capture(one_pixel(0.0), 1.0, None, quiet_config, seed=0)
+        assert raw.digits[0, 0] == quiet_config.black_level
 
     def test_full_scale_saturates_any_gain(self, config):
-        rng = np.random.default_rng(1)
         for g in (1.0, 2.0, 8.0, 27.0):
-            d = simulate_pixel(2.0 * config.well_capacity, g, config, rng)
-            assert d == config.digital_max
+            raw = simulate_capture(one_pixel(2.0 * config.well_capacity), g,
+                                   None, config, seed=1)
+            assert raw.digits[0, 0] == config.digital_max
+            assert raw.saturation_mask[0, 0]
 
     @given(fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64),
            bit_depth=st.integers(8, 16))
@@ -57,11 +64,9 @@ class TestAdc:
         assert (est < 0).mean() > 0.4
 
     def test_invalid_gain_rejected(self, config):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ConfigError):
-            simulate_pixel(10.0, 0.5, config, rng)
-        with pytest.raises(ConfigError):
-            simulate_pixel(10.0, 100.0, config, rng)
+        for g in (0.5, 100.0):
+            with pytest.raises(ConfigError):
+                simulate_capture(one_pixel(10.0), g, None, config, seed=4)
 
 
 class TestNoiseStatistics:
@@ -147,6 +152,16 @@ class TestCaptureContracts:
         with pytest.raises(ShapeError):
             simulate_capture(scene, gm, None, config, seed=0)
 
+    def test_bare_gain_array_is_a_shape_error(self, config, make_uniform):
+        # a gain plan is a number or a GainMap; an array is neither a
+        # per-pixel nor a per-ROI plan
+        scene = make_uniform(50.0, 64, 64)
+        bins = BinMap(32, 4 * np.ones((2, 2), dtype=np.int64), "digital")
+        for gains, bm in ((np.full((64, 64), 2.0), bins),
+                          (np.full((2, 2), 2.0), None)):
+            with pytest.raises(ShapeError):
+                simulate_capture(scene, gains, bm, config, seed=0)
+
     def test_estimate_masks_saturated(self, config, make_uniform):
         scene = make_uniform(5000.0)
         raw = simulate_capture(scene, 1.0, None, config, seed=16)
@@ -164,8 +179,31 @@ class TestCaptureContracts:
         with pytest.raises(DataError):
             PhotonEstimate(data=np.array([[np.inf]]),
                            validity_mask=np.array([[True]]))
+
+
+class TestRawCapturePlan:
+    @pytest.mark.parametrize("name, value", [
+        ("mode", "bogus"), ("mode", None), ("gain_grid", [[np.nan]]),
+        ("gain_grid", [[np.inf]]), ("gain_grid", [[0.0]]),
+        ("gain_grid", [[-2.0]]), ("bin_grid", [[3]]), ("bin_grid", [[0]]),
+        ("bin_grid", [[-4]]), ("bin_grid", [[2]]), ("bin_grid", [[128]]),
+        ("bin_grid", [[4.5]])])
+    def test_plan_values_rejected(self, name, value):
+        # a capture never holds a plan that load_capture would refuse
+        raw = RawCapture(digits=np.zeros((4, 4), np.uint16),
+                         saturation_mask=np.zeros((4, 4), bool), roi_size=4,
+                         gain_grid=[[1.0]], bin_grid=[[1]])
         with pytest.raises(DataError):
-            simulate_pixel(-1.0, 1.0, config, np.random.default_rng(0))
+            replace(raw, **{name: value})
+
+    def test_every_ladder_factor_accepted(self):
+        raw = RawCapture(digits=np.zeros((4, 4), np.uint16),
+                         saturation_mask=np.zeros((4, 4), bool), roi_size=1,
+                         gain_grid=np.full((4, 4), 27.0),
+                         bin_grid=np.tile(np.uint8([1, 4, 16, 64]), (4, 1)),
+                         mode="additive")
+        assert raw.bin_grid.dtype == np.int64
+        assert raw.bin_grid[0].tolist() == [1, 4, 16, 64]
 
 
 class TestSerialization:
