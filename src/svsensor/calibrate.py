@@ -95,6 +95,12 @@ def fit_read_noise(samples: list, config: SensorConfig | None = None,
     ``samples`` is a list of (gain, variance) pairs measured in ``units``
     ('digits' or 'electrons').  Passing a config converts digit-unit results
     to electrons through the ADC slope.
+
+    The fit is the exact two-variable nonnegative least squares: the
+    unconstrained least-squares solution when both its coefficients are
+    nonnegative, otherwise the better of the two one-term fits
+    (a = max(sum g^2 v / sum g^4, 0), b = 0) and (a = 0, b = max(mean v, 0)).
+    ``fit_residual`` is the fit's RMS residual.
     """
     if len(samples) < 3:
         raise DataError("need at least three gain samples")
@@ -103,15 +109,21 @@ def fit_read_noise(samples: list, config: SensorConfig | None = None,
     if np.unique(g).size < 2:
         raise NumericalError("all gains equal: quadratic fit is degenerate")
     design = np.column_stack([g ** 2, np.ones_like(g)])
-    from scipy.optimize import nnls  # slow to import; only the fit needs it
-    coef, residual = nnls(design, v)
-    a, b = float(coef[0]), float(coef[1])
-    # clipped if the unconstrained solution went negative
     ls, *_ = np.linalg.lstsq(design, v, rcond=None)
+    # clipped if the unconstrained solution went negative
     clipped = bool(ls[0] < 0 or ls[1] < 0)
+    if clipped:
+        g2 = design[:, 0]
+        coef = min(([max(float(g2 @ v / (g2 @ g2)), 0.0), 0.0],
+                    [0.0, max(float(v.mean()), 0.0)]),
+                   key=lambda c: np.linalg.norm(design @ c - v))
+    else:
+        coef = ls
+    a, b = float(coef[0]), float(coef[1])
+    residual = float(np.linalg.norm(design @ coef - v))
     profile = NoiseProfile(sigma_pre=math.sqrt(a), sigma_post=math.sqrt(b),
                            units=units,
-                           fit_residual=float(residual) / math.sqrt(len(samples)),
+                           fit_residual=residual / math.sqrt(len(samples)),
                            gain_samples=[(float(x), float(y))
                                          for x, y in zip(g, v)],
                            clipped=clipped)

@@ -85,9 +85,11 @@ class RoiGrid:
             raise ShapeError(f"image {arr.shape} does not match a {self.height}"
                              f"x{self.width} ROI grid")
         (rows, cols), r = self.shape, self.size
-        padded = np.pad(arr, ((0, rows * r - self.height),
-                              (0, cols * r - self.width)), constant_values=fill)
-        blocks = padded.reshape(rows, r, cols, r).swapaxes(1, 2)
+        if (rows * r, cols * r) != arr.shape:
+            arr = np.pad(arr, ((0, rows * r - self.height),
+                               (0, cols * r - self.width)),
+                         constant_values=fill)
+        blocks = arr.reshape(rows, r, cols, r).swapaxes(1, 2)
         return fn(blocks.reshape(rows, cols, r * r), axis=-1)
 
     def expand(self, grid) -> np.ndarray:

@@ -240,15 +240,19 @@ def quantize(voltage: np.ndarray, config: SensorConfig) -> np.ndarray:
     [0, digital_max] so values below the black level remain representable
     down to digit 0.
     """
-    v = np.asarray(voltage, dtype=np.float64)
-    d = np.rint(v * config.adc_slope) + config.black_level
-    return np.clip(d, 0, config.digital_max).astype(np.uint16)
+    d = np.array(voltage, dtype=np.float64)
+    d *= config.adc_slope
+    np.rint(d, out=d)
+    d += config.black_level
+    return np.clip(d, 0, config.digital_max, out=d).astype(np.uint16)
 
 
 def dequantize(digits: np.ndarray, config: SensorConfig) -> np.ndarray:
     """Invert the ADC back to amplified-electron units (black level removed)."""
-    d = np.asarray(digits, dtype=np.float64)
-    return (d - config.black_level) / config.adc_slope
+    d = np.array(digits, dtype=np.float64)
+    d -= config.black_level
+    d /= config.adc_slope
+    return d
 
 
 # ------------------------------------------------------------- simulation
@@ -335,5 +339,6 @@ def estimate_photons(raw: RawCapture, config: SensorConfig) -> PhotonEstimate:
     ``m + sigma_pre^2 + sigma_post^2 / g^2``; saturated pixels are kept in
     the array but flagged invalid.
     """
-    est = dequantize(raw.digits, config) / raw.gain
+    est = dequantize(raw.digits, config)
+    est /= raw.gain
     return PhotonEstimate(data=est, validity_mask=~raw.saturation_mask)

@@ -81,6 +81,32 @@ class TestFit:
         assert profile.sigma_pre == 0.0
         assert profile.clipped
 
+    def test_matches_scipy_nnls(self):
+        # the closed form against scipy's NNLS, the fit it replaced, over
+        # sample sets that land on either side of the constraint: the same
+        # optimum, so the same residual up to rounding of the variances'
+        # size (on exact fits both residuals are that rounding)
+        from scipy.optimize import nnls
+        rng = np.random.default_rng(97)
+        for _ in range(1200):
+            n = int(rng.integers(3, 12))
+            g = rng.uniform(1.0, 27.0, n)
+            a = rng.uniform(0.0, 1.0) * rng.integers(0, 2)
+            b = rng.uniform(0.0, 20.0) * rng.integers(0, 2)
+            v = a * g * g + b + rng.normal(0.0, rng.choice([0, 0.01, 1, 10]),
+                                           n)
+            design = np.column_stack([g ** 2, np.ones_like(g)])
+            coef, residual = nnls(design, v)
+            ls = np.linalg.lstsq(design, v, rcond=None)[0]
+            profile = fit_read_noise(list(zip(g, v)), units="electrons")
+            assert profile.clipped == bool(ls[0] < 0 or ls[1] < 0)
+            assert (abs(profile.fit_residual * np.sqrt(n) - residual)
+                    <= 1e-12 * np.linalg.norm(v))
+            for got, want in ((profile.sigma_pre, np.sqrt(coef[0])),
+                              (profile.sigma_post, np.sqrt(coef[1]))):
+                if want > 1e-6:
+                    assert got == pytest.approx(want, rel=1e-9)
+
     def test_degenerate_design_rejected(self):
         samples = [(2.0, 5.0), (2.0, 5.1), (2.0, 4.9)]
         with pytest.raises(NumericalError):

@@ -210,14 +210,45 @@ def test_every_public_name_resolves():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize is only needed by calibrate's fit and scipy.ndimage by
-    # evaluate's SSIM; importing them costs every command start-up time
+    # no command needs scipy.optimize or scipy.ndimage; importing them
+    # costs every command start-up time
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, svsensor.cli; "
             "sys.exit('scipy.optimize' in sys.modules "
             "or 'scipy.ndimage' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_evaluate_and_calibrate_run_without_scipy(tmp_path, scene_path,
+                                                  config_path):
+    # the SSIM window and the read-noise fit are numpy code: neither pass
+    # loads any scipy module
+    from svsensor.fileio import write_pgm16
+    dark = RadianceMap(data=np.zeros((16, 16)))
+    entries = []
+    for g in (1.0, 4.0, 16.0):
+        frames = []
+        for j in range(2):
+            path = tmp_path / f"dark_{g:g}_{j}.pgm"
+            write_pgm16(path, simulate_capture(dark, g, None, SensorConfig(),
+                                               seed=j).digits)
+            frames.append(str(path))
+        entries.append({"gain": g, "frames": frames})
+    save_json(tmp_path / "manifest.json", {"gains": entries})
+    runs = [["evaluate", scene_path, "--config", config_path, "--roi-size",
+             "16", "--seed", "3", "--output", str(tmp_path / "report.json")],
+            ["calibrate", "--config", config_path, "--manifest",
+             str(tmp_path / "manifest.json"), "--output",
+             str(tmp_path / "profile.json")]]
+    code = ("import json, sys; from svsensor.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 @pytest.mark.parametrize("text", ["{bad", "3", "[]",

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from svsensor import metrics
 from svsensor import (ConfigError, RoiGrid, SceneSpec, SensorConfig,
@@ -150,6 +150,28 @@ class TestSsimAgainstFullMap:
             smap, mean = ssim(ref[i], test[i])
             assert np.array_equal(smap, inner[i])
             assert mean == means[i]
+
+
+class TestBlurAgainstScipy:
+    @pytest.mark.parametrize("h", range(1, 41))
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 1e-3, 1e3]))
+    def test_equals_gaussian_filter1d_then_crop(self, h, seed, scale):
+        # bit for bit, for every block shape up to 40 x 40 as one block and
+        # as a stack of three: scipy is the oracle, not a dependency
+        from scipy.ndimage import gaussian_filter1d
+        x = np.random.default_rng(seed).uniform(0, scale, (3, h, 40))
+        for w in range(1, 41):
+            for n in (1, 3):
+                block = x[:n, :, :w].copy()
+                crop = metrics._crop(block.shape)
+                want = block
+                for axis in (1, 2):
+                    want = gaussian_filter1d(want, 1.5, axis, mode="reflect",
+                                             truncate=10.0 / 3.0)
+                want = want[:, crop:h - crop, crop:w - crop]
+                assert np.array_equal(metrics._blur(block, crop), want)
 
 
 def _block_means(image, k):
