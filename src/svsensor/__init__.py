@@ -10,7 +10,7 @@ from .readout import (BinMap, GainStack, bin_capture,
                       capture_spatially_varying, compose_from_gain_stack,
                       native_estimate_blocks, plan_bin_roi)
 from .roi import RoiGrid
-from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize, pixelate
+from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize
 from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
                      dequantize, estimate_photons, quantize, simulate_capture)
 from .theory import (BinLut, PitchCurve, TheoryParams, contrast,
@@ -31,7 +31,7 @@ __all__ = [
     "fit_read_noise", "gain_for_level", "gain_from_vignetting",
     "gamma_correct", "light_to_bin_lut", "load_and_normalize",
     "native_estimate_blocks", "next_gain", "noise_sigma", "optimal_pitch",
-    "pixelate", "plan_bin_roi", "plan_gain_roi", "psnr",
+    "plan_bin_roi", "plan_gain_roi", "psnr",
     "quantize", "quantize_to_ladder", "simulate_capture",
     "ssim", "sweep_pitch",
 ]

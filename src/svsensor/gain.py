@@ -319,7 +319,7 @@ def gain_from_vignetting(vignette: np.ndarray, roi_size: int, eta: float,
     t = np.asarray(vignette, dtype=np.float64)
     if t.ndim != 2:
         raise ShapeError("vignette map must be 2-D")
-    if np.any(t <= 0) or np.any(t > 1):
+    if not np.all((t > 0) & (t <= 1)):
         raise DataError("transmission values must lie in (0, 1]")
     h, w = t.shape
     grid = RoiGrid(h, w, roi_size)

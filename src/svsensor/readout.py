@@ -256,8 +256,8 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
         config.pixel_pitch * k for k in BIN_LADDER))
     valid = snapshot.validity_mask
     grid = RoiGrid(*valid.shape, roi_size)
-    total = grid.reduce(np.where(valid, np.clip(snapshot.data, 0.0, None), 0.0),
-                        np.sum, 0.0)
+    total = grid.reduce(np.clip(snapshot.data, 0.0, None, where=valid,
+                                out=np.zeros(valid.shape)), np.sum, 0.0)
     count = grid.reduce(valid, np.sum, False)
     density = np.divide(total, count, out=np.zeros(grid.shape),
                         where=count > 0) / config.pixel_pitch ** 2
@@ -281,36 +281,43 @@ def native_estimate_blocks(raw: RawCapture, estimate: PhotonEstimate):
 
 def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
                             ) -> tuple[RawCapture, np.ndarray]:
-    """Assemble a spatially-varying capture by copying each ROI from the
-    stack frame whose gain matches the plan.
+    """Assemble a spatially-varying capture by copying each ROI's digits,
+    mask and bin factor, per same-shape ROI group (``RoiGrid.parts``), from
+    the stack frame whose gain matches the plan.
 
     Every planned gain must exist in the stack (quantize the plan onto the
-    stack's gains first, snapping downward).  Each ROI of the composite has
-    the noise statistics of a direct spatially-varying capture; when every
-    frame was captured at one seed, the composite is that direct capture at
-    that seed, byte for byte.  Also returns the per-ROI frame provenance.
+    stack's gains first, snapping downward), and its frame must bin each ROI
+    alike.  Each ROI has the noise statistics of a direct capture; when
+    every frame was captured at one seed, the composite is the direct
+    capture at that seed, byte for byte.  Also returns the provenance.
     """
     h, w = stack.frames[0].digits.shape
     grid = gain_map.grid(h, w)
     gains = gain_map.on_grid(grid)
+    planned, which = np.unique(gains, return_inverse=True)
+    provenance = np.array([stack.frame_for_gain(g)[0] for g in
+                           planned.tolist()])[which.reshape(grid.shape)]
 
     digits = np.empty((h, w), dtype=np.uint16)
     sat = np.empty((h, w), dtype=bool)
-    bins = np.empty(grid.shape, dtype=np.int64)
-    provenance = np.empty(grid.shape, dtype=np.int64)
-    for (i, j), sl in grid.slices():
-        idx, frame = stack.frame_for_gain(float(gains[i, j]))
-        digits[sl] = frame.digits[sl]
-        sat[sl] = frame.saturation_mask[sl]
-        factors = frame.bin_factor[sl]
-        if np.any(factors != factors[0, 0]):
-            raise DataError(f"stack frame {idx} is binned unevenly over ROI "
-                            f"({i}, {j}) of the composite")
-        bins[i, j] = factors[0, 0]
-        provenance[i, j] = idx
+    factor = np.empty((h, w), dtype=np.uint8)  # bin factors are at most 64
+    for idx in np.unique(provenance).tolist():
+        frame = stack.frames[idx]
+        for rs, cs, shape in grid.parts():
+            ii, jj = np.nonzero(provenance[rs, cs] == idx)
+            for out, src in ((digits, frame.digits),
+                             (sat, frame.saturation_mask),
+                             (factor, frame.bin_factor)):
+                grid.blocks(out, rs, cs, shape)[ii, jj] = grid.blocks(
+                    src, rs, cs, shape)[ii, jj]
+    bins = factor[::grid.size, ::grid.size]
+    uneven = grid.reduce(factor != grid.expand(bins), np.any, False)
+    if uneven.any():
+        i, j = np.argwhere(uneven)[0].tolist()
+        raise DataError(f"stack frame {provenance[i, j]} is binned unevenly "
+                        f"over ROI ({i}, {j}) of the composite")
     raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
                      gain_grid=gains, bin_grid=bins,
                      mode=stack.frames[0].mode,
                      meta={"composed_from": list(map(float, stack.gains))})
     return raw, provenance
-

@@ -1,4 +1,9 @@
-"""The square ROI tiling shared by planners, capture and scoring."""
+"""The square ROI tiling shared by planners, capture and scoring.
+
+``RoiGrid.parts()`` with ``RoiGrid.blocks()`` is the one way to walk the
+ROIs: at most four groups of same-shape blocks, each a strided view of the
+frame.  Per-ROI reductions, the per-pixel expansion of a grid, the capture
+kernel, the compositor and the SSIM scorer all go through it."""
 
 from __future__ import annotations
 
@@ -27,15 +32,6 @@ class RoiGrid:
     def shape(self) -> tuple[int, int]:
         """ROI rows and columns."""
         return -(-self.height // self.size), -(-self.width // self.size)
-
-    def slices(self):
-        """Yield ((roi_row, roi_col), (row slice, column slice))."""
-        r = self.size
-        rows, cols = self.shape
-        for i in range(rows):
-            for j in range(cols):
-                yield (i, j), (slice(i * r, min((i + 1) * r, self.height)),
-                               slice(j * r, min((j + 1) * r, self.width)))
 
     def parts(self):
         """The ROIs in at most four groups of one block shape each: yield
@@ -84,21 +80,24 @@ class RoiGrid:
         if arr.shape != (self.height, self.width):
             raise ShapeError(f"image {arr.shape} does not match a {self.height}"
                              f"x{self.width} ROI grid")
-        (rows, cols), r = self.shape, self.size
-        if (rows * r, cols * r) != arr.shape:
-            arr = np.pad(arr, ((0, rows * r - self.height),
-                               (0, cols * r - self.width)),
-                         constant_values=fill)
-        blocks = arr.reshape(rows, r, cols, r).swapaxes(1, 2)
-        return fn(blocks.reshape(rows, cols, r * r), axis=-1)
+        r, out = self.size, None
+        for rs, cs, (bh, bw) in self.parts():
+            blocks = self.blocks(arr, rs, cs, (bh, bw))
+            if (bh, bw) != (r, r):
+                blocks = np.pad(blocks, ((0, 0), (0, 0), (0, r - bh),
+                                         (0, r - bw)), constant_values=fill)
+            vals = fn(blocks.reshape(*blocks.shape[:2], r * r), axis=-1)
+            if out is None:
+                out = np.empty(self.shape, vals.dtype)
+            out[rs, cs] = vals
+        return out
 
     def expand(self, grid) -> np.ndarray:
         """Read-only per-pixel array holding each ROI's value over its
         footprint."""
-        full = self.check(grid, "ROI")
-        for axis, n in ((0, self.height), (1, self.width)):
-            # each ROI row (column) repeated over the pixels it covers
-            edges = np.minimum(np.arange(full.shape[axis] + 1) * self.size, n)
-            full = np.repeat(full, np.diff(edges), axis=axis)
-        full.flags.writeable = False
-        return full
+        grid = self.check(grid, "ROI")
+        out = np.empty((self.height, self.width), grid.dtype)
+        for rs, cs, shape in self.parts():
+            self.blocks(out, rs, cs, shape)[...] = grid[rs, cs, None, None]
+        out.flags.writeable = False
+        return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .fileio import read_pfm
 from .sensor import RadianceMap, SensorConfig
 
@@ -122,17 +122,3 @@ def load_and_normalize(spec: SceneSpec, config: SensorConfig) -> RadianceMap:
         data = data * (spec.mean_level_frac * config.well_capacity / mean)
     return RadianceMap(data=data)
 
-
-def pixelate(scene: RadianceMap, factor: int) -> RadianceMap:
-    """Merge factor x factor fine cells into one coarse pixel by summation
-    (photon counts add over area)."""
-    if factor < 1:
-        raise ConfigError("pixelation factor must be >= 1")
-    if factor == 1:
-        return scene
-    h, w = scene.data.shape
-    if h % factor or w % factor:
-        raise ShapeError("pixelation factor must divide the scene dimensions")
-    coarse = scene.data.reshape(h // factor, factor,
-                                w // factor, factor).sum(axis=(1, 3))
-    return RadianceMap(data=coarse)

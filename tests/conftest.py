@@ -24,6 +24,15 @@ def quiet_config():
     return SensorConfig(sigma_pre=0.0, sigma_post=0.0)
 
 
+def roi_slices(height, width, roi):
+    """Oracle tiling: yield ((roi_row, roi_col), (row slice, column slice))
+    for every ROI in row-major order, edge ROIs clipped to the frame."""
+    for i in range(-(-height // roi)):
+        for j in range(-(-width // roi)):
+            yield (i, j), (slice(i * roi, min((i + 1) * roi, height)),
+                           slice(j * roi, min((j + 1) * roi, width)))
+
+
 def uniform_scene(level, height=64, width=64):
     return RadianceMap(data=np.full((height, width), float(level)))
 

@@ -201,6 +201,18 @@ def test_plan_gain_pilot_without_npz_exits_3(tmp_path, scene_path,
     _assert_one_line_data_error(code, capsys)
 
 
+def test_plan_gain_nan_vignetting_exits_3(tmp_path, config_path, capsys):
+    # a NaN transmission is bad input data, not a non-finite gain setting
+    vignette = np.full((64, 64), 0.8, dtype=np.float32)
+    vignette[40, 21] = np.nan
+    write_pfm(tmp_path / "vignette.pfm", vignette)
+    code = main(["plan-gain", "--config", config_path, "--vignetting",
+                 str(tmp_path / "vignette.pfm"), "--roi-size", "16",
+                 "--output", str(tmp_path / "plan.json")])
+    assert "transmission values must lie in (0, 1]" in capsys.readouterr().err
+    assert code == 3
+
+
 def test_every_public_name_resolves():
     import svsensor
     namespace = {}

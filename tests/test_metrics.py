@@ -16,6 +16,8 @@ from svsensor import (ConfigError, RoiGrid, SceneSpec, SensorConfig,
                       load_and_normalize, psnr, ssim)
 from svsensor.metrics import METHODS, RoiScorer
 
+from conftest import roi_slices
+
 
 def ssim_reference(ref, test):
     """Oracle: sliding-window SSIM with an explicit 11x11 Gaussian kernel,
@@ -195,14 +197,14 @@ class TestRoiScorer:
                            else _block_means(ref, k))
         with mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk):
             ssims, mse = scorer.scores(test)
-            for (i, j), sl in grid.slices():
+            for (i, j), sl in roi_slices(h, w, roi):
                 assert ssims[i, j] == ssim(ref[sl], test[sl])[1]
                 assert mse[i, j] == np.mean((ref[sl] - test[sl]) ** 2)
             for k in (2, 4, 8):
                 select = rng.random(grid.shape) < 0.7
                 at_k, _ = scorer.scores(test[::k, ::k], k, select)
                 ref_k = _block_means(ref, k)
-                for (i, j), (rs, cs) in grid.slices():
+                for (i, j), (rs, cs) in roi_slices(h, w, roi):
                     if (select[i, j] and roi % k == 0
                             and (rs.stop - rs.start) % k == 0
                             and (cs.stop - cs.start) % k == 0):

@@ -23,6 +23,8 @@ from svsensor.readout import BIN_MODES, read_plan
 from svsensor.roi import RoiGrid
 from svsensor.sensor import draw_noise, quantize
 
+from conftest import roi_slices
+
 
 def binned_estimates(level, gain, factor, mode, config, n_super, seed):
     """n_super independent superpixel estimates of a uniform scene."""
@@ -32,6 +34,27 @@ def binned_estimates(level, gain, factor, mode, config, n_super, seed):
     raw = bin_capture(scene, gain, factor, mode, config, seed=seed)
     est = estimate_photons(raw, config)
     return est.data[est.validity_mask]
+
+
+def compose_by_roi_loop(stack, gains, roi):
+    """Oracle: copy each ROI in row-major order from the frame at its
+    planned gain; DataError at the first ROI that frame bins unevenly."""
+    h, w = stack.frames[0].digits.shape
+    digits = np.empty((h, w), dtype=np.uint16)
+    sat = np.empty((h, w), dtype=bool)
+    bins = np.empty(gains.shape, dtype=np.int64)
+    provenance = np.empty(gains.shape, dtype=np.int64)
+    for (i, j), sl in roi_slices(h, w, roi):
+        idx = stack.gains.index(gains[i, j])
+        frame = stack.frames[idx]
+        factors = frame.bin_factor[sl]
+        if np.any(factors != factors[0, 0]):
+            raise DataError(f"stack frame {idx} is binned unevenly over ROI "
+                            f"({i}, {j}) of the composite")
+        digits[sl] = frame.digits[sl]
+        sat[sl] = frame.saturation_mask[sl]
+        bins[i, j], provenance[i, j] = factors[0, 0], idx
+    return digits, sat, bins, provenance
 
 
 def predicted_variance(level, gain, factor, mode, config):
@@ -431,6 +454,49 @@ class TestCompose:
         assert np.array_equal(composed.saturation_mask,
                               direct.saturation_mask)
         assert np.array_equal(composed.gain, direct.gain)
+
+    @given(shape=st.sampled_from([(100, 70, 32), (97, 131, 10),
+                                  (97, 131, 20), (64, 64, 16), (30, 50, 64)]),
+           n_frames=st.integers(3, 5), fine=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(100, 70, 32), n_frames=3, fine=True, seed=3)
+    def test_matches_per_roi_loop(self, shape, n_frames, fine, seed):
+        # byte for byte on ragged frames; frames binned on a grid twice as
+        # fine as the plan's bin some ROIs unevenly, and the error names
+        # the first of those in row-major order
+        h, w, roi = shape
+        config = SensorConfig()
+        rng = np.random.default_rng(seed)
+        scene = RadianceMap(data=rng.uniform(0, 900, (h, w)))
+        ladder = (1.0, 2.0, 4.0, 8.0, 16.0)[:n_frames]
+        bin_roi = roi // 2 if fine else roi
+        ks = [k for k in (1, 2, 4) if bin_roi % k == 0]
+        grid, frames = RoiGrid(h, w, bin_roi), []
+        for i, g in enumerate(ladder):
+            # mostly unbinned on the fine grid, so few ROIs come out uneven
+            k = np.where(rng.random(grid.shape) < (0.1 if fine else 0.5),
+                         rng.choice(ks, grid.shape), 1)
+            frames.append(simulate_capture(scene, g, BinMap(
+                bin_roi, k * k, "digital"), config, seed=seed + i))
+        stack = GainStack(gains=ladder, frames=tuple(frames))
+        gains = rng.choice(ladder, RoiGrid(h, w, roi).shape)
+        plan = GainMap("per_roi", gains, roi_size=roi)
+        try:
+            digits, sat, bins, provenance = compose_by_roi_loop(
+                stack, gains, roi)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                compose_from_gain_stack(stack, plan)
+            assert str(got.value) == str(exc)
+            return
+        composed, got_provenance = compose_from_gain_stack(stack, plan)
+        assert composed.digits.tobytes() == digits.tobytes()
+        assert composed.saturation_mask.tobytes() == sat.tobytes()
+        assert composed.bin_grid.dtype == bins.dtype
+        assert composed.bin_grid.tobytes() == bins.tobytes()
+        assert got_provenance.dtype == provenance.dtype
+        assert got_provenance.tobytes() == provenance.tobytes()
+        assert np.array_equal(composed.gain_grid, gains)
 
     def test_stack_validation(self, config, make_uniform):
         scene = make_uniform(10.0)
