@@ -36,9 +36,9 @@ from .roi import RoiGrid
 
 BIN_LADDER = (1, 2, 4, 8)  # linear bin factors; N = k*k
 BIN_MODES = ("additive", "average", "digital")
-# whether each N up to the largest is a bin factor: a lookup in this table
-# takes a fraction of np.isin's time on a per-pixel plan
-_IS_BIN_FACTOR = np.isin(np.arange(BIN_LADDER[-1] ** 2 + 1),
+# whether each N from 0 to one past the largest is a bin factor: a lookup in
+# this table takes a fraction of np.isin's time on a per-pixel plan
+_IS_BIN_FACTOR = np.isin(np.arange(BIN_LADDER[-1] ** 2 + 2),
                          [k * k for k in BIN_LADDER])
 
 CONFIG_FIELDS = (
@@ -46,6 +46,13 @@ CONFIG_FIELDS = (
     "bit_depth", "black_level_frac", "gain_min", "gain_max",
     "quantum_efficiency",
 )
+
+
+def is_bin_factor(n):
+    """Whether each integer of ``n`` is a bin factor N = k * k, k in
+    ``BIN_LADDER``.  Out-of-range integers clip onto the table's ends, 0
+    and one past the largest factor, neither of which is a factor."""
+    return _IS_BIN_FACTOR.take(n, mode="clip")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from svsensor import (BinMap, GainMap, RadianceMap, SensorConfig,
                       simulate_capture)
 from svsensor.cli import main
 from svsensor.fileio import (load_capture, read_pgm16, save_gain_stack,
-                             save_json, write_pfm)
+                             save_json, write_pfm, write_pgm16)
 from svsensor.readout import GainStack
 
 
@@ -534,7 +534,6 @@ def test_calibrate_end_to_end(tmp_path, config_path):
             raw = simulate_capture(dark, float(g), None, config,
                                    seed=131 + 100 * i + j)
             p = tmp_path / f"d{i}_{j}.pgm"
-            from svsensor.fileio import write_pgm16
             write_pgm16(p, raw.digits)
             frames.append(str(p))
         entries.append({"gain": float(g), "frames": frames})
@@ -547,6 +546,29 @@ def test_calibrate_end_to_end(tmp_path, config_path):
     doc = json.loads(out.read_text())
     assert doc["units"] == "electrons"
     assert abs(doc["sigma_post"] - 3.31) / 3.31 < 0.15
+
+
+def test_calibrate_profile_pinned(tmp_path, config_path):
+    # SHA-256 of the profile.json that calibrate --electrons writes, fixed
+    # so that a change to how the profile document is built cannot change
+    # a byte of it
+    dark = RadianceMap(data=np.zeros((16, 16)))
+    entries = []
+    for i, g in enumerate((1.0, 3.0, 9.0, 27.0)):
+        frames = []
+        for j in range(3):
+            path = tmp_path / f"d{i}_{j}.pgm"
+            write_pgm16(path, simulate_capture(dark, g, None, SensorConfig(),
+                                               seed=300 + 10 * i + j).digits)
+            frames.append(str(path))
+        entries.append({"gain": g, "frames": frames})
+    save_json(tmp_path / "manifest.json", {"gains": entries})
+    out = tmp_path / "profile.json"
+    assert main(["calibrate", "--config", config_path, "--manifest",
+                 str(tmp_path / "manifest.json"), "--electrons",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9893f063f6d27d7b2e8088177af7aa4b317a7104492b849a5ab5e570006ac697")
 
 
 def test_compose_from_stack_directory(tmp_path, config_path):

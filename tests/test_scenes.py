@@ -1,6 +1,7 @@
 """Scene ingest: PFM round trips, photon normalization, analytic sinusoids
 and their pixelation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -105,6 +106,22 @@ class TestSinusoid:
     def test_out_of_band_rejected(self, config):
         with pytest.raises(ConfigError):
             boxed_sinusoid(3.0, 100.0, 0.5, 8, 8)
+
+    def test_outputs_pinned(self):
+        # SHA-256 of the scenes at DC, inside the band and at its edge 1/p,
+        # fixed so that a change to how the contrast is computed cannot
+        # change a bit of them; frequencies past 1/p are rejected
+        digest = hashlib.sha256()
+        for pitch in (0.5, 1.7):
+            for freq in (0.0, 0.25, 0.9, 1.0 / pitch):
+                if freq > 1.0 / pitch:
+                    with pytest.raises(ConfigError):
+                        boxed_sinusoid(freq, 312.7, pitch, 37, 3)
+                    continue
+                digest.update(boxed_sinusoid(freq, 312.7, pitch, 37,
+                                             3).tobytes())
+        assert digest.hexdigest() == (
+            "2d1a7e6ec1814d6eae824114f5147cfd41fd0079fb7b3dc183587548f4ff737b")
 
 
 class TestPixelate:

@@ -11,6 +11,7 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap,
                       PhotonEstimate, RadianceMap, RawCapture, RoiGrid,
                       SensorConfig, ShapeError, dequantize, estimate_photons,
                       quantize, simulate_capture)
+from svsensor.sensor import is_bin_factor
 
 
 def mc_estimates(level, gain, config, n, seed):
@@ -204,6 +205,15 @@ class TestRawCapturePlan:
                          mode="additive")
         assert raw.bin_grid.dtype == np.int64
         assert raw.bin_grid[0].tolist() == [1, 4, 16, 64]
+
+
+@given(st.lists(st.one_of(st.integers(-70, 70),
+                          st.integers(-2 ** 63, 2 ** 63 - 1)), max_size=40))
+@example([-64, -1, 0, 1, 2, 3, 4, 15, 16, 17, 63, 64, 65, 66, 2 ** 63 - 1])
+def test_is_bin_factor_is_ladder_membership(values):
+    arr = np.array(values, dtype=np.int64)
+    assert is_bin_factor(arr).tolist() == [v in {1, 4, 16, 64} for v in values]
+    assert is_bin_factor(arr.reshape(-1, 1)).shape == (arr.size, 1)
 
 
 class TestSerialization:
