@@ -50,16 +50,6 @@ class NoiseProfile:
                                           for g, v in self.gain_samples],
                             clipped=self.clipped)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma_pre": self.sigma_pre,
-            "sigma_post": self.sigma_post,
-            "units": self.units,
-            "fit_residual": self.fit_residual,
-            "clipped": self.clipped,
-            "gain_samples": [[g, v] for g, v in self.gain_samples],
-        }
-
 
 def dark_variance(frames: list) -> float:
     """Temporal per-pixel variance of a dark-frame burst, averaged over
@@ -75,7 +65,7 @@ def dark_variance(frames: list) -> float:
     gains = set()
     for f in frames:
         if isinstance(f, RawCapture):
-            gains.update(np.unique(f.gain).tolist())
+            gains.update(np.unique(f.gain_grid).tolist())
             stacks.append(f.digits.astype(np.float64))
         else:
             stacks.append(np.asarray(f, dtype=np.float64))

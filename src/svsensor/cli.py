@@ -4,7 +4,7 @@ Subcommands: simulate, plan-gain, plan-bin, capture, compose, calibrate,
 theory, evaluate.  Exit codes: 0 success, 2 usage/configuration error,
 3 data or shape error, 4 numerical failure.  Diagnostics go to stderr; data
 goes to the requested files or stdout.  Every stochastic subcommand requires
-an explicit --seed so reruns are byte-identical.
+an explicit nonnegative --seed so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,8 +57,7 @@ def _float_list(text):
         raise ConfigError(f"expected comma-separated numbers: {exc}") from exc
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate(args, config) -> int:
     scene = _load_scene(args.scene, config, args.mean_frac)
     gm = (GainMap.from_json_dict(fileio.load_json(args.gain_map))
           if args.gain_map else args.gain)
@@ -72,8 +72,7 @@ def _save_capture(args, raw, config) -> int:
     return EXIT_OK
 
 
-def cmd_plan_gain(args) -> int:
-    config = _load_config(args.config)
+def cmd_plan_gain(args, config) -> int:
     if args.vignetting:
         vignette = fileio.read_pfm(args.vignetting)
         gm = gain_from_vignetting(vignette, args.roi_size, args.eta, config)
@@ -96,8 +95,7 @@ def cmd_plan_gain(args) -> int:
     return EXIT_OK
 
 
-def cmd_plan_bin(args) -> int:
-    config = _load_config(args.config)
+def cmd_plan_bin(args, config) -> int:
     raw = fileio.load_capture(args.pilot, config)
     snapshot = estimate_photons(raw, config)
     bm = plan_bin_roi(snapshot, args.roi_size, args.mode, config, args.snr_t,
@@ -106,8 +104,7 @@ def cmd_plan_bin(args) -> int:
     return EXIT_OK
 
 
-def cmd_capture(args) -> int:
-    config = _load_config(args.config)
+def cmd_capture(args, config) -> int:
     scene = _load_scene(args.scene, config, args.mean_frac)
     if args.per_pixel_eta is not None:
         if args.gain_map or args.bin_map:
@@ -127,8 +124,7 @@ def cmd_capture(args) -> int:
     return _save_capture(args, raw, config)
 
 
-def cmd_compose(args) -> int:
-    config = _load_config(args.config)
+def cmd_compose(args, config) -> int:
     stack = fileio.load_gain_stack(args.stack, config)
     gm = GainMap.from_json_dict(fileio.load_json(args.gain_map))
     if args.snap:
@@ -139,8 +135,7 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    config = _load_config(args.config)
+def cmd_calibrate(args, config) -> int:
     manifest = fileio.load_json(args.manifest)
     try:
         entries = [(float(e["gain"]), list(e["frames"]))
@@ -154,12 +149,11 @@ def cmd_calibrate(args) -> int:
         frames = [fileio.read_pgm16(p) for p in paths]
         samples.append((g, dark_variance(frames)))
     profile = fit_read_noise(samples, config if args.electrons else None)
-    fileio.save_json(args.output, profile.to_json_dict())
+    fileio.save_json(args.output, asdict(profile))
     return EXIT_OK
 
 
-def cmd_theory(args) -> int:
-    config = _load_config(args.config)
+def cmd_theory(args, config) -> int:
     pitches = _float_list(args.pitches)
     lights = _float_list(args.lights)
     params = TheoryParams(snr_t=args.snr_t, pitch_candidates=pitches,
@@ -190,8 +184,7 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    config = _load_config(args.config)
+def cmd_evaluate(args, config) -> int:
     scene = _load_scene(args.scene, config, args.mean_frac)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     report = evaluate_protocol(scene, config, roi_size=args.roi_size,
@@ -305,10 +298,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        config = _load_config(args.config)
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         # looked up by name when it runs, not bound when the parser was
         # built, so that a command wrapped in this module's namespace (by a
         # tracer or a test) is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        return globals()["cmd_" + args.command.replace("-", "_")](
+            args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,7 +34,7 @@ class GainMap:
 
     mode      'constant', 'per_roi' or 'per_pixel'
     roi_size  side of the square ROI grid (per_roi mode)
-    values    scalar, per-ROI grid, or per-pixel array of gains
+    values    scalar, per-ROI grid, or per-pixel array of gains (finite, > 0)
     eta       saturation-headroom parameter the plan was built with
     """
 
@@ -54,8 +54,8 @@ class GainMap:
         if self.mode == "per_roi" and (self.roi_size is None or self.roi_size < 1):
             raise ConfigError("per_roi mode needs a positive roi_size")
         _check_eta(self.eta)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("gain values must be finite")
+        if not np.all((vals > 0) & (vals < np.inf)):
+            raise ConfigError("gain values must be finite and positive")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)

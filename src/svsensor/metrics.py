@@ -23,7 +23,7 @@ most damaged region fared) alongside the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -241,15 +241,6 @@ class MethodScores:
     worst_ssim_native: float
     ssim_grid: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "worst_ssim": self.worst_ssim,
-            "mean_ssim": self.mean_ssim,
-            "worst_psnr": self.worst_psnr,
-            "worst_ssim_native": self.worst_ssim_native,
-            "ssim_grid": self.ssim_grid.tolist(),
-        }
-
 
 @dataclass
 class EvalReport:
@@ -263,7 +254,8 @@ class EvalReport:
             "scene_shape": list(self.scene_shape),
             "roi_size": self.roi_size,
             "seed": self.seed,
-            "methods": {k: v.to_json_dict() for k, v in self.scores.items()},
+            "methods": {k: {**asdict(v), "ssim_grid": v.ssim_grid.tolist()}
+                        for k, v in self.scores.items()},
         }
 
     def csv_rows(self) -> list[str]:

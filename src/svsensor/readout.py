@@ -37,7 +37,7 @@ from .gain import GainMap, is_json_int
 from .roi import RoiGrid
 from .sensor import (BIN_LADDER, BIN_MODES, PhotonEstimate, RadianceMap,
                      RawCapture, Realization, SensorConfig, estimate_photons,
-                     quantize, simulate_capture)
+                     is_bin_factor, quantize, simulate_capture)
 from .theory import TheoryParams, cutoff_frequencies, ladder_bin_factors
 
 
@@ -55,11 +55,10 @@ class BinMap:
         f = np.asarray(self.factors, dtype=np.int64)
         if f.ndim != 2:
             raise ShapeError("bin factors must form a 2-D ROI grid")
-        for n in np.unique(f).tolist():
-            if n not in {k * k for k in BIN_LADDER}:
-                raise ConfigError(f"bin factors must be squares of {BIN_LADDER}")
-            if self.roi_size % math.isqrt(n):
-                raise ConfigError("every linear bin factor must divide roi_size")
+        if not is_bin_factor(f).all():
+            raise ConfigError(f"bin factors must be squares of {BIN_LADDER}")
+        if any(self.roi_size % math.isqrt(n) for n in np.unique(f).tolist()):
+            raise ConfigError("every linear bin factor must divide roi_size")
         f = f.copy()
         f.flags.writeable = False
         object.__setattr__(self, "factors", f)
@@ -144,9 +143,9 @@ def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
     the reduced-resolution superpixel image.  Its digits are those of a
     uniform ``BinMap`` capture at the same seed, subsampled ``[::k, ::k]``,
     and its plan is that constant plan on the superpixel image."""
-    k = math.isqrt(int(factor))
-    if k * k != factor or k not in BIN_LADDER:
+    if not (is_json_int(factor) and is_bin_factor(factor)):
         raise ConfigError(f"bin factor must be a square of {BIN_LADDER}")
+    k = math.isqrt(factor)
     if scene.height % k or scene.width % k:
         raise ShapeError("scene dimensions must be divisible by the bin factor")
     plan = BinMap(max(scene.data.shape), np.full((1, 1), factor), mode)
@@ -303,11 +302,12 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     factor = np.empty((h, w), dtype=np.uint8)  # bin factors are at most 64
     for idx in np.unique(provenance).tolist():
         frame = stack.frames[idx]
+        frame_factor = frame.grid.expand(frame.bin_grid.astype(np.uint8))
         for rs, cs, shape in grid.parts():
             ii, jj = np.nonzero(provenance[rs, cs] == idx)
             for out, src in ((digits, frame.digits),
                              (sat, frame.saturation_mask),
-                             (factor, frame.bin_factor)):
+                             (factor, frame_factor)):
                 grid.blocks(out, rs, cs, shape)[ii, jj] = grid.blocks(
                     src, rs, cs, shape)[ii, jj]
     bins = factor[::grid.size, ::grid.size]

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .fileio import read_pfm
 from .sensor import RadianceMap, SensorConfig
+from .theory import contrast
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,13 @@ def boxed_sinusoid(freq: float, density: float, pitch: float,
 
     The scene is (density/2) * (cos(2*pi*freq*x) + 1) photons per
     unit area; integrating over a pitch-sized pixel centered at
-    x = (j + 1/2) * pitch gives the closed form below.
+    x = (j + 1/2) * pitch gives half the ``theory.contrast`` of ``freq``
+    times the cosine at that center, plus half the flat-field count.
     """
-    if freq < 0 or freq > 1.0 / pitch:
-        raise ConfigError("frequency must lie in [0, 1/pitch]")
+    amp = 0.5 * contrast(freq, density, pitch)
     centers = (np.arange(width) + 0.5) * pitch
-    if freq == 0:
-        row = np.full(width, density * pitch * pitch)
-    else:
-        amp = 0.5 * density * pitch * math.sin(math.pi * pitch * freq) / (math.pi * freq)
-        row = amp * np.cos(2 * math.pi * freq * centers) \
-            + 0.5 * density * pitch * pitch
+    row = (amp * np.cos(2 * math.pi * freq * centers)
+           + 0.5 * density * pitch * pitch)
     return np.tile(row, (height, 1))
 
 

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 from types import MappingProxyType
 
@@ -40,12 +42,6 @@ BIN_MODES = ("additive", "average", "digital")
 # this table takes a fraction of np.isin's time on a per-pixel plan
 _IS_BIN_FACTOR = np.isin(np.arange(BIN_LADDER[-1] ** 2 + 2),
                          [k * k for k in BIN_LADDER])
-
-CONFIG_FIELDS = (
-    "pixel_pitch", "well_capacity", "sigma_pre", "sigma_post",
-    "bit_depth", "black_level_frac", "gain_min", "gain_max",
-    "quantum_efficiency",
-)
 
 
 def is_bin_factor(n):
@@ -81,6 +77,14 @@ class SensorConfig:
     quantum_efficiency: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            # NaN, infinities and integers past the float range all fail
+            if (isinstance(v, bool) or not isinstance(v, kind)
+                    or not abs(v) <= sys.float_info.max):
+                raise ConfigError(f"sensor config {f.name} must be a finite "
+                                  f"{f.type}, not {v!r}")
         if self.well_capacity <= 0:
             raise ConfigError("well_capacity must be positive")
         if self.sigma_pre < 0 or self.sigma_post < 0:
@@ -120,13 +124,10 @@ class SensorConfig:
             raise ConfigError(f"sensor config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("sensor config must be a JSON object")
-        unknown = set(doc) - set(CONFIG_FIELDS)
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown sensor config fields: {sorted(unknown)}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:  # a field of the wrong JSON type
-            raise ConfigError(f"bad sensor config value: {exc}") from exc
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -193,9 +194,7 @@ class RawCapture:
         b = np.array(b_in, dtype=np.int64)
         if not (self.mode in BIN_MODES
                 and g.min(initial=1.0) > 0 and g.max(initial=1.0) < np.inf
-                and b_in.dtype.kind in "iu" and b.min(initial=1) >= 0
-                and b.max(initial=1) < _IS_BIN_FACTOR.size
-                and _IS_BIN_FACTOR[b].all()):
+                and b_in.dtype.kind in "iu" and is_bin_factor(b).all()):
             raise DataError(f"a capture plan needs a mode of {BIN_MODES}, "
                             "positive finite gains and bin factors "
                             f"{[k * k for k in BIN_LADDER]}")

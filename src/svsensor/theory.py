@@ -99,11 +99,9 @@ def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
     """
     d = np.asarray(densities, dtype=np.float64).reshape(-1, 1)
     p = np.asarray(pitches, dtype=np.float64).reshape(1, -1)
-    if not (np.all(d >= 0) and np.all(p > 0) and 0 < gain < math.inf):
-        raise ConfigError("need photon density >= 0, pitch > 0 and a finite "
+    if not (np.all(d > 0) and np.all(p > 0) and 0 < gain < math.inf):
+        raise ConfigError("need photon density > 0, pitch > 0 and a finite "
                           "gain > 0")
-    if not np.all(d > 0):
-        raise ConfigError("photon density and pitch must be positive")
     read = config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
     target = snr_t * np.sqrt(read + d * p * p / 2.0)
     dc = d * p * p

@@ -48,6 +48,13 @@ class TestDarkVariance:
         with pytest.raises(DataError):
             dark_variance([np.zeros((4, 4))])
 
+    def test_frames_keep_no_per_pixel_gain(self, config):
+        # the gain check reads each capture's gain grid, not a full-frame
+        # gain array that the capture would then keep
+        frames = dark_frames(config, 2.0, 3, seed=94, side=16)
+        dark_variance(frames)
+        assert not any("gain" in vars(f) for f in frames)
+
     def test_mixed_gains_rejected(self, config):
         frames = dark_frames(config, 1.0, 2, seed=92) + \
             dark_frames(config, 2.0, 2, seed=93)

@@ -72,7 +72,8 @@ def test_command_wrapped_after_the_parser_was_built_runs(monkeypatch):
     from svsensor import cli
     assert main(["theory", "--pitches", "0.5,1", "--lights", "1,2"]) == 0
     seen = []
-    monkeypatch.setattr(cli, "cmd_theory", lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_theory",
+                        lambda args, config: seen.append(args) or 0)
     assert main(["theory", "--pitches", "0.5,1", "--lights", "1,2"]) == 0
     assert len(seen) == 1 and seen[0].command == "theory"
 
@@ -421,6 +422,32 @@ _BAD_INPUTS = [
     ("capture_per_pixel_eta_with_gain_map", 2,
      ["capture", "{scene}", "--per-pixel-eta", "4", "--gain-map", "{gain}",
       *_RUN], None),
+    # a negative seed, a sensor config field that is not a finite number, a
+    # bit depth that is not an integer and a ladder that snaps gains onto a
+    # step <= 0 or NaN are configuration errors; a plan file with a gain
+    # <= 0 is a data error
+    *[(f"{name}_negative_seed", 2, [*argv, "--seed", "-1",
+                                    "--output", "{out}"], None)
+      for name, argv in [
+        ("simulate", ["simulate", "{scene}"]),
+        ("capture", ["capture", "{scene}", "--gain-map", "{gain}"]),
+        ("evaluate", ["evaluate", "{scene}", "--roi-size", "32"])]],
+    *[(f"config_{name}", 2, ["simulate", "{scene}", "--config", "{bad}",
+                             *_RUN], doc)
+      for name, doc in [("fractional_bit_depth", {"bit_depth": 12.5}),
+                        ("bool_bit_depth", {"bit_depth": True}),
+                        ("nan_well_capacity", b'{"well_capacity": NaN}'),
+                        ("infinite_sigma_post", b'{"sigma_post": Infinity}'),
+                        ("huge_gain_max",
+                         b'{"gain_max": 1' + b"0" * 400 + b"}")]],
+    *[(f"plan_gain_ladder_{name}", 2,
+       ["plan-gain", "--vignetting", "{vignette}", "--roi-size", "8",
+        f"--ladder={ladder}", "--output", "{out}"], None)
+      for name, ladder in [("negative", "-1,1000"), ("zero_nan", "0,nan")]],
+    *[(f"capture_gain_map_{name}_gain", 3,
+       ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
+       dict(_GAIN, values=[value, 1.0, 1.0, 1.0]))
+      for name, value in [("zero", 0.0), ("negative", -1.0)]],
 ]
 
 

@@ -345,7 +345,7 @@ class TestGainMapType:
         for other in (RoiGrid(48, 20, 16), RoiGrid(32, 20, 8)):
             with pytest.raises(ShapeError):
                 per_roi.on_grid(other)
-        per_pixel = GainMap("per_pixel", np.arange(640.0).reshape(32, 20))
+        per_pixel = GainMap("per_pixel", np.arange(1.0, 641.0).reshape(32, 20))
         with pytest.raises(ShapeError):
             per_pixel.on_grid(grid)
         assert np.array_equal(per_pixel.on_grid(per_pixel.grid(32, 20)),

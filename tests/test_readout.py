@@ -392,6 +392,17 @@ class TestCompose:
         assert np.array_equal(composed.digits[:32, 32:],
                               stack.frames[1].digits[:32, 32:])
 
+    def test_frames_keep_no_per_pixel_plan(self, config, make_uniform):
+        # compose reads each frame's plan grids: no frame is left holding a
+        # full-frame gain or bin-factor array
+        stack = self.make_stack(make_uniform(100.0), [1.0, 2.0, 4.0], config,
+                                73)
+        plan = GainMap("per_roi", np.array([[1.0, 2.0], [4.0, 1.0]]),
+                       roi_size=32)
+        compose_from_gain_stack(stack, plan)
+        for frame in stack.frames:
+            assert not {"gain", "bin_factor"} & set(vars(frame))
+
     def test_missing_gain_level_rejected(self, config, make_uniform):
         scene = make_uniform(100.0)
         stack = self.make_stack(scene, [1.0, 4.0], config, 72)
