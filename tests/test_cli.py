@@ -519,6 +519,20 @@ def ragged_pilot(tmp_path_factory):
      "f92a83ce0850231235a2b789d8efc7f9"),
     (32, "27", "13ca3dd40bff9aa34baa0c4161bb81c5"
      "79ee7bae72efc5b3359f771a2757c7ca"),
+    (12, "27", "903cc7b3ee4f22569e6a2f568a6821bc"
+     "72d991d206ac86f6b8d3d62ae0c7c114"),
+    (20, "27", "b694238b98e746b0674ce07915821fb5"
+     "a933a18f375ac6a65678ba0f7c8edce0"),
+    (36, "27", "aa9cc7e121ac1f7b68ee218a03de4fe9"
+     "66501ae37490e531bd39f372ba5c2578"),
+    (24, "1", "aff07acb9e644d9056fc183867cca15c"
+     "eba83e330f06c33a70ced18b84d6595c"),
+    (24, "27", "337f50ae15aa384b68406998b9e83e33"
+     "d7e99c3520d43f1431e31497ba130021"),
+    (40, "1", "7710a0d967e907cbb23611b697e1b5a1"
+     "54aa8df9020ac85c5b7b746af898428f"),
+    (40, "27", "22bae7fa7e9fb7aca31f0ce65923625f"
+     "72f773e4ca7786ca91e9d43a5d2bca4f"),
 ])
 def test_plan_bin_pinned(tmp_path, ragged_pilot, roi, gain, digest):
     # SHA-256 of bins.json, fixed so that a rewrite of the pitch planner
@@ -526,6 +540,24 @@ def test_plan_bin_pinned(tmp_path, ragged_pilot, roi, gain, digest):
     out = tmp_path / "bins.json"
     assert main(["plan-bin", "--pilot", str(ragged_pilot), "--roi-size",
                  str(roi), "--gain", gain, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("height, width, digest", [
+    (256, 256, "94633c9d74fe1323b4d6a6822356164e"
+     "d6ec244696bfedd42bc306b40f6632c5"),
+])
+def test_plan_gain_vignetting_pinned(tmp_path, height, width, digest):
+    # SHA-256 of the plan that plan-gain --vignetting writes for a radial
+    # cos^4-like falloff at ROI 16, fixed so that a change to the per-ROI
+    # mean cannot move a gain
+    y, x = np.mgrid[:height, :width]
+    r2 = (((y - (height - 1) / 2) ** 2 + (x - (width - 1) / 2) ** 2)
+          / (0.5 * max(height, width)) ** 2)
+    write_pfm(tmp_path / "v.pfm", ((1.0 + r2) ** -2).astype(np.float32))
+    out = tmp_path / "plan.json"
+    assert main(["plan-gain", "--vignetting", str(tmp_path / "v.pfm"),
+                 "--roi-size", "16", "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
