@@ -158,7 +158,7 @@ def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
         raise ConfigError("roi_size must be at least 8")
     grid = RoiGrid(*snapshot.data.shape, roi_size)
     peaks = grid.reduce(np.where(snapshot.validity_mask, snapshot.data,
-                                 -np.inf), np.max, -np.inf)
+                                 -np.inf), np.max)
     empty = peaks == -np.inf
     peaks = np.maximum(peaks, 0.0)
     gains = np.where(empty, config.gain_min, gain_for_level(peaks, eta, config))
@@ -323,8 +323,7 @@ def gain_from_vignetting(vignette: np.ndarray, roi_size: int, eta: float,
         raise DataError("transmission values must lie in (0, 1]")
     h, w = t.shape
     grid = RoiGrid(h, w, roi_size)
-    mean_t = (grid.reduce(t, np.sum, 0.0)
-              / grid.reduce(np.ones_like(t), np.sum, 0.0))
+    mean_t = grid.reduce(t, np.mean)
     rows, cols = grid.shape
     center = mean_t[min((h // 2) // roi_size, rows - 1),
                     min((w // 2) // roi_size, cols - 1)]

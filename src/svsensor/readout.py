@@ -246,24 +246,26 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
 
     Each ROI's mean valid level (negative estimates count as 0), as a photon
     density over the unit pitch, gets the bin factor of its exact optimal
-    pitch among ``pixel_pitch * BIN_LADDER`` at ``gain`` and ``snr_t``
-    (``theory.optimal_pitch``, planned for all ROIs at once by
-    ``theory.cutoff_frequencies``).  Dark ROIs, ROIs without a valid pixel
-    and ROIs where no pitch resolves anything get the largest factor.
+    pitch (``theory.cutoff_frequencies``, all ROIs at once) at ``gain`` and
+    ``snr_t`` among ``pixel_pitch * k`` for the k of ``BIN_LADDER`` that
+    divide ``roi_size``.  Dark ROIs, ROIs without a valid pixel and ROIs
+    where no pitch resolves anything get the largest of those factors.
     """
+    ladder = tuple(k for k in BIN_LADDER if roi_size % k == 0)
     params = TheoryParams(snr_t=snr_t, pitch_candidates=tuple(
-        config.pixel_pitch * k for k in BIN_LADDER))
+        config.pixel_pitch * k for k in ladder))
     valid = snapshot.validity_mask
     grid = RoiGrid(*valid.shape, roi_size)
     total = grid.reduce(np.clip(snapshot.data, 0.0, None, where=valid,
-                                out=np.zeros(valid.shape)), np.sum, 0.0)
-    count = grid.reduce(valid, np.sum, False)
+                                out=np.zeros(valid.shape)), np.sum)
+    count = grid.reduce(valid, np.sum)
     density = np.divide(total, count, out=np.zeros(grid.shape),
                         where=count > 0) / config.pixel_pitch ** 2
     lit = density > 0
-    factors = np.full(grid.shape, BIN_LADDER[-1] ** 2, dtype=np.int64)
+    factors = np.full(grid.shape, ladder[-1] ** 2, dtype=np.int64)
     factors[lit] = ladder_bin_factors(cutoff_frequencies(
-        density[lit], params.pitch_candidates, gain, params.snr_t, config))
+        density[lit], params.pitch_candidates, gain, params.snr_t, config),
+        ladder)
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
 
 
@@ -311,7 +313,7 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
                 grid.blocks(out, rs, cs, shape)[ii, jj] = grid.blocks(
                     src, rs, cs, shape)[ii, jj]
     bins = factor[::grid.size, ::grid.size]
-    uneven = grid.reduce(factor != grid.expand(bins), np.any, False)
+    uneven = grid.reduce(factor != grid.expand(bins), np.any)
     if uneven.any():
         i, j = np.argwhere(uneven)[0].tolist()
         raise DataError(f"stack frame {provenance[i, j]} is binned unevenly "

@@ -70,23 +70,18 @@ class RoiGrid:
                 f"{self.width} image at roi_size={self.size}")
         return grid
 
-    def reduce(self, arr, fn, fill) -> np.ndarray:
-        """One value per ROI: ``fn(..., axis=-1)`` over each ROI's pixels of
-        ``arr`` in row-major order, the edge ROIs padded with ``fill`` to
-        full size (``np.max`` with ``-inf``, ``np.sum`` with 0).  Each ROI
-        is one contiguous run, so the sum over an ROI inside the frame adds
-        its pixels in the order ``np.sum`` of a copy of that ROI does."""
+    def reduce(self, arr, fn) -> np.ndarray:
+        """One value per ROI: ``fn(..., axis=-1)`` over that ROI's own
+        pixels of ``arr`` in row-major order, so the sum over an ROI adds its
+        pixels in the order ``np.sum`` of a copy of that ROI does."""
         arr = np.asarray(arr)
         if arr.shape != (self.height, self.width):
             raise ShapeError(f"image {arr.shape} does not match a {self.height}"
                              f"x{self.width} ROI grid")
-        r, out = self.size, None
+        out = None
         for rs, cs, (bh, bw) in self.parts():
             blocks = self.blocks(arr, rs, cs, (bh, bw))
-            if (bh, bw) != (r, r):
-                blocks = np.pad(blocks, ((0, 0), (0, 0), (0, r - bh),
-                                         (0, r - bw)), constant_values=fill)
-            vals = fn(blocks.reshape(*blocks.shape[:2], r * r), axis=-1)
+            vals = fn(blocks.reshape(*blocks.shape[:2], bh * bw), axis=-1)
             if out is None:
                 out = np.empty(self.shape, vals.dtype)
             out[rs, cs] = vals

@@ -134,13 +134,12 @@ def best_pitch_index(cutoffs: np.ndarray) -> np.ndarray:
     return best
 
 
-def ladder_bin_factors(cutoffs: np.ndarray) -> np.ndarray:
+def ladder_bin_factors(cutoffs: np.ndarray, ladder=BIN_LADDER) -> np.ndarray:
     """Per row of a ``cutoff_frequencies`` table over the pitch ladder
-    ``unit_pitch * BIN_LADDER``, the bin factor N = k * k of the
+    ``unit_pitch * ladder``, the bin factor N = k * k of the
     ``best_pitch_index``, or the largest factor where no pitch resolves."""
     best = best_pitch_index(cutoffs)
-    return np.where(best >= 0, np.asarray(BIN_LADDER)[best] ** 2,
-                    BIN_LADDER[-1] ** 2)
+    return np.where(best >= 0, np.asarray(ladder)[best] ** 2, ladder[-1] ** 2)
 
 
 def cutoff_frequency(photon_density: float, pitch: float, gain: float,

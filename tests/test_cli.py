@@ -543,9 +543,29 @@ def test_plan_bin_pinned(tmp_path, ragged_pilot, roi, gain, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("roi", [12, 20, 36])
+def test_plan_bin_factors_divide_roi_size(tmp_path, ragged_pilot, roi):
+    # 8 does not divide these ROI sizes: dark ROIs get the largest factor
+    # whose k does, so the plan is valid whatever the scene's brightness
+    out = tmp_path / "bins.json"
+    assert main(["plan-bin", "--pilot", str(ragged_pilot), "--roi-size",
+                 str(roi), "--gain", "1", "--output", str(out)]) == 0
+    assert all(roi % k == 0 for k in json.loads(out.read_text())["values"])
+
+
+@pytest.mark.parametrize("mean_frac", ["0.0005", "0.05"])
+def test_evaluate_roi_size_8_does_not_divide(tmp_path, scene_path,
+                                             mean_frac):
+    assert main(["evaluate", scene_path, "--roi-size", "12", "--mean-frac",
+                 mean_frac, "--seed", "1", "--output",
+                 str(tmp_path / "r.json")]) == 0
+
+
 @pytest.mark.parametrize("height, width, digest", [
     (256, 256, "94633c9d74fe1323b4d6a6822356164e"
      "d6ec244696bfedd42bc306b40f6632c5"),
+    (300, 257, "74f9912cc069a8aab365db8b9f31cb6c"
+     "bd9818574e10dc0c0daf680463289d69"),
 ])
 def test_plan_gain_vignetting_pinned(tmp_path, height, width, digest):
     # SHA-256 of the plan that plan-gain --vignetting writes for a radial

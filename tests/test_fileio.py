@@ -30,9 +30,11 @@ def _assert_same_capture(a, b):
     assert np.array_equal(a.digits, b.digits)
     assert np.array_equal(a.saturation_mask, b.saturation_mask)
     assert (a.roi_size, a.mode) == (b.roi_size, b.mode)
-    for name in ("gain_grid", "bin_grid", "gain", "bin_factor"):
+    for name in ("gain_grid", "bin_grid", "gain"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    x, y = a.grid.expand(a.bin_grid), b.grid.expand(b.bin_grid)
+    assert x.dtype == y.dtype and np.array_equal(x, y)
     assert a.seed == b.seed
     assert a.meta == b.meta
 
@@ -141,14 +143,15 @@ def test_per_pixel_capture_round_trip(tmp_path, config):
     save_capture(tmp_path / "cap", raw)
     back = load_capture(tmp_path / "cap", config)
     _assert_same_capture(back, raw)
-    assert back.gain.dtype == np.float64 and back.bin_factor.dtype == np.int64
+    assert back.gain.dtype == np.float64
+    assert back.grid.expand(back.bin_grid).dtype == np.int64
 
 
 def test_list_format_sidecar_rejected(tmp_path, config):
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
     save_capture(tmp_path / "cap", raw)
     old = {"seed": 1, "meta": {}, "gain": raw.gain.tolist(),
-           "bin_factor": raw.bin_factor.tolist()}
+           "bin_factor": raw.grid.expand(raw.bin_grid).tolist()}
     (tmp_path / "cap.json").write_text(json.dumps(old))
     with pytest.raises(DataError, match="format"):
         load_capture(tmp_path / "cap", config)

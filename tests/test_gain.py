@@ -15,6 +15,8 @@ from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
                       simulate_capture)
 from svsensor.sensor import draw_noise
 
+from conftest import roi_slices
+
 
 def snapshot_from(levels, valid=None):
     data = np.asarray(levels, dtype=float)
@@ -290,6 +292,18 @@ class TestVignetting:
         gm = gain_from_vignetting(t, 8, 2.0, config)
         assert gm.values[0, 0] == pytest.approx(4.0)
         assert gm.values[2, 2] == pytest.approx(1.0)
+
+    def test_gain_is_center_over_each_rois_own_mean(self):
+        # edge ROIs of a frame the ROI size does not divide average only
+        # their own pixels
+        config = SensorConfig(gain_max=50.0)
+        t = np.random.default_rng(5).uniform(0.05, 1.0, (300, 257))
+        gm = gain_from_vignetting(t, 16, 2.0, config)
+        means = np.zeros(gm.values.shape)
+        for ij, sl in roi_slices(300, 257, 16):
+            means[ij] = np.mean(t[sl].copy())
+        want = np.clip(means[9, 8] / means, config.gain_min, config.gain_max)
+        assert gm.values.tolist() == want.tolist()
 
     def test_zero_transmission_rejected(self, config):
         t = np.ones((16, 16))

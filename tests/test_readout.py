@@ -47,7 +47,7 @@ def compose_by_roi_loop(stack, gains, roi):
     for (i, j), sl in roi_slices(h, w, roi):
         idx = stack.gains.index(gains[i, j])
         frame = stack.frames[idx]
-        factors = frame.bin_factor[sl]
+        factors = frame.grid.expand(frame.bin_grid)[sl]
         if np.any(factors != factors[0, 0]):
             raise DataError(f"stack frame {idx} is binned unevenly over ROI "
                             f"({i}, {j}) of the composite")

@@ -1,6 +1,8 @@
 """ROI tiling: one value per ROI, also where the ROI size does not divide
 the frame."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,41 +12,45 @@ from svsensor import RoiGrid, ShapeError
 from conftest import roi_slices
 
 
-def reduce_whole_frame(img, roi, fn, fill):
-    """Oracle: pad the whole frame with ``fill`` to whole ROIs, then reduce
-    each ROI's pixels in row-major order."""
-    h, w = img.shape
-    rows, cols = -(-h // roi), -(-w // roi)
-    padded = np.pad(img, ((0, rows * roi - h), (0, cols * roi - w)),
-                    constant_values=fill)
-    blocks = padded.reshape(rows, roi, cols, roi).swapaxes(1, 2)
-    return fn(blocks.reshape(rows, cols, roi * roi), axis=-1)
-
-
 @given(height=st.integers(1, 80), width=st.integers(1, 80),
-       roi=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+       roi=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+@example(height=63, width=40, roi=7, seed=0)
+@example(height=15, width=17, roi=10, seed=1)
 def test_reduce_matches_roi_loop(height, width, roi, seed):
+    # each ROI's value is exactly that of the ROI's own pixels, for clipped
+    # edge ROIs and for ROIs larger than the frame too
     img = np.random.default_rng(seed).normal(0.0, 100.0, (height, width))
     grid = RoiGrid(height, width, roi)
-    peak = grid.reduce(img, np.max, -np.inf)
-    total = grid.reduce(img, np.sum, 0.0)
-    count = grid.reduce(img > 0, np.sum, False)
+    peak = grid.reduce(img, np.max)
+    total = grid.reduce(img, np.sum)
+    count = grid.reduce(img > 0, np.sum)
     assert peak.shape == total.shape == count.shape == grid.shape
-    for got, arr, fn, fill in ((peak, img, np.max, -np.inf),
-                               (total, img, np.sum, 0.0),
-                               (count, img > 0, np.sum, False)):
-        want = reduce_whole_frame(arr, roi, fn, fill)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert peak.dtype == total.dtype == img.dtype
+    assert count.dtype == np.sum(img > 0).dtype
     for ij, sl in roi_slices(height, width, roi):
         assert peak[ij] == img[sl].max()
-        assert total[ij] == pytest.approx(img[sl].sum(), rel=1e-12,
-                                          abs=1e-9)
+        assert total[ij] == np.sum(img[sl].copy())
         assert count[ij] == np.count_nonzero(img[sl] > 0)
+
+
+def test_reduce_memory_is_bounded_by_the_frame():
+    # one ROI far larger than the frame reduces over the frame's pixels
+    # without allocating an ROI-sized block
+    img = np.ones((48, 64))
+    grid = RoiGrid(48, 64, 4096)
+    tracemalloc.start()
+    try:
+        total = grid.reduce(img, np.sum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total.tolist() == [[48.0 * 64]]
+    assert peak < img.nbytes + 64 * 1024
 
 
 def test_reduce_rejects_other_image_size():
     with pytest.raises(ShapeError):
-        RoiGrid(8, 8, 4).reduce(np.zeros((8, 9)), np.sum, 0.0)
+        RoiGrid(8, 8, 4).reduce(np.zeros((8, 9)), np.sum)
 
 
 @given(height=st.integers(1, 80), width=st.integers(1, 80),
