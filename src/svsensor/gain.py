@@ -113,6 +113,12 @@ def _check_eta(eta) -> None:
         raise ConfigError(f"eta must be finite and nonnegative, not {eta}")
 
 
+def _check_roi_size(roi_size) -> None:
+    """ConfigError unless ``roi_size`` is at least 8."""
+    if roi_size < 8:
+        raise ConfigError("roi_size must be at least 8")
+
+
 def is_json_int(value) -> bool:
     """Whether a plan field read from JSON is an integer (not a bool, not a
     float that happens to be whole)."""
@@ -154,8 +160,7 @@ def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
     ROIs whose pilot pixels are all saturated fall back to gain_min and are
     listed in the report.
     """
-    if roi_size < 8:
-        raise ConfigError("roi_size must be at least 8")
+    _check_roi_size(roi_size)
     grid = RoiGrid(*snapshot.data.shape, roi_size)
     peaks = grid.reduce(np.where(snapshot.validity_mask, snapshot.data,
                                  -np.inf), np.max)

@@ -23,16 +23,18 @@ most damaged region fared) alongside the mean.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .gain import GainMap, plan_gain_roi
+from .gain import GainMap, _check_eta, _check_roi_size, plan_gain_roi
 from .readout import BinMap, native_estimate_blocks, plan_bin_roi, read_plan
 from .roi import RoiGrid
-from .sensor import (RadianceMap, SensorConfig, draw_noise, estimate_photons,
-                     simulate_capture)
+from .sensor import (BIN_LADDER, RadianceMap, SensorConfig, draw_noise,
+                     estimate_photons, simulate_capture)
+from .theory import TheoryParams
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
            "const_gain_vary_bin", "vary_gain_vary_bin")
@@ -44,10 +46,12 @@ _SSIM_WEIGHTS = np.exp(-0.5 / 1.5 ** 2
                        * np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1) ** 2)
 _SSIM_WEIGHTS /= _SSIM_WEIGHTS.sum()
 # ROI pixels the stacked SSIM blurs at once: its working set is about a
-# dozen float64 arrays of this size at any frame size.  2**16 timed fastest
-# at 512x512 and 2048x2048 on a 2-core x86 host; 2**18 added 12 MB to the
-# peak RSS of a 512x512 evaluation.
-_SSIM_CHUNK_PIXELS = 1 << 16
+# dozen float64 arrays of this size at any frame size, and evaluate's two
+# threads each hold one chunk.  On a 2-core x86 host with both threads,
+# 2**15 timed fastest at 512x512 (roi 32); 2**14 was about 20% slower, and
+# 2**16 and 2**17 added 2 and 9 MB to its peak RSS.  At 2048x2048 (roi 128)
+# 2**16 was about 10% faster than 2**15.
+_SSIM_CHUNK_PIXELS = 1 << 15
 
 
 def gamma_correct(image: np.ndarray, exponent: float) -> np.ndarray:
@@ -162,20 +166,24 @@ class RoiScorer:
     reference blocks and their blur statistics are computed for every ROI
     the first time the view is scored and reused for every test image;
     the statistics cover the interior that ``ssim`` averages.  Same-shape
-    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time.
+    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time;
+    with an executor ``helper``, the calling thread and one task on the
+    helper share the chunks.  Each chunk does the same float operations
+    whichever thread takes it, so the scores do not depend on the helper.
     """
 
-    def __init__(self, grid: RoiGrid, reference):
+    def __init__(self, grid: RoiGrid, reference, helper=None):
         self.grid = grid
         self._reference = reference
+        self._helper = helper
         self._views = {}
 
     def _view(self, k: int) -> list:
         """(ROI rows, ROI columns, reference blocks, mu_a, var_a) for each
         same-shape ROI group whose blocks view k tiles."""
         if k not in self._views:
-            r, parts = self.grid.size, []
-            if r % k == 0:
+            parts = []
+            if self.grid.size % k == 0:
                 ref = self._reference(k)
                 for rs, cs, (bh, bw) in self.grid.parts():
                     if bh % k or bw % k:
@@ -185,11 +193,14 @@ class RoiScorer:
                     crop = _crop(blocks.shape)
                     inner = (*blocks.shape[:2], blocks.shape[2] - 2 * crop,
                              blocks.shape[3] - 2 * crop)
-                    mu, var = np.empty(inner), np.empty(inner)
-                    for i, j in _chunks(np.ones(blocks.shape[:2], bool),
-                                        blocks):
-                        mu[i, j], var[i, j] = _reference_stats(blocks[i, j])
-                    parts.append((rs, cs, blocks, mu, var))
+                    parts.append((rs, cs, blocks, np.empty(inner),
+                                  np.empty(inner)))
+
+            def stats(n, i, j):
+                _, _, blocks, mu, var = parts[n]
+                mu[i, j], var[i, j] = _reference_stats(blocks[i, j])
+
+            self._share(stats, parts)
             self._views[k] = parts
         return self._views[k]
 
@@ -199,25 +210,64 @@ class RoiScorer:
         NaN elsewhere and where k does not tile the ROI."""
         ssims = np.full(self.grid.shape, np.nan)
         mse = np.full(self.grid.shape, np.nan)
-        for rs, cs, ref, mu, var in self._view(k):
-            sel = (np.ones(ref.shape[:2], bool) if select is None
-                   else select[rs, cs])
-            blocks = self.grid.blocks(test, rs, cs, ref.shape[2:], k)
-            for i, j in _chunks(sel, ref):
-                a, b = ref[i, j], blocks[i, j]
-                at = (rs.start + i, cs.start + j)
-                ssims[at] = ssim(a, b, (mu[i, j], var[i, j]))[1]
-                mse[at] = ((a - b) ** 2).mean(axis=(1, 2))
+        parts = self._view(k)
+        tests = [self.grid.blocks(test, rs, cs, ref.shape[2:], k)
+                 for rs, cs, ref, _, _ in parts]
+
+        def score(n, i, j):
+            rs, cs, ref, mu, var = parts[n]
+            a, b = ref[i, j], tests[n][i, j]
+            at = (rs.start + i, cs.start + j)
+            ssims[at] = ssim(a, b, (mu[i, j], var[i, j]))[1]
+            mse[at] = ((a - b) ** 2).mean(axis=(1, 2))
+
+        self._share(score, parts, select)
         return ssims, mse
 
+    def _share(self, work, parts, select=None):
+        """Call ``work(n, i, j)`` for each chunk of ``_chunks(parts,
+        select)``, on this thread and on a task on the helper, which take
+        chunks from one locked iterator; each chunk writes only its own
+        ROIs.  Once this thread finds no chunk left, the helper's task is
+        cancelled if it has not started and waited for if it has, so a
+        helper that is busy elsewhere or descheduled delays the return by
+        at most one chunk.  A chunk that raises stops both threads after
+        the chunk they hold, and its error is raised here."""
+        chunks, lock = _chunks(parts, select), threading.Lock()
+        failed = threading.Event()
 
-def _chunks(select: np.ndarray, blocks: np.ndarray):
-    """Yield (ROI row, ROI column) index arrays of the selected blocks,
+        def drain():
+            while not failed.is_set():
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                try:
+                    work(*chunk)
+                except BaseException:
+                    failed.set()
+                    raise
+
+        side = None if self._helper is None else self._helper.submit(drain)
+        try:
+            drain()
+        finally:
+            late = None if side is None or side.cancel() else side.exception()
+        if late is not None:
+            raise late
+
+
+def _chunks(parts, select):
+    """Yield (part index n, ROI rows, ROI columns) index arrays of the
+    blocks of each (ROI rows, ROI columns, blocks, ...) group ``parts[n]``
+    where the boolean ROI grid ``select`` holds (all if None),
     ``_SSIM_CHUNK_PIXELS`` pixels' worth at a time."""
-    ii, jj = np.nonzero(select)
-    step = max(1, _SSIM_CHUNK_PIXELS // (blocks.shape[2] * blocks.shape[3]))
-    for s in range(0, ii.size, step):
-        yield ii[s:s + step], jj[s:s + step]
+    for n, (rs, cs, blocks, *_) in enumerate(parts):
+        ii, jj = np.nonzero(np.ones(blocks.shape[:2], bool) if select is None
+                            else select[rs, cs])
+        step = max(1, _SSIM_CHUNK_PIXELS // math.prod(blocks.shape[2:]))
+        for s in range(0, ii.size, step):
+            yield n, ii[s:s + step], jj[s:s + step]
 
 
 def _decibels(mse: float) -> float:
@@ -295,74 +345,87 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
 
     ``dump_dir``, when given, receives 16-bit PGM renderings of each
     method's gamma-corrected output plus the ground truth, for visual
-    inspection.
+    inspection.  The call owns one helper thread: it draws the main
+    realization while this thread captures the pilot and plans from it,
+    and then shares the SSIM chunks.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods: {sorted(unknown)}")
+    # the planners' checks, made before any draw starts
+    _check_roi_size(roi_size)
+    _check_eta(eta)
+    TheoryParams(snr_t=snr_t)
+    # imported here: only evaluate needs it, and it costs every command's
+    # start-up about 9 ms
+    from concurrent.futures import ThreadPoolExecutor
+
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
-    pilot = estimate_photons(
-        simulate_capture(scene, 1.0, None, config, seed=pilot_seed), config)
-    gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
-    # the constant gain protects the brightest pixel: one ROI over the frame
-    whole, _ = plan_gain_roi(pilot, max(scene.height, scene.width, roi_size),
-                             eta, config)
-    g_base = float(whole.values[0, 0])
+    with ThreadPoolExecutor(1) as helper:
+        # one realization for all methods, drawn to the largest superpixel
+        # of the ladder, since the plans are not made yet
+        drawn = helper.submit(draw_noise, scene, config, main_seed,
+                              BIN_LADDER[-1])
+        pilot = estimate_photons(
+            simulate_capture(scene, 1.0, None, config, seed=pilot_seed),
+            config)
+        gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
+        # the constant gain protects the brightest pixel: one ROI over the
+        # frame
+        whole, _ = plan_gain_roi(
+            pilot, max(scene.height, scene.width, roi_size), eta, config)
+        g_base = float(whole.values[0, 0])
 
-    # bin plan from the pilot at unit gain, per-ROI mean level
-    bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)
-    factors = bins.factors
-    del pilot
+        # bin plan from the pilot at unit gain, per-ROI mean level
+        bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)
+        factors = bins.factors
+        del pilot
 
-    base_grid = np.full(factors.shape, g_base)
-    trivial = BinMap(roi_size=roi_size, factors=np.ones_like(factors),
-                     mode="digital")
-    plans = {
-        "const_gain_no_bin": (GainMap("per_roi", base_grid, roi_size, eta),
-                              trivial),
-        "vary_gain_no_bin": (gmap, trivial),
-        "const_gain_vary_bin": (
-            GainMap("per_roi", base_grid * factors, roi_size, eta), bins),
-        "vary_gain_vary_bin": (
-            gmap, BinMap(roi_size=roi_size, factors=factors, mode="digital")),
-    }
+        base_grid = np.full(factors.shape, g_base)
+        trivial = BinMap(roi_size=roi_size, factors=np.ones_like(factors),
+                         mode="digital")
+        plans = {
+            "const_gain_no_bin": (
+                GainMap("per_roi", base_grid, roi_size, eta), trivial),
+            "vary_gain_no_bin": (gmap, trivial),
+            "const_gain_vary_bin": (
+                GainMap("per_roi", base_grid * factors, roi_size, eta), bins),
+            "vary_gain_vary_bin": (gmap, BinMap(
+                roi_size=roi_size, factors=factors, mode="digital")),
+        }
 
-    gt_gamma = _tonemap(scene.data, config)
+        gt_gamma = _tonemap(scene.data, config)
 
-    def reference(k):
-        # the ground truth at native view k: the mean of each k x k block
-        if k == 1:
-            return gt_gamma
-        h, w = scene.height // k * k, scene.width // k * k
-        return _tonemap(scene.data[:h, :w].reshape(h // k, k, w // k, k)
-                        .mean(axis=(1, 3)), config)
+        def reference(k):
+            # the ground truth at native view k: the mean of each k x k block
+            if k == 1:
+                return gt_gamma
+            h, w = scene.height // k * k, scene.width // k * k
+            return _tonemap(scene.data[:h, :w].reshape(h // k, k, w // k, k)
+                            .mean(axis=(1, 3)), config)
 
-    scorer = RoiScorer(RoiGrid(scene.height, scene.width, roi_size),
-                       reference)
-    report = EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
-                        seed=seed)
-    if dump_dir is not None:
-        from pathlib import Path
-        from .fileio import file_errors, write_pgm16
-        dump = Path(dump_dir)
-        with file_errors(dump, "write"):
-            dump.mkdir(parents=True, exist_ok=True)
-        write_pgm16(dump / "ground_truth.pgm",
-                    np.rint(gt_gamma * 65535).astype(np.uint16))
-    # one realization for all methods, drawn to the largest superpixel any
-    # of their plans bins at
-    noise = draw_noise(scene, config, main_seed, max(
-        (math.isqrt(int(plans[name][1].factors.max())) for name in methods),
-        default=1))
-    for name in methods:
-        gm, bm = plans[name]
-        raw = read_plan(noise, gm, bm, config)
-        est = estimate_photons(raw, config)
-        img = _tonemap(est.data, config)
-        report.scores[name] = _score_method(scorer, img, raw, est, config)
+        scorer = RoiScorer(RoiGrid(scene.height, scene.width, roi_size),
+                           reference, helper)
+        report = EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
+                            seed=seed)
         if dump_dir is not None:
-            write_pgm16(dump / f"{name}.pgm",
-                        np.rint(img * 65535).astype(np.uint16))
-        del raw, est, img  # free before the next readout
+            from pathlib import Path
+            from .fileio import file_errors, write_pgm16
+            dump = Path(dump_dir)
+            with file_errors(dump, "write"):
+                dump.mkdir(parents=True, exist_ok=True)
+            write_pgm16(dump / "ground_truth.pgm",
+                        np.rint(gt_gamma * 65535).astype(np.uint16))
+        noise = drawn.result()
+        for name in methods:
+            gm, bm = plans[name]
+            raw = read_plan(noise, gm, bm, config)
+            est = estimate_photons(raw, config)
+            img = _tonemap(est.data, config)
+            report.scores[name] = _score_method(scorer, img, raw, est, config)
+            if dump_dir is not None:
+                write_pgm16(dump / f"{name}.pgm",
+                            np.rint(img * 65535).astype(np.uint16))
+            del raw, est, img  # free before the next readout
     return report

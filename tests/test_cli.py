@@ -223,13 +223,15 @@ def test_every_public_name_resolves():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # no command needs scipy.optimize or scipy.ndimage; importing them
-    # costs every command start-up time
+    # no command needs scipy.optimize or scipy.ndimage, and only evaluate
+    # needs concurrent.futures; importing them costs every command start-up
+    # time
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, svsensor.cli; "
             "sys.exit('scipy.optimize' in sys.modules "
-            "or 'scipy.ndimage' in sys.modules)")
+            "or 'scipy.ndimage' in sys.modules "
+            "or 'concurrent.futures' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -551,6 +553,22 @@ def test_plan_bin_factors_divide_roi_size(tmp_path, ragged_pilot, roi):
     assert main(["plan-bin", "--pilot", str(ragged_pilot), "--roi-size",
                  str(roi), "--gain", "1", "--output", str(out)]) == 0
     assert all(roi % k == 0 for k in json.loads(out.read_text())["values"])
+
+
+def test_evaluate_error_in_an_ssim_chunk_exits_4(tmp_path, scene_path,
+                                                 monkeypatch, capsys):
+    from svsensor import metrics
+    from svsensor.errors import NumericalError
+
+    def failing(*args):
+        raise NumericalError("injected SSIM failure")
+
+    monkeypatch.setattr(metrics, "ssim", failing)
+    code = main(["evaluate", scene_path, "--roi-size", "16", "--seed", "1",
+                 "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "injected SSIM failure" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mean_frac", ["0.0005", "0.05"])

@@ -1,9 +1,12 @@
 """Quality metrics and the four-method evaluation protocol."""
 
 import hashlib
+import itertools
 import json
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -11,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from svsensor import metrics
-from svsensor import (ConfigError, RoiGrid, SceneSpec, SensorConfig,
-                      ShapeError, evaluate_protocol, gamma_correct,
-                      load_and_normalize, psnr, ssim)
+from svsensor import (ConfigError, NumericalError, RoiGrid, SceneSpec,
+                      SensorConfig, ShapeError, evaluate_protocol,
+                      gamma_correct, load_and_normalize, psnr, ssim)
 from svsensor.metrics import METHODS, RoiScorer
 
 from conftest import roi_slices
@@ -188,13 +191,25 @@ class TestRoiScorer:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_stacked_scores_equal_per_roi_ssim(self, h, w, roi, chunk, seed):
         # bit for bit, on clipped edge ROIs, at every native view and with
-        # chunks from one block to the whole frame
+        # chunks from one block to the whole frame, shared with a helper
+        # thread; at one block per chunk both threads take blocks, and a
+        # short switch interval makes them interleave often
         rng = np.random.default_rng(seed)
         ref = rng.uniform(0, 1, (h, w))
         test = np.clip(ref + rng.normal(0, 0.1, (h, w)), 0, 1)
         grid = RoiGrid(h, w, roi)
-        scorer = RoiScorer(grid, lambda k: ref if k == 1
-                           else _block_means(ref, k))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(1) as helper:
+                scorer = RoiScorer(grid, lambda k: ref if k == 1
+                                   else _block_means(ref, k), helper)
+                self.check_scores(scorer, grid, ref, test, roi, chunk, rng)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def check_scores(self, scorer, grid, ref, test, roi, chunk, rng):
+        h, w = ref.shape
         with mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk):
             ssims, mse = scorer.scores(test)
             for (i, j), sl in roi_slices(h, w, roi):
@@ -214,6 +229,26 @@ class TestRoiScorer:
                             native, test[rs, cs][::k, ::k])[1]
                     else:
                         assert np.isnan(at_k[i, j])
+
+    def test_error_on_the_helper_is_raised(self):
+        # the helper's chunk fails while this thread holds one, and this
+        # thread raises the helper's error
+        ref = np.random.default_rng(3).uniform(0, 1, (64, 64))
+        real, helped = metrics.ssim, threading.Event()
+
+        def ssim_failing_on_helper(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helped.set()
+                raise NumericalError("helper chunk")
+            assert helped.wait(10)
+            return real(*args)
+
+        with (ThreadPoolExecutor(1) as helper,
+              mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", 1),
+              mock.patch.object(metrics, "ssim", ssim_failing_on_helper)):
+            scorer = RoiScorer(RoiGrid(64, 64, 16), lambda k: ref, helper)
+            with pytest.raises(NumericalError, match="helper chunk"):
+                scorer.scores(ref)
 
 
 class TestPsnr:
@@ -275,8 +310,9 @@ class TestProtocol:
         b = evaluate_protocol(scene, config, roi_size=32, seed=42)
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_one_main_draw(self, config, monkeypatch):
-        # the pilot and one main realization, read out under all four plans
+    @pytest.fixture
+    def drawn_seeds(self, monkeypatch):
+        """The seed of each ``draw_noise`` call any svsensor module makes."""
         import svsensor.sensor as sensor_mod
         real, seeds = sensor_mod.draw_noise, []
 
@@ -288,10 +324,51 @@ class TestProtocol:
             if (name.startswith("svsensor")
                     and getattr(mod, "draw_noise", None) is real):
                 monkeypatch.setattr(mod, "draw_noise", counting)
+        return seeds
+
+    def test_one_main_draw(self, config, drawn_seeds):
+        # the pilot and one main realization, read out under all four plans
         scene = self.hdr_scene(config, seed=71)
         report = evaluate_protocol(scene, config, roi_size=32, seed=72)
         assert set(report.scores) == set(METHODS)
-        assert len(seeds) == 2 and seeds[0] != seeds[1]
+        assert len(drawn_seeds) == 2 and drawn_seeds[0] != drawn_seeds[1]
+
+    @pytest.mark.parametrize("bad", [dict(eta=-1.0), dict(snr_t=0.0),
+                                     dict(roi_size=4)])
+    def test_bad_arguments_rejected_before_any_draw(self, config, drawn_seeds,
+                                                    bad):
+        scene = self.hdr_scene(config, seed=73)
+        with pytest.raises(ConfigError):
+            evaluate_protocol(scene, config, **{"roi_size": 32, **bad})
+        assert drawn_seeds == []
+
+    @pytest.mark.parametrize("fault", [None, "ssim", "main_draw"])
+    def test_errors_raised_and_helper_gone(self, config, monkeypatch, fault):
+        # an error in an SSIM chunk or in the main draw, on whichever thread
+        # it runs, reaches the caller; returned or raised, the call leaves
+        # no thread behind
+        real, calls = metrics.ssim, itertools.count(1)
+
+        def ssim_failing_once(*args):
+            if next(calls) == 3:  # one call, whichever thread makes it
+                raise NumericalError("injected")
+            return real(*args)
+
+        def failing_draw(*args):
+            raise NumericalError("injected")
+
+        if fault == "ssim":
+            monkeypatch.setattr(metrics, "ssim", ssim_failing_once)
+        elif fault == "main_draw":  # the pilot draws through sensor's name
+            monkeypatch.setattr(metrics, "draw_noise", failing_draw)
+        scene = self.hdr_scene(config, seed=75)
+        before = threading.active_count()
+        if fault is None:
+            evaluate_protocol(scene, config, roi_size=16, seed=76)
+        else:
+            with pytest.raises(NumericalError, match="injected"):
+                evaluate_protocol(scene, config, roi_size=16, seed=76)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("size, roi, digest", [
         (512, 32, "25a930cca541faa97848b02ee3c041d513f51e4623e437087e949633de08c950"),
