@@ -30,10 +30,11 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .gain import GainMap, _check_eta, _check_roi_size, plan_gain_roi
-from .readout import BinMap, native_estimate_blocks, plan_bin_roi, read_plan
+from .readout import (BinMap, native_estimate_blocks, plan_bin_roi,
+                      read_plan, roi_ladder)
 from .roi import RoiGrid
-from .sensor import (BIN_LADDER, RadianceMap, SensorConfig, draw_noise,
-                     estimate_photons, simulate_capture)
+from .sensor import (RadianceMap, SensorConfig, draw_noise, estimate_photons,
+                     simulate_capture)
 from .theory import TheoryParams
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
@@ -166,13 +167,13 @@ class RoiScorer:
     reference blocks and their blur statistics are computed for every ROI
     the first time the view is scored and reused for every test image;
     the statistics cover the interior that ``ssim`` averages.  Same-shape
-    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time;
-    with an executor ``helper``, the calling thread and one task on the
-    helper share the chunks.  Each chunk does the same float operations
-    whichever thread takes it, so the scores do not depend on the helper.
+    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time,
+    and the calling thread and one task on the executor ``helper`` share
+    the chunks.  Each chunk does the same float operations whichever thread
+    takes it, so the scores do not depend on the helper.
     """
 
-    def __init__(self, grid: RoiGrid, reference, helper=None):
+    def __init__(self, grid: RoiGrid, reference, helper):
         self.grid = grid
         self._reference = reference
         self._helper = helper
@@ -248,11 +249,11 @@ class RoiScorer:
                     failed.set()
                     raise
 
-        side = None if self._helper is None else self._helper.submit(drain)
+        side = self._helper.submit(drain)
         try:
             drain()
         finally:
-            late = None if side is None or side.cancel() else side.exception()
+            late = None if side.cancel() else side.exception()
         if late is not None:
             raise late
 
@@ -362,11 +363,13 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
 
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
+    # one realization for all methods, drawn before the plans are made: to
+    # the largest superpixel an additive bin plan at roi_size can use, the
+    # only readout here that reads superpixel draws
+    max_k = (roi_ladder(roi_size)[-1] if "const_gain_vary_bin" in methods
+             else 1)
     with ThreadPoolExecutor(1) as helper:
-        # one realization for all methods, drawn to the largest superpixel
-        # of the ladder, since the plans are not made yet
-        drawn = helper.submit(draw_noise, scene, config, main_seed,
-                              BIN_LADDER[-1])
+        drawn = helper.submit(draw_noise, scene, config, main_seed, max_k)
         pilot = estimate_photons(
             simulate_capture(scene, 1.0, None, config, seed=pilot_seed),
             config)

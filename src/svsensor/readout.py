@@ -240,6 +240,12 @@ def read_plan(noise: Realization, gain_map: GainMap, bin_map: BinMap,
                       seed=noise.seed)
 
 
+def roi_ladder(roi_size: int) -> tuple:
+    """The linear bin factors k of ``BIN_LADDER`` that divide ``roi_size``,
+    the only ones a per-ROI bin plan at that size uses."""
+    return tuple(k for k in BIN_LADDER if roi_size % k == 0)
+
+
 def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
                  config: SensorConfig, snr_t: float, gain: float) -> BinMap:
     """Per-ROI bin plan from a pilot estimate.
@@ -248,10 +254,11 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
     density over the unit pitch, gets the bin factor of its exact optimal
     pitch (``theory.cutoff_frequencies``, all ROIs at once) at ``gain`` and
     ``snr_t`` among ``pixel_pitch * k`` for the k of ``BIN_LADDER`` that
-    divide ``roi_size``.  Dark ROIs, ROIs without a valid pixel and ROIs
-    where no pitch resolves anything get the largest of those factors.
+    divide ``roi_size`` (``roi_ladder``).  Dark ROIs, ROIs without a valid
+    pixel and ROIs where no pitch resolves anything get the largest of those
+    factors.
     """
-    ladder = tuple(k for k in BIN_LADDER if roi_size % k == 0)
+    ladder = roi_ladder(roi_size)
     params = TheoryParams(snr_t=snr_t, pitch_candidates=tuple(
         config.pixel_pitch * k for k in ladder))
     valid = snapshot.validity_mask

@@ -370,6 +370,32 @@ class TestProtocol:
                 evaluate_protocol(scene, config, roi_size=16, seed=76)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("methods, roi_size, max_k", [
+        (METHODS, 32, 8), (METHODS, 20, 4), (METHODS, 12, 4),
+        (("const_gain_no_bin", "vary_gain_vary_bin"), 32, 1)])
+    def test_main_draw_stops_at_the_largest_usable_superpixel(
+            self, config, monkeypatch, methods, roi_size, max_k):
+        # only the additive plan reads superpixel draws, at the ladder
+        # factors that divide the ROI size; the report is the one a draw to
+        # k = 8 gives
+        real, drawn_to = metrics.draw_noise, []
+
+        def recording(scene, config, seed, k):
+            drawn_to.append(k)
+            return real(scene, config, seed, k)
+
+        scene = self.hdr_scene(config, seed=77)
+        monkeypatch.setattr(metrics, "draw_noise", recording)
+        report = evaluate_protocol(scene, config, roi_size=roi_size,
+                                   methods=methods, seed=78)
+        assert drawn_to == [max_k]
+        monkeypatch.setattr(metrics, "draw_noise",
+                            lambda scene, config, seed, k:
+                            real(scene, config, seed, 8))
+        assert report.to_json_dict() == evaluate_protocol(
+            scene, config, roi_size=roi_size, methods=methods,
+            seed=78).to_json_dict()
+
     @pytest.mark.parametrize("size, roi, digest", [
         (512, 32, "25a930cca541faa97848b02ee3c041d513f51e4623e437087e949633de08c950"),
         (300, 32, "ecd9e0a3f355e529e6c8159a014403fc8267ac52cc8d70690f53622de83e4c08"),
