@@ -11,8 +11,9 @@ from .readout import (BinMap, GainStack, bin_capture,
                       native_estimate_blocks, plan_bin_roi)
 from .roi import RoiGrid
 from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize
-from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     dequantize, estimate_photons, quantize, simulate_capture)
+from .sensor import (PhotonEstimate, Plan, RadianceMap, RawCapture,
+                     SensorConfig, dequantize, estimate_photons, quantize,
+                     simulate_capture)
 from .theory import (BinLut, PitchCurve, TheoryParams, contrast,
                      cutoff_frequency, light_to_bin_lut, noise_sigma,
                      optimal_pitch, sweep_pitch)
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinLut", "BinMap", "ConfigError", "DataError", "EvalReport", "GainMap",
     "GainStack", "NoiseProfile", "NumericalError", "PhotonEstimate",
-    "PitchCurve", "PlanReport", "RadianceMap", "RawCapture", "RoiGrid",
+    "PitchCurve", "Plan", "PlanReport", "RadianceMap", "RawCapture", "RoiGrid",
     "SceneSpec",
     "SensorConfig", "ShapeError", "TheoryParams", "bin_capture",
     "boxed_sinusoid", "capture_adaptive", "capture_spatially_varying",

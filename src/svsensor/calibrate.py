@@ -65,7 +65,7 @@ def dark_variance(frames: list) -> float:
     gains = set()
     for f in frames:
         if isinstance(f, RawCapture):
-            gains.update(np.unique(f.gain_grid).tolist())
+            gains.update(np.unique(f.plan.gains).tolist())
             stacks.append(f.digits.astype(np.float64))
         else:
             stacks.append(np.asarray(f, dtype=np.float64))

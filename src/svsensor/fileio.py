@@ -121,18 +121,19 @@ def save_capture(path_base, raw) -> None:
     npz_path = base.with_suffix(".npz")
     with file_errors(npz_path, "write"):
         # bin factors are at most 64
-        np.savez(npz_path, gain_grid=raw.gain_grid,
-                 bin_grid=raw.bin_grid.astype(np.uint8),
+        np.savez(npz_path, gain_grid=raw.plan.gains,
+                 bin_grid=raw.plan.bins.astype(np.uint8),
                  saturation_mask=np.packbits(raw.saturation_mask))
     write_text(base.with_suffix(".json"), json.dumps({
         "format": SIDECAR_FORMAT, "seed": raw.seed, "meta": _plain(raw.meta),
-        "roi_size": raw.roi_size, "mode": raw.mode}, sort_keys=True))
+        "roi_size": raw.plan.roi_size, "mode": raw.plan.mode},
+        sort_keys=True))
 
 
 def load_capture(path_base, config):
-    """Read a capture back from its PGM, JSON and .npz files."""
-    from .gain import is_json_int
-    from .sensor import RawCapture
+    """Read a capture back from its PGM, JSON and .npz files; a plan that
+    fails the ``Plan`` check is a DataError."""
+    from .sensor import Plan, RawCapture, is_json_int
     base = Path(path_base)
     digits = read_pgm16(base.with_suffix(".pgm"))
     if digits.size and int(digits.max()) > config.digital_max:
@@ -142,13 +143,10 @@ def load_capture(path_base, config):
     if not isinstance(doc, dict) or doc.get("format") != SIDECAR_FORMAT:
         raise DataError(f"{base}.json: not a format-{SIDECAR_FORMAT} capture "
                         "sidecar")
-    roi_size, mode = doc.get("roi_size"), doc.get("mode")
     seed, meta = doc.get("seed"), doc.get("meta", {})
-    if not (is_json_int(roi_size) and roi_size > 0
-            and (seed is None or is_json_int(seed)) and isinstance(meta, dict)):
-        raise DataError(f"{base}.json: needs a positive integer roi_size, an "
-                        "integer or null seed and an object meta, not "
-                        f"{roi_size!r}, {seed!r} and {meta!r}")
+    if not ((seed is None or is_json_int(seed)) and isinstance(meta, dict)):
+        raise DataError(f"{base}.json: needs an integer or null seed and an "
+                        f"object meta, not {seed!r} and {meta!r}")
     npz_path = base.with_suffix(".npz")
     with file_errors(npz_path), np.load(npz_path) as npz:
         gains, bins, packed = (npz["gain_grid"], npz["bin_grid"],
@@ -157,8 +155,9 @@ def load_capture(path_base, config):
             raise DataError(f"{npz_path}: saturation mask does not fit the "
                             f"{digits.shape} digits")
         mask = np.unpackbits(packed, count=digits.size).reshape(digits.shape)
-    return RawCapture(digits=digits, saturation_mask=mask, roi_size=roi_size,
-                      gain_grid=gains, bin_grid=bins, mode=mode,
+    with file_errors(base):
+        plan = Plan(doc.get("roi_size"), gains, bins, doc.get("mode"))
+    return RawCapture(digits=digits, saturation_mask=mask, plan=plan,
                       seed=seed, meta=meta)
 
 

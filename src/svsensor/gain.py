@@ -16,25 +16,26 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
-from .sensor import (PhotonEstimate, RadianceMap, RawCapture, SensorConfig,
-                     dequantize, draw_noise)
+from .sensor import (Plan, PhotonEstimate, RadianceMap, RawCapture,
+                     SensorConfig, dequantize, draw_noise)
 
 _WARMUP = 32  # pixels replayed to guess a chunk's start gain
 
 
 @dataclass(frozen=True)
 class GainMap:
-    """A readout gain plan.
+    """A gain plan file: the gains of a ``Plan``, held to its check, which
+    ``readout.fit_plan`` fits onto a frame.
 
     mode      'constant', 'per_roi' or 'per_pixel'
-    roi_size  side of the square ROI grid (per_roi mode)
-    values    scalar, per-ROI grid, or per-pixel array of gains (finite, > 0)
+    roi_size  side of the square ROI grid (None allowed but in per_roi mode)
+    values    scalar, per-ROI grid, or per-pixel array of gains
     eta       saturation-headroom parameter the plan was built with
     """
 
@@ -47,37 +48,15 @@ class GainMap:
         if self.mode not in ("constant", "per_roi", "per_pixel"):
             raise ConfigError(f"unknown gain map mode {self.mode!r}")
         vals = np.asarray(self.values, dtype=np.float64)
-        if self.mode == "constant" and vals.ndim != 0:
-            raise ShapeError("constant mode takes a scalar value")
-        if self.mode != "constant" and vals.ndim != 2:
-            raise ShapeError("per_roi/per_pixel modes take a 2-D value grid")
-        if self.mode == "per_roi" and (self.roi_size is None or self.roi_size < 1):
-            raise ConfigError("per_roi mode needs a positive roi_size")
+        if (vals.ndim == 0) != (self.mode == "constant"):
+            raise ShapeError("constant mode takes a scalar value, per_roi "
+                             "and per_pixel modes a 2-D value grid")
         _check_eta(self.eta)
-        if not np.all((vals > 0) & (vals < np.inf)):
-            raise ConfigError("gain values must be finite and positive")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def grid(self, height: int, width: int) -> RoiGrid:
-        """The plan's own ROI grid on an image of the given size: one ROI
-        over the frame for a constant plan, one per pixel for a per-pixel
-        plan."""
-        size = {"constant": max(height, width), "per_roi": self.roi_size,
-                "per_pixel": 1}[self.mode]
-        return RoiGrid(height, width, size)
-
-    def on_grid(self, grid: RoiGrid) -> np.ndarray:
-        """The plan's gain for each ROI of ``grid``; ShapeError for a
-        per-ROI or per-pixel plan on another grid."""
-        if self.mode == "constant":
-            return np.full(grid.shape, float(self.values))
-        size = self.grid(grid.height, grid.width).size
-        if size != grid.size:
-            raise ShapeError(f"a {self.mode} gain map on {size}-pixel ROIs "
-                             f"does not fit {grid.size}-pixel ROIs")
-        return grid.check(self.values, "gain map")
+        size = (1 if self.roi_size is None and self.mode != "per_roi"
+                else self.roi_size)
+        grid = vals.reshape(vals.shape or (1, 1))
+        plan = Plan(size, grid, np.ones(grid.shape, np.int64), "digital")
+        object.__setattr__(self, "values", plan.gains.reshape(vals.shape))
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,7 +64,7 @@ class GainMap:
             "roi_size": self.roi_size,
             "eta": self.eta,
             "shape": list(np.shape(self.values)),
-            "values": np.asarray(self.values, dtype=float).ravel().tolist(),
+            "values": self.values.ravel().tolist(),
         }
 
     @classmethod
@@ -96,13 +75,12 @@ class GainMap:
             mode = doc["mode"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed gain plan ({exc!r})") from exc
-        roi_size, eta = doc.get("roi_size"), doc.get("eta", 0.0)
-        if roi_size is not None and not is_json_int(roi_size):
-            raise DataError(f"gain plan roi_size {roi_size!r} is not an integer")
+        eta = doc.get("eta", 0.0)
         if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
             raise DataError(f"gain plan eta {eta!r} is not a number")
         try:
-            return cls(mode=mode, values=vals, roi_size=roi_size, eta=eta)
+            return cls(mode=mode, values=vals, roi_size=doc.get("roi_size"),
+                       eta=eta)
         except ConfigError as exc:
             raise DataError(f"bad gain plan: {exc}") from exc
 
@@ -117,12 +95,6 @@ def _check_roi_size(roi_size) -> None:
     """ConfigError unless ``roi_size`` is at least 8."""
     if roi_size < 8:
         raise ConfigError("roi_size must be at least 8")
-
-
-def is_json_int(value) -> bool:
-    """Whether a plan field read from JSON is an integer (not a bool, not a
-    float that happens to be whole)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -309,8 +281,8 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
 
     digits, gains = digits.reshape(shape), gains.reshape(shape)
     sat = digits == dmax
-    raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=1,
-                     gain_grid=gains, bin_grid=np.ones(shape, dtype=np.int64),
+    plan = Plan(1, gains, np.ones(shape, dtype=np.int64), "digital")
+    raw = RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                      seed=seed, meta={"strategy": "per_pixel", "eta": eta})
     report = PlanReport(measured_saturation_frac=float(sat.mean()))
     return raw, report
@@ -343,10 +315,7 @@ def quantize_to_ladder(gain_map: GainMap, ladder) -> GainMap:
     steps = np.sort(np.asarray(ladder, dtype=np.float64))
     if steps.size == 0:
         raise ConfigError("empty gain ladder")
-    vals = np.asarray(gain_map.values, dtype=np.float64)
-    idx = np.searchsorted(steps, vals + 1e-12, side="right") - 1
+    idx = np.searchsorted(steps, gain_map.values + 1e-12, side="right") - 1
     if np.any(idx < 0):
         raise DataError("planned gain below the lowest ladder step")
-    snapped = steps[idx]
-    return GainMap(mode=gain_map.mode, values=snapped.reshape(np.shape(vals)),
-                   roi_size=gain_map.roi_size, eta=gain_map.eta)
+    return replace(gain_map, values=steps[idx])

@@ -29,12 +29,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .gain import GainMap, _check_eta, _check_roi_size, plan_gain_roi
-from .readout import (BinMap, native_estimate_blocks, plan_bin_roi,
-                      read_plan, roi_ladder)
+from .gain import _check_eta, _check_roi_size, plan_gain_roi
+from .readout import native_estimate_blocks, plan_bin_roi, read_plan
 from .roi import RoiGrid
-from .sensor import (RadianceMap, SensorConfig, draw_noise, estimate_photons,
-                     simulate_capture)
+from .sensor import (Plan, RadianceMap, SensorConfig, draw_noise,
+                     estimate_photons, roi_ladder, simulate_capture)
 from .theory import TheoryParams
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
@@ -381,21 +380,19 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
         g_base = float(whole.values[0, 0])
 
         # bin plan from the pilot at unit gain, per-ROI mean level
-        bins = plan_bin_roi(pilot, roi_size, "additive", config, snr_t, 1.0)
-        factors = bins.factors
+        factors = plan_bin_roi(pilot, roi_size, "additive", config, snr_t,
+                               1.0).factors
         del pilot
 
         base_grid = np.full(factors.shape, g_base)
-        trivial = BinMap(roi_size=roi_size, factors=np.ones_like(factors),
-                         mode="digital")
+        ones = np.ones_like(factors)
         plans = {
-            "const_gain_no_bin": (
-                GainMap("per_roi", base_grid, roi_size, eta), trivial),
-            "vary_gain_no_bin": (gmap, trivial),
-            "const_gain_vary_bin": (
-                GainMap("per_roi", base_grid * factors, roi_size, eta), bins),
-            "vary_gain_vary_bin": (gmap, BinMap(
-                roi_size=roi_size, factors=factors, mode="digital")),
+            "const_gain_no_bin": Plan(roi_size, base_grid, ones, "digital"),
+            "vary_gain_no_bin": Plan(roi_size, gmap.values, ones, "digital"),
+            "const_gain_vary_bin": Plan(roi_size, base_grid * factors,
+                                        factors, "additive"),
+            "vary_gain_vary_bin": Plan(roi_size, gmap.values, factors,
+                                       "digital"),
         }
 
         gt_gamma = _tonemap(scene.data, config)
@@ -422,8 +419,7 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
                         np.rint(gt_gamma * 65535).astype(np.uint16))
         noise = drawn.result()
         for name in methods:
-            gm, bm = plans[name]
-            raw = read_plan(noise, gm, bm, config)
+            raw = read_plan(noise, plans[name], config)
             est = estimate_photons(raw, config)
             img = _tonemap(est.data, config)
             report.scores[name] = _score_method(scorer, img, raw, est, config)

@@ -15,7 +15,8 @@ gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
 Reproducibility: one seed is one noise realization.  Every planned capture
 goes through ``read_plan``, which digitizes a ``sensor.draw_noise``
-realization: the whole frame drawn in a fixed order, independent of the
+realization under one ``sensor.Plan`` (``fit_plan`` makes it of a gain plan
+and a bin plan): the whole frame drawn in a fixed order, independent of the
 plan (unit-pixel photons and read noise, then superpixel post-amp normals on
 the global k-grids).  Captures of the same scene with the same seed but
 different plans therefore share their physical noise realization: a scalar
@@ -33,35 +34,28 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .gain import GainMap, is_json_int
+from .gain import GainMap
 from .roi import RoiGrid
-from .sensor import (BIN_LADDER, BIN_MODES, PhotonEstimate, RadianceMap,
+from .sensor import (BIN_LADDER, PhotonEstimate, Plan, RadianceMap,
                      RawCapture, Realization, SensorConfig, estimate_photons,
-                     is_bin_factor, quantize, simulate_capture)
+                     is_bin_factor, is_json_int, quantize, roi_ladder,
+                     simulate_capture)
 from .theory import TheoryParams, cutoff_frequencies, ladder_bin_factors
 
 
 @dataclass(frozen=True)
 class BinMap:
-    """Per-ROI bin plan: factors N in {1, 4, 16, 64} and one binning mode."""
+    """A bin plan file: per-ROI bin factors N in {1, 4, 16, 64} and one
+    binning mode, the bins of a ``Plan`` (and held to its check)."""
 
     roi_size: int
     factors: np.ndarray
     mode: str = "additive"
 
     def __post_init__(self):
-        if self.mode not in BIN_MODES:
-            raise ConfigError(f"unknown binning mode {self.mode!r}")
-        f = np.asarray(self.factors, dtype=np.int64)
-        if f.ndim != 2:
-            raise ShapeError("bin factors must form a 2-D ROI grid")
-        if not is_bin_factor(f).all():
-            raise ConfigError(f"bin factors must be squares of {BIN_LADDER}")
-        if any(self.roi_size % math.isqrt(n) for n in np.unique(f).tolist()):
-            raise ConfigError("every linear bin factor must divide roi_size")
-        f = f.copy()
-        f.flags.writeable = False
-        object.__setattr__(self, "factors", f)
+        plan = Plan(self.roi_size, np.ones(np.shape(self.factors)),
+                    self.factors, self.mode)
+        object.__setattr__(self, "factors", plan.bins)
 
     def to_json_dict(self) -> dict:
         ks = np.sqrt(self.factors).astype(int)
@@ -79,14 +73,10 @@ class BinMap:
             roi_size, mode = doc["roi_size"], doc["mode"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed bin plan ({exc!r})") from exc
-        if not is_json_int(roi_size) or roi_size < 1:
-            raise DataError(f"bin plan roi_size {roi_size!r} is not a "
-                            "positive integer")
-        if not np.all(np.isfinite(ks) & (ks == np.rint(ks))):
-            raise DataError("bin plan linear factors must be integers")
-        ks = ks.astype(np.int64)
         try:
-            return cls(roi_size=roi_size, factors=ks * ks, mode=mode)
+            # the file holds linear factors k; N = k * |k| keeps a negative k
+            # off the ladder
+            return cls(roi_size=roi_size, factors=ks * np.abs(ks), mode=mode)
         except ConfigError as exc:
             raise DataError(f"bad bin plan: {exc}") from exc
 
@@ -106,7 +96,7 @@ class GainStack:
         shapes = {f.digits.shape for f in self.frames}
         if len(shapes) > 1:
             raise ShapeError("stack frames must share dimensions")
-        if len({f.mode for f in self.frames}) > 1:
+        if len({f.plan.mode for f in self.frames}) > 1:
             raise DataError("stack frames must share one binning mode")
 
     def frame_for_gain(self, gain: float) -> tuple[int, RawCapture]:
@@ -118,23 +108,29 @@ class GainStack:
             "plan to the stack's gain ladder first")
 
 
-def _check_gains(g: np.ndarray, n: np.ndarray, mode: str,
-                 config: SensorConfig) -> None:
-    """Every amplifier setting of a plan's gain and bin grids must lie in
-    the configured gain range.  Under additive binning with N > 1 the
-    amplifier runs at g / N, which must not fall below gain_min."""
-    additive = (n > 1) & (mode == "additive")
-    low = additive & (g / n < config.gain_min)
-    if low.any():
-        g0, n0 = float(g[low].flat[0]), int(n[low].flat[0])
-        raise ConfigError(
-            f"additive binning at gain {g0} with N={n0} needs an amplifier "
-            f"gain of {g0 / n0}, below gain_min={config.gain_min}; increase "
-            "the gain or reduce the bin factor")
-    g = g[~additive]
-    if not np.all((g >= config.gain_min) & (g <= config.gain_max)):
-        raise ConfigError(
-            f"gain outside [{config.gain_min}, {config.gain_max}]")
+def fit_plan(gain_map, bin_map, shape) -> Plan:
+    """The ``Plan`` on a frame of ``shape`` of ``gain_map``, a ``GainMap``
+    or a number read as the constant plan of that gain, and ``bin_map``, a
+    ``BinMap`` on the same ROI grid or None for unit pixels.  A constant
+    gain plan takes the bin plan's grid, or else the 1 x 1 grid at
+    ``roi_size = max(shape)``.  ShapeError unless the plans' grids agree and
+    cover the frame."""
+    if not isinstance(gain_map, GainMap):
+        gain_map = GainMap("constant", gain_map)
+    size = {"per_roi": gain_map.roi_size, "per_pixel": 1}.get(gain_map.mode)
+    if bin_map is not None:
+        if size not in (None, bin_map.roi_size):
+            raise ShapeError(f"a gain plan on {size}-pixel ROIs does not "
+                             f"fit {bin_map.roi_size}-pixel ROIs")
+        size = bin_map.roi_size
+    grid = RoiGrid(*shape, max(shape) if size is None else size)
+    gains = (gain_map.values if gain_map.values.ndim
+             else np.full(grid.shape, float(gain_map.values)))
+    bins, mode = ((np.ones(gains.shape, np.int64), "digital")
+                  if bin_map is None else (bin_map.factors, bin_map.mode))
+    plan = Plan(grid.size, gains, bins, mode)
+    plan.grid(*shape)
+    return plan
 
 
 def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
@@ -142,17 +138,19 @@ def bin_capture(scene: RadianceMap, gain: float, factor: int, mode: str,
     """Capture the whole scene under one gain and one bin factor, returning
     the reduced-resolution superpixel image.  Its digits are those of a
     uniform ``BinMap`` capture at the same seed, subsampled ``[::k, ::k]``,
-    and its plan is that constant plan on the superpixel image."""
+    and its plan is that capture's constant plan at factor 1 on the
+    superpixel image, whose pixels are the superpixels."""
     if not (is_json_int(factor) and is_bin_factor(factor)):
         raise ConfigError(f"bin factor must be a square of {BIN_LADDER}")
     k = math.isqrt(factor)
     if scene.height % k or scene.width % k:
         raise ShapeError("scene dimensions must be divisible by the bin factor")
-    plan = BinMap(max(scene.data.shape), np.full((1, 1), factor), mode)
-    full = simulate_capture(scene, float(gain), plan, config, seed)
+    bins = BinMap(max(scene.data.shape), np.full((1, 1), factor), mode)
+    full = simulate_capture(scene, float(gain), bins, config, seed)
     return replace(full, digits=full.digits[::k, ::k],
                    saturation_mask=full.saturation_mask[::k, ::k],
-                   roi_size=max(scene.height // k, scene.width // k))
+                   plan=replace(full.plan, roi_size=max(scene.data.shape) // k,
+                                bins=[[1]]))
 
 
 def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
@@ -169,12 +167,12 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
     return raw, estimate_photons(raw, config)
 
 
-def read_plan(noise: Realization, gain_map: GainMap, bin_map: BinMap,
+def read_plan(noise: Realization, plan: Plan,
               config: SensorConfig) -> RawCapture:
     """The capture kernel: digitize a ``draw_noise`` realization under a
-    ``GainMap`` and a bin plan on the same ROI grid.  Analog modes read the
-    superpixel draws of every k they bin at, so the realization must be
-    drawn at least that far.
+    ``Plan``, once ``Plan.check_gains`` has held it to the configured gain
+    range.  Analog modes read the superpixel draws of every k they bin at, so the
+    realization must be drawn at least that far.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
     starts at a multiple of k in both axes; every k divides the ROI size,
@@ -188,12 +186,9 @@ def read_plan(noise: Realization, gain_map: GainMap, bin_map: BinMap,
     superpixel, quantized and written over the unit-pixel digits and mask.
     """
     charge = noise.charge
-    h, w = charge.shape
-    grid = RoiGrid(h, w, bin_map.roi_size)
-    bins = grid.check(bin_map.factors, "bin map")
-    gains = gain_map.on_grid(grid)
-    mode = bin_map.mode
-    _check_gains(gains, bins, mode, config)
+    grid = plan.grid(*charge.shape)
+    plan.check_gains(config)
+    gains, bins, mode = plan.gains, plan.bins, plan.mode
 
     digits = quantize(grid.expand(gains) * charge + noise.n_post, config)
     sat = digits == config.digital_max
@@ -235,15 +230,8 @@ def read_plan(noise: Realization, gain_map: GainMap, bin_map: BinMap,
             for out, sup in ((digits, d_sup), (sat, sat_sup)):
                 grid.blocks(out, rs, cs, (bh, bw))[ii, jj] = np.repeat(
                     np.repeat(sup, k, axis=1), k, axis=2)[:, :bh, :bw]
-    return RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
-                      gain_grid=gains, bin_grid=bins, mode=mode,
+    return RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                       seed=noise.seed)
-
-
-def roi_ladder(roi_size: int) -> tuple:
-    """The linear bin factors k of ``BIN_LADDER`` that divide ``roi_size``,
-    the only ones a per-ROI bin plan at that size uses."""
-    return tuple(k for k in BIN_LADDER if roi_size % k == 0)
 
 
 def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
@@ -282,27 +270,28 @@ def native_estimate_blocks(raw: RawCapture, estimate: PhotonEstimate):
     sampled ``[::k, ::k]``) for each k the capture uses.  The view holds one
     value per k x k superpixel; ROI (i, j)'s superpixels fill its rows
     ``i * roi_size // k`` onward and columns ``j * roi_size // k`` onward."""
-    ks = np.sqrt(raw.bin_grid).astype(np.int64)
+    ks = np.sqrt(raw.plan.bins).astype(np.int64)
     for k in np.unique(ks).tolist():
         yield k, ks == k, estimate.data[::k, ::k]
 
 
-def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
+def compose_from_gain_stack(stack: GainStack, gain_map
                             ) -> tuple[RawCapture, np.ndarray]:
     """Assemble a spatially-varying capture by copying each ROI's digits,
     mask and bin factor, per same-shape ROI group (``RoiGrid.parts``), from
-    the stack frame whose gain matches the plan.
+    the stack frame whose gain matches the gain plan.
 
     Every planned gain must exist in the stack (quantize the plan onto the
     stack's gains first, snapping downward), and its frame must bin each ROI
-    alike.  Each ROI has the noise statistics of a direct capture; when
-    every frame was captured at one seed, the composite is the direct
-    capture at that seed, byte for byte.  Also returns the provenance.
+    alike, by a factor whose side divides the ROI size.  Each ROI has the
+    noise statistics of a direct capture; when every frame was captured at
+    one seed, the composite is the direct capture at that seed, byte for
+    byte.  Also returns the provenance.
     """
     h, w = stack.frames[0].digits.shape
-    grid = gain_map.grid(h, w)
-    gains = gain_map.on_grid(grid)
-    planned, which = np.unique(gains, return_inverse=True)
+    plan = fit_plan(gain_map, None, (h, w))
+    grid = plan.grid(h, w)
+    planned, which = np.unique(plan.gains, return_inverse=True)
     provenance = np.array([stack.frame_for_gain(g)[0] for g in
                            planned.tolist()])[which.reshape(grid.shape)]
 
@@ -311,7 +300,8 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
     factor = np.empty((h, w), dtype=np.uint8)  # bin factors are at most 64
     for idx in np.unique(provenance).tolist():
         frame = stack.frames[idx]
-        frame_factor = frame.grid.expand(frame.bin_grid.astype(np.uint8))
+        frame_factor = frame.plan.grid(h, w).expand(
+            frame.plan.bins.astype(np.uint8))
         for rs, cs, shape in grid.parts():
             ii, jj = np.nonzero(provenance[rs, cs] == idx)
             for out, src in ((digits, frame.digits),
@@ -325,8 +315,10 @@ def compose_from_gain_stack(stack: GainStack, gain_map: GainMap
         i, j = np.argwhere(uneven)[0].tolist()
         raise DataError(f"stack frame {provenance[i, j]} is binned unevenly "
                         f"over ROI ({i}, {j}) of the composite")
-    raw = RawCapture(digits=digits, saturation_mask=sat, roi_size=grid.size,
-                     gain_grid=gains, bin_grid=bins,
-                     mode=stack.frames[0].mode,
+    try:
+        plan = replace(plan, bins=bins, mode=stack.frames[0].plan.mode)
+    except ConfigError as exc:
+        raise DataError(f"the stack's bin factors: {exc}") from exc
+    raw = RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                      meta={"composed_from": list(map(float, stack.gains))})
     return raw, provenance

@@ -40,11 +40,22 @@ BIN_LADDER = (1, 2, 4, 8)  # linear bin factors; N = k*k
 BIN_MODES = ("additive", "average", "digital")
 
 
-def is_bin_factor(n):
-    """Whether each integer of ``n`` is a bin factor N = k * k, k in
-    ``BIN_LADDER``; ``kind="sort"`` tests the four factors in turn, 9 times
+def is_json_int(value) -> bool:
+    """Whether a plan field is an integer, not a bool or a whole float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_bin_factor(n, ladder=BIN_LADDER):
+    """Whether each number of ``n`` is a bin factor N = k * k, k in
+    ``ladder``; ``kind="sort"`` tests the four factors in turn, 9 times
     faster than ``np.isin``'s default table on a 512 x 512 per-pixel plan."""
-    return np.isin(n, [k * k for k in BIN_LADDER], kind="sort")
+    return np.isin(n, [k * k for k in ladder], kind="sort")
+
+
+def roi_ladder(roi_size: int) -> tuple:
+    """The linear bin factors k of ``BIN_LADDER`` that divide ``roi_size``,
+    the only ones a plan at that size uses."""
+    return tuple(k for k in BIN_LADDER if roi_size % k == 0)
 
 
 @dataclass(frozen=True)
@@ -153,29 +164,80 @@ class RadianceMap:
 
 
 @dataclass(frozen=True)
-class RawCapture:
-    """Quantized digital image plus the readout plan needed to invert it.
+class Plan:
+    """A readout plan: one gain and one bin factor N = k * k per ROI of the
+    ``roi_size`` tiling of a frame, and one binning ``mode``.  A constant
+    plan is the 1 x 1 grid at ``roi_size = max(height, width)``, a
+    per-pixel plan the grid at ``roi_size = 1``.
 
-    The plan is one gain and one bin factor per ROI of ``grid``, the
-    ``roi_size`` tiling of the digits, and one binning ``mode`` of
-    ``BIN_MODES``: a constant plan is the 1 x 1 grid at
-    ``roi_size = max(height, width)``, a per-pixel plan (the adaptive
-    capture, a ``per_pixel`` GainMap) the grid at ``roi_size = 1``.  Gains
-    must be finite and positive and bin factors squares of ``BIN_LADDER``
-    (DataError otherwise).  ``gain`` is the gain plan expanded to one
-    read-only value per pixel: the nominal decode gain (for binned readouts
-    it already includes the bin factor, so decoding is uniformly
-    ``dequantize(digits) / gain``).
-    ``meta`` holds what the plan does not: the adaptive strategy and its
-    eta, or the stack gains a composite was copied from.
+    Every plan's values are checked here, once (ConfigError): a positive
+    integer ``roi_size``, a mode of ``BIN_MODES``, finite positive gains,
+    and integral bin factors whose side k in ``BIN_LADDER`` divides
+    ``roi_size``.  ``gains`` and ``bins`` are 2-D grids of one shape
+    (ShapeError), held read-only as float64 and int64.
+    """
+
+    roi_size: int
+    gains: np.ndarray
+    bins: np.ndarray
+    mode: str
+
+    def __post_init__(self):
+        size, g, b = (self.roi_size, np.asarray(self.gains),
+                      np.asarray(self.bins))
+        if g.ndim != 2 or b.shape != g.shape:
+            raise ShapeError("a plan holds 2-D gain and bin factor grids of "
+                             f"one shape, not {g.shape} and {b.shape}")
+        if not (is_json_int(size) and size >= 1 and self.mode in BIN_MODES
+                and g.dtype.kind in "iuf" and b.dtype.kind in "iuf"
+                and np.all((g > 0) & (g < np.inf))
+                and is_bin_factor(b, roi_ladder(size)).all()):
+            raise ConfigError(
+                f"a plan needs a positive integer roi_size (not {size!r}), a "
+                f"mode of {BIN_MODES} (not {self.mode!r}), finite positive "
+                f"gains and bin factors {[k * k for k in BIN_LADDER]} whose "
+                "sides divide roi_size")
+        for name, arr in (("gains", g.astype(np.float64)),
+                          ("bins", b.astype(np.int64))):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def grid(self, height: int, width: int) -> RoiGrid:
+        """The plan's ROI grid on a ``height`` x ``width`` frame; ShapeError
+        unless the plan holds one gain and one bin factor per ROI of it."""
+        grid = RoiGrid(height, width, self.roi_size)
+        grid.check(self.gains, "plan")
+        return grid
+
+    def check_gains(self, config: SensorConfig) -> None:
+        """ConfigError unless every amplifier gain, g or under additive
+        binning g / N, lies in the configured range."""
+        n = self.bins if self.mode == "additive" else np.ones_like(self.bins)
+        amp = self.gains / n
+        bad = (amp < config.gain_min) | (amp > config.gain_max)
+        if bad.any():
+            g, n = float(self.gains[bad][0]), int(n[bad][0])
+            how = f" with additive binning at N={n}" if n > 1 else ""
+            raise ConfigError(
+                f"gain {g}{how} runs the amplifier at {g / n}, outside "
+                f"[gain_min={config.gain_min}, gain_max={config.gain_max}]")
+
+
+@dataclass(frozen=True)
+class RawCapture:
+    """Quantized digital image plus the ``Plan`` it was read under, with
+    one gain and one bin factor per ROI of the digits (ShapeError
+    otherwise).  ``gain`` is the plan's gains expanded to one read-only
+    value per pixel: the nominal decode gain (for binned readouts it already
+    includes the bin factor, so decoding is uniformly
+    ``dequantize(digits) / gain``).  ``meta`` holds what the plan does not:
+    the adaptive strategy and its eta, or the stack gains a composite was
+    copied from.
     """
 
     digits: np.ndarray
     saturation_mask: np.ndarray
-    roi_size: int
-    gain_grid: np.ndarray
-    bin_grid: np.ndarray
-    mode: str = "digital"
+    plan: Plan
     seed: int | None = None
     meta: dict = field(default_factory=dict)
 
@@ -184,27 +246,14 @@ class RawCapture:
         m = np.asarray(self.saturation_mask, dtype=bool)
         if d.ndim != 2 or m.shape != d.shape:
             raise ShapeError("digits must be 2-D and the mask of their shape")
-        g = np.array(self.grid.check(self.gain_grid, "gain"), dtype=np.float64)
-        b_in = self.grid.check(self.bin_grid, "bin")
-        b = np.array(b_in, dtype=np.int64)
-        if not (self.mode in BIN_MODES
-                and g.min(initial=1.0) > 0 and g.max(initial=1.0) < np.inf
-                and b_in.dtype.kind in "iu" and is_bin_factor(b).all()):
-            raise DataError(f"a capture plan needs a mode of {BIN_MODES}, "
-                            "positive finite gains and bin factors "
-                            f"{[k * k for k in BIN_LADDER]}")
-        for name, arr in (("digits", d), ("saturation_mask", m),
-                          ("gain_grid", g), ("bin_grid", b)):
+        self.plan.grid(*d.shape)
+        for name, arr in (("digits", d), ("saturation_mask", m)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def grid(self) -> RoiGrid:
-        return RoiGrid(*np.shape(self.digits), self.roi_size)
-
     @cached_property
     def gain(self) -> np.ndarray:
-        return self.grid.expand(self.gain_grid)
+        return self.plan.grid(*self.digits.shape).expand(self.plan.gains)
 
 
 @dataclass(frozen=True)
@@ -303,30 +352,22 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
                      config: SensorConfig, seed: int = 0) -> RawCapture:
     """Simulate a full capture of ``scene``: ``draw_noise`` at ``seed``,
-    read out by ``readout.read_plan``.
+    read out by ``readout.read_plan`` under the plan that
+    ``readout.fit_plan`` makes of ``gain_map`` (a ``GainMap``, or a number
+    read as the constant plan of that gain) and ``bin_map`` (a ``BinMap`` on
+    the same ROI grid, or None for unit pixels).
 
-    ``gain_map`` is a ``GainMap`` plan or a number, read as the constant
-    plan of that gain; ``bin_map`` is a ``BinMap`` plan on the same ROI
-    grid, or None for unit pixels on the gain plan's own grid.
-
-    One seed is one noise realization: a scalar gain and a per-ROI or
-    per-pixel GainMap of that gain give the same digits.
+    One seed is one noise realization: however the same gain is written
+    (a scalar, or a per-ROI or per-pixel GainMap of it, with or without an
+    all-ones BinMap), the digits are the same.
     """
-    from .gain import GainMap  # local imports: both build on sensor types
-    from .readout import BinMap, read_plan
+    from .readout import fit_plan, read_plan  # builds on sensor types
 
-    if not isinstance(gain_map, GainMap):
-        gain_map = GainMap("constant", gain_map)
-    if bin_map is None:
-        grid = gain_map.grid(*scene.data.shape)
-        bin_map = BinMap(grid.size, np.ones(grid.shape, dtype=np.int64),
-                         "digital")
+    plan = fit_plan(gain_map, bin_map, scene.data.shape)
     # the largest superpixel whose post-amp draws the readout reads; digital
     # binning reads only unit-pixel draws
-    k = (1 if bin_map.mode == "digital"
-         else math.isqrt(int(bin_map.factors.max())))
-    return read_plan(draw_noise(scene, config, seed, k), gain_map, bin_map,
-                     config)
+    k = 1 if plan.mode == "digital" else math.isqrt(int(plan.bins.max()))
+    return read_plan(draw_noise(scene, config, seed, k), plan, config)
 
 
 def estimate_photons(raw: RawCapture, config: SensorConfig) -> PhotonEstimate:

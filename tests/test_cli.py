@@ -360,6 +360,21 @@ _BAD_INPUTS = [
     ("capture_gain_map_zero_roi_size", 3,
      ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
      dict(_GAIN, roi_size=0)),
+    # a negative linear bin factor is off the ladder, though its square
+    # is on it
+    ("capture_bin_map_negative_linear_factor", 3,
+     ["capture", "{scene}", "--gain-map", "{gain}", "--bin-map", "{bad}",
+      *_RUN], dict(_BIN, values=[-2, 1, 1, 1])),
+    # a constant or per-pixel gain plan that names an roi_size names a
+    # positive one
+    ("simulate_gain_map_constant_negative_roi_size", 3,
+     ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN],
+     {"mode": "constant", "roi_size": -5, "eta": 0.0, "shape": [],
+      "values": [2.0]}),
+    ("simulate_gain_map_per_pixel_zero_roi_size", 3,
+     ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN],
+     {"mode": "per_pixel", "roi_size": 0, "eta": 0.0, "shape": [64, 64],
+      "values": [2.0] * 64 * 64}),
     *[(f"{name}_into_missing_dir", 3, argv, None) for name, argv in [
         ("simulate", ["simulate", "{scene}", "--seed", "1",
                       "--output", "{nodir}/x"]),

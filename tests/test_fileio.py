@@ -17,7 +17,7 @@ from svsensor import (BinMap, DataError, GainMap, GainStack, RadianceMap,
 from svsensor.fileio import (load_capture, load_gain_stack, read_pfm,
                              read_pgm16, save_capture, save_gain_stack,
                              save_json, write_pfm, write_pgm16)
-from svsensor.readout import BIN_MODES
+from svsensor.sensor import BIN_MODES
 
 
 def _hdr_scene(config, size, seed=1):
@@ -29,11 +29,12 @@ def _hdr_scene(config, size, seed=1):
 def _assert_same_capture(a, b):
     assert np.array_equal(a.digits, b.digits)
     assert np.array_equal(a.saturation_mask, b.saturation_mask)
-    assert (a.roi_size, a.mode) == (b.roi_size, b.mode)
-    for name in ("gain_grid", "bin_grid", "gain"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-    x, y = a.grid.expand(a.bin_grid), b.grid.expand(b.bin_grid)
+    assert (a.plan.roi_size, a.plan.mode) == (b.plan.roi_size, b.plan.mode)
+    for x, y in ((a.plan.gains, b.plan.gains), (a.plan.bins, b.plan.bins),
+                 (a.gain, b.gain)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    x, y = (c.plan.grid(*c.digits.shape).expand(c.plan.bins)
+            for c in (a, b))
     assert x.dtype == y.dtype and np.array_equal(x, y)
     assert a.seed == b.seed
     assert a.meta == b.meta
@@ -144,14 +145,15 @@ def test_per_pixel_capture_round_trip(tmp_path, config):
     back = load_capture(tmp_path / "cap", config)
     _assert_same_capture(back, raw)
     assert back.gain.dtype == np.float64
-    assert back.grid.expand(back.bin_grid).dtype == np.int64
+    assert back.plan.grid(64, 64).expand(back.plan.bins).dtype == np.int64
 
 
 def test_list_format_sidecar_rejected(tmp_path, config):
     raw = simulate_capture(_hdr_scene(config, 16), 1.0, None, config, seed=1)
     save_capture(tmp_path / "cap", raw)
+    bins = raw.plan.grid(16, 16).expand(raw.plan.bins)
     old = {"seed": 1, "meta": {}, "gain": raw.gain.tolist(),
-           "bin_factor": raw.grid.expand(raw.bin_grid).tolist()}
+           "bin_factor": bins.tolist()}
     (tmp_path / "cap.json").write_text(json.dumps(old))
     with pytest.raises(DataError, match="format"):
         load_capture(tmp_path / "cap", config)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
-                      RadianceMap, RoiGrid, SensorConfig, ShapeError,
-                      capture_adaptive, gain_for_level, gain_from_vignetting,
-                      next_gain, plan_gain_roi, quantize, quantize_to_ladder,
+                      RadianceMap, SensorConfig, capture_adaptive,
+                      gain_for_level, gain_from_vignetting, next_gain,
+                      plan_gain_roi, quantize, quantize_to_ladder,
                       simulate_capture)
 from svsensor.sensor import draw_noise
 
@@ -344,27 +344,16 @@ class TestGainMapType:
 
     @pytest.mark.parametrize("key, value", [
         ("roi_size", "32"), ("roi_size", 2.5), ("roi_size", True),
-        ("eta", "x"), ("eta", None)])
+        ("eta", "x"), ("eta", None), ("roi_size", -5), ("roi_size", 0)])
     def test_wrong_typed_fields_rejected(self, key, value):
-        doc = GainMap("per_roi", np.ones((1, 1)), roi_size=32).to_json_dict()
-        with pytest.raises(DataError):
-            GainMap.from_json_dict(dict(doc, **{key: value}))
-
-    def test_on_grid(self):
-        grid = RoiGrid(32, 20, 16)
-        per_roi = GainMap("per_roi", np.array([[1.0, 2.0], [3.0, 4.0]]),
-                          roi_size=16)
-        assert per_roi.on_grid(grid).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert GainMap("constant", 2.0).on_grid(grid).tolist() == [[2.0] * 2] * 2
-        for other in (RoiGrid(48, 20, 16), RoiGrid(32, 20, 8)):
-            with pytest.raises(ShapeError):
-                per_roi.on_grid(other)
-        per_pixel = GainMap("per_pixel", np.arange(1.0, 641.0).reshape(32, 20))
-        with pytest.raises(ShapeError):
-            per_pixel.on_grid(grid)
-        assert np.array_equal(per_pixel.on_grid(per_pixel.grid(32, 20)),
-                              per_pixel.values)
-        assert GainMap("constant", 2.0).grid(32, 20).shape == (1, 1)
+        # in every mode: a constant or per-pixel plan need not name an ROI
+        # size, but one that does names a positive integer
+        for gm in (GainMap("per_roi", np.ones((1, 1)), roi_size=32),
+                   GainMap("constant", 2.0),
+                   GainMap("per_pixel", np.ones((3, 2)))):
+            doc = gm.to_json_dict()
+            with pytest.raises(DataError):
+                GainMap.from_json_dict(dict(doc, **{key: value}))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):

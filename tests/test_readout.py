@@ -14,14 +14,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
-                      PhotonEstimate, RadianceMap, SensorConfig, ShapeError,
-                      bin_capture, capture_spatially_varying,
+                      PhotonEstimate, Plan, RadianceMap, SensorConfig,
+                      ShapeError, bin_capture, capture_spatially_varying,
                       compose_from_gain_stack, estimate_photons,
                       native_estimate_blocks, plan_bin_roi,
                       quantize_to_ladder, simulate_capture)
-from svsensor.readout import BIN_MODES, read_plan
+from svsensor.readout import fit_plan, read_plan
 from svsensor.roi import RoiGrid
-from svsensor.sensor import draw_noise, quantize
+from svsensor.sensor import BIN_MODES, draw_noise, quantize
 
 from conftest import roi_slices
 
@@ -47,7 +47,7 @@ def compose_by_roi_loop(stack, gains, roi):
     for (i, j), sl in roi_slices(h, w, roi):
         idx = stack.gains.index(gains[i, j])
         frame = stack.frames[idx]
-        factors = frame.grid.expand(frame.bin_grid)[sl]
+        factors = frame.plan.grid(h, w).expand(frame.plan.bins)[sl]
         if np.any(factors != factors[0, 0]):
             raise DataError(f"stack frame {idx} is binned unevenly over ROI "
                             f"({i}, {j}) of the composite")
@@ -130,6 +130,15 @@ class TestBinModes:
         with pytest.raises(ConfigError, match="gain_min"):
             bin_capture(scene, 2.0, 4, "additive", config, seed=56)
 
+    def test_additive_amplifier_held_to_gain_max(self, config):
+        # the amplifier runs at g / N, which the gain range bounds on both
+        # sides; g itself may exceed gain_max
+        scene = RadianceMap(data=np.full((8, 8), 10.0))
+        bin_capture(scene, 4 * config.gain_max, 4, "additive", config, seed=57)
+        with pytest.raises(ConfigError, match="gain_max"):
+            bin_capture(scene, 4 * config.gain_max + 1, 4, "additive",
+                        config, seed=57)
+
     def test_degenerate_factor_matches_plain_capture_stats(self, config):
         est = binned_estimates(40.0, 2.0, 1, "average", config, 40000, 57)
         pred = 40.0 + config.sigma_pre ** 2 + config.sigma_post ** 2 / 4.0
@@ -158,6 +167,20 @@ class TestBinModes:
                           + raw.saturation_mask.tobytes())
         assert digest.hexdigest() == ("e7841da8c6da72e9d37931be1bfa1d3f"
                                       "01d9a820e05e9b7f1e13b3878b672936")
+
+    def test_bin_capture_plan_describes_its_digits(self, config):
+        # one digit per superpixel: the reduced capture's plan is its
+        # gain at factor 1, so its native view is the estimate itself
+        scene = RadianceMap(data=np.full((24, 24), 40.0))
+        raw = bin_capture(scene, 8.0, 64, "digital", config, seed=59)
+        assert raw.digits.shape == (3, 3)
+        assert (raw.plan.roi_size, raw.plan.mode) == (3, "digital")
+        assert raw.plan.gains.tolist() == [[8.0]]
+        assert raw.plan.bins.tolist() == [[1]]
+        est = estimate_photons(raw, config)
+        (k, rois, view), = native_estimate_blocks(raw, est)
+        assert (k, rois.tolist()) == (1, [[True]])
+        assert np.array_equal(view, est.data)
 
     @given(mode=st.sampled_from(BIN_MODES), k=st.sampled_from([1, 2, 4, 8]),
            rows=st.integers(1, 3), cols=st.integers(1, 3),
@@ -244,13 +267,43 @@ class TestReadPlan:
         if mode == "additive":
             gains = gains * factors
         noise = draw_noise(scene, config, seed, max_k=8)
-        raw = read_plan(noise, GainMap("per_roi", gains, roi_size=roi),
-                        BinMap(roi, factors, mode), config)
+        raw = read_plan(noise, Plan(roi, gains, factors, mode), config)
         digits, sat = read_plan_reference(noise, gains, factors, mode, config,
                                           roi)
         assert raw.digits.dtype == digits.dtype
         assert np.array_equal(raw.digits, digits)
         assert np.array_equal(raw.saturation_mask, sat)
+
+
+class TestFitPlan:
+    def test_fits_gain_plan_onto_frame(self):
+        per_roi = GainMap("per_roi", np.array([[1.0, 2.0], [3.0, 4.0]]),
+                          roi_size=16)
+        plan = fit_plan(per_roi, None, (32, 20))
+        assert (plan.roi_size, plan.mode) == (16, "digital")
+        assert plan.gains.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert plan.bins.tolist() == [[1, 1], [1, 1]]
+        # a constant plan is one ROI over the frame, or the bin plan's grid
+        for gm in (GainMap("constant", 2.0), 2.0):
+            plan = fit_plan(gm, None, (32, 20))
+            assert (plan.roi_size, plan.gains.tolist()) == (32, [[2.0]])
+        bins = BinMap(16, np.array([[4, 1], [16, 4]]), "average")
+        plan = fit_plan(2.0, bins, (32, 20))
+        assert (plan.roi_size, plan.mode) == (16, "average")
+        assert plan.gains.tolist() == [[2.0] * 2] * 2
+        assert np.array_equal(plan.bins, bins.factors)
+        for shape in ((48, 20), (32, 33)):
+            with pytest.raises(ShapeError):
+                fit_plan(per_roi, None, shape)
+        with pytest.raises(ShapeError):
+            fit_plan(per_roi, BinMap(8, np.ones((4, 3), int), "digital"),
+                     (32, 20))
+        per_pixel = GainMap("per_pixel", np.arange(1.0, 641.0).reshape(32, 20))
+        assert fit_plan(per_pixel, None, (32, 20)).roi_size == 1
+        assert np.array_equal(fit_plan(per_pixel, None, (32, 20)).gains,
+                              per_pixel.values)
+        with pytest.raises(ShapeError):
+            fit_plan(per_pixel, bins, (32, 20))
 
 
 class TestSpatiallyVarying:
@@ -272,7 +325,8 @@ class TestSpatiallyVarying:
         noise = draw_noise(scene, config, 71, max_k=8)
         for values, bm in plans:
             gm = GainMap("per_roi", values, roi_size=16)
-            raw = read_plan(noise, gm, bm, config)
+            raw = read_plan(noise, Plan(16, values, bm.factors, bm.mode),
+                            config)
             ref, ref_est = capture_spatially_varying(scene, gm, bm, config,
                                                      seed=71)
             assert np.array_equal(raw.digits, ref.digits)
@@ -280,9 +334,9 @@ class TestSpatiallyVarying:
             assert np.array_equal(estimate_photons(raw, config).data,
                                   ref_est.data)
             assert (raw.seed, raw.meta) == (ref.seed, ref.meta)
-            assert (raw.roi_size, raw.mode) == (16, bm.mode)
-            assert np.array_equal(raw.gain_grid, values)
-            assert np.array_equal(raw.bin_grid, bm.factors)
+            assert (raw.plan.roi_size, raw.plan.mode) == (16, bm.mode)
+            assert np.array_equal(raw.plan.gains, values)
+            assert np.array_equal(raw.plan.bins, bm.factors)
 
     def test_realization_is_read_only(self, config):
         scene = RadianceMap(data=np.full((20, 12), 30.0))
@@ -349,7 +403,7 @@ class TestSpatiallyVarying:
         bm = BinMap(roi_size=32, factors=np.array([[1, 4], [16, 64]]),
                     mode="digital")
         raw, est = capture_spatially_varying(scene, gm, bm, config, seed=65)
-        assert raw.bin_grid.tolist() == [[1, 4], [16, 64]]
+        assert raw.plan.bins.tolist() == [[1, 4], [16, 64]]
         shapes = {}
         for k, rois, view in native_estimate_blocks(raw, est):
             r = 32 // k
@@ -503,11 +557,28 @@ class TestCompose:
         composed, got_provenance = compose_from_gain_stack(stack, plan)
         assert composed.digits.tobytes() == digits.tobytes()
         assert composed.saturation_mask.tobytes() == sat.tobytes()
-        assert composed.bin_grid.dtype == bins.dtype
-        assert composed.bin_grid.tobytes() == bins.tobytes()
+        assert composed.plan.bins.dtype == bins.dtype
+        assert composed.plan.bins.tobytes() == bins.tobytes()
         assert got_provenance.dtype == provenance.dtype
         assert got_provenance.tobytes() == provenance.tobytes()
-        assert np.array_equal(composed.gain_grid, gains)
+        assert np.array_equal(composed.plan.gains, gains)
+
+    def test_superpixels_cut_by_the_composite_rois_rejected(
+            self, config, make_uniform):
+        # frames binned at k = 4 on 16-pixel ROIs, composed on 10-pixel
+        # ROIs that 4 does not divide: some ROIs are binned alike but cut
+        # superpixels, so the composite has no plan
+        scene = make_uniform(100.0)
+        frames = tuple(simulate_capture(
+            scene, g, BinMap(16, np.full((4, 4), 16), "digital"), config,
+            seed=82) for g in (1.0, 2.0))
+        stack = GainStack(gains=(1.0, 2.0), frames=frames)
+        with pytest.raises(DataError, match="divide"):
+            compose_from_gain_stack(stack, GainMap(
+                "per_roi", np.ones((7, 7)), roi_size=10))
+        composed, _ = compose_from_gain_stack(stack, GainMap(
+            "per_roi", np.ones((2, 2)), roi_size=32))
+        assert composed.plan.bins.tolist() == [[16, 16], [16, 16]]
 
     def test_stack_validation(self, config, make_uniform):
         scene = make_uniform(10.0)
@@ -530,16 +601,16 @@ class TestCompose:
                                                    "digital"), config, seed=81)
         composed, _ = compose_from_gain_stack(
             GainStack(gains=(1.0, 4.0), frames=(unit, even)), plan)
-        assert composed.bin_grid.tolist() == [[1, 4], [4, 1]]
-        assert composed.mode == "digital"
+        assert composed.plan.bins.tolist() == [[1, 4], [4, 1]]
+        assert composed.plan.mode == "digital"
         uneven = simulate_capture(
             scene, 4.0, BinMap(16, np.tile([[1, 4], [4, 1]], (2, 2)),
                                "digital"), config, seed=81)
-        assert composed.roi_size == 32 and uneven.roi_size == 16
+        assert composed.plan.roi_size == 32 and uneven.plan.roi_size == 16
         stack = GainStack(gains=(1.0, 4.0), frames=(unit, uneven))
         on_own_grid, _ = compose_from_gain_stack(stack, GainMap(
             "per_roi", np.full((4, 4), 4.0), roi_size=16))
-        assert np.array_equal(on_own_grid.bin_grid, uneven.bin_grid)
+        assert np.array_equal(on_own_grid.plan.bins, uneven.plan.bins)
         with pytest.raises(DataError, match="unevenly"):
             compose_from_gain_stack(stack, GainMap("per_roi", np.full(
                 (2, 2), 4.0), roi_size=32))
@@ -592,7 +663,7 @@ class TestBinMapType:
 
     @pytest.mark.parametrize("key, value", [
         ("values", [2.5, 1.9]), ("values", [2, float("nan")]),
-        ("roi_size", "32"), ("roi_size", 32.0)])
+        ("roi_size", "32"), ("roi_size", 32.0), ("values", [-2, 1])])
     def test_malformed_plan_rejected(self, key, value):
         doc = BinMap(roi_size=32, factors=np.ones((1, 2), dtype=int),
                      mode="digital").to_json_dict()

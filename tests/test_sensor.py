@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from svsensor import (BinMap, ConfigError, DataError, GainMap,
-                      PhotonEstimate, RadianceMap, RawCapture, RoiGrid,
+                      PhotonEstimate, Plan, RadianceMap, RawCapture, RoiGrid,
                       SensorConfig, ShapeError, dequantize, estimate_photons,
                       quantize, simulate_capture)
 from svsensor.sensor import is_bin_factor
@@ -127,19 +127,23 @@ class TestCaptureContracts:
     @example(height=100, width=70, roi=32, gain=2.0, seed=5)
     def test_scalar_gain_equals_roi_grid(self, height, width, roi, gain,
                                          seed):
-        # one seed is one noise realization: a scalar gain and a per-ROI
-        # grid of that gain read the same draws, whether or not the ROI
+        # one seed is one noise realization: a scalar gain, a per-pixel
+        # plan of that gain, and a per-ROI grid of it with or without an
+        # all-ones bin plan read the same draws, whether or not the ROI
         # size divides the frame
         config = SensorConfig()
         scene = RadianceMap(data=np.random.default_rng(seed).uniform(
             0, 600, (height, width)))
-        grid = GainMap("per_roi", np.full(RoiGrid(height, width, roi).shape,
-                                          gain), roi_size=roi)
+        shape = RoiGrid(height, width, roi).shape
+        grid = GainMap("per_roi", np.full(shape, gain), roi_size=roi)
         a = simulate_capture(scene, gain, None, config, seed=seed)
-        b = simulate_capture(scene, grid, None, config, seed=seed)
-        assert np.array_equal(a.digits, b.digits)
-        assert np.array_equal(a.saturation_mask, b.saturation_mask)
-        assert np.array_equal(a.gain, b.gain)
+        per_pixel = GainMap("per_pixel", np.full((height, width), gain))
+        ones = BinMap(roi, np.ones(shape, np.int64), "digital")
+        for gm, bm in ((grid, None), (per_pixel, None), (grid, ones)):
+            b = simulate_capture(scene, gm, bm, config, seed=seed)
+            assert np.array_equal(a.digits, b.digits)
+            assert np.array_equal(a.saturation_mask, b.saturation_mask)
+            assert np.array_equal(a.gain, b.gain)
 
     def test_different_seeds_differ(self, config, make_uniform):
         scene = make_uniform(50.0)
@@ -183,28 +187,46 @@ class TestCaptureContracts:
 
 
 class TestRawCapturePlan:
+    # named by the sidecar fields that hold them: the .npz arrays gain_grid
+    # and bin_grid, and the JSON's mode and roi_size
+    FIELDS = {"gain_grid": "gains", "bin_grid": "bins", "mode": "mode",
+              "roi_size": "roi_size"}
+
     @pytest.mark.parametrize("name, value", [
         ("mode", "bogus"), ("mode", None), ("gain_grid", [[np.nan]]),
         ("gain_grid", [[np.inf]]), ("gain_grid", [[0.0]]),
         ("gain_grid", [[-2.0]]), ("bin_grid", [[3]]), ("bin_grid", [[0]]),
         ("bin_grid", [[-4]]), ("bin_grid", [[2]]), ("bin_grid", [[128]]),
-        ("bin_grid", [[4.5]])])
+        ("bin_grid", [[4.5]]), ("bin_grid", [[64]]), ("roi_size", 0),
+        ("roi_size", -4), ("roi_size", 4.0), ("roi_size", True),
+        ("roi_size", None), ("roi_size", "4")])
     def test_plan_values_rejected(self, name, value):
-        # a capture never holds a plan that load_capture would refuse
-        raw = RawCapture(digits=np.zeros((4, 4), np.uint16),
-                         saturation_mask=np.zeros((4, 4), bool), roi_size=4,
-                         gain_grid=[[1.0]], bin_grid=[[1]])
-        with pytest.raises(DataError):
-            replace(raw, **{name: value})
+        # the one plan check: a capture never holds a plan that
+        # load_capture would refuse; at roi_size 4 the factor 64 (k = 8)
+        # would cut its superpixels at the ROI edges
+        plan = Plan(4, [[1.0]], [[1]], "digital")
+        with pytest.raises(ConfigError):
+            replace(plan, **{self.FIELDS[name]: value})
+
+    def test_grids_of_one_shape(self):
+        with pytest.raises(ShapeError):
+            Plan(4, [[1.0, 1.0]], [[1]], "digital")
+        with pytest.raises(ShapeError):
+            Plan(4, [1.0], [1], "digital")
+        with pytest.raises(ShapeError):
+            RawCapture(digits=np.zeros((4, 8), np.uint16),
+                       saturation_mask=np.zeros((4, 8), bool),
+                       plan=Plan(4, [[1.0]], [[1]], "digital"))
 
     def test_every_ladder_factor_accepted(self):
-        raw = RawCapture(digits=np.zeros((4, 4), np.uint16),
-                         saturation_mask=np.zeros((4, 4), bool), roi_size=1,
-                         gain_grid=np.full((4, 4), 27.0),
-                         bin_grid=np.tile(np.uint8([1, 4, 16, 64]), (4, 1)),
-                         mode="additive")
-        assert raw.bin_grid.dtype == np.int64
-        assert raw.bin_grid[0].tolist() == [1, 4, 16, 64]
+        raw = RawCapture(digits=np.zeros((8, 32), np.uint16),
+                         saturation_mask=np.zeros((8, 32), bool),
+                         plan=Plan(8, np.full((1, 4), 27.0),
+                                   np.uint8([[1, 4, 16, 64]]), "additive"))
+        assert raw.plan.bins.dtype == np.int64
+        assert raw.plan.bins[0].tolist() == [1, 4, 16, 64]
+        assert raw.plan.gains.dtype == np.float64
+        assert not raw.plan.bins.flags.writeable
 
 
 @given(st.lists(st.one_of(st.integers(-70, 70),
