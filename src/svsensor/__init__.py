@@ -8,7 +8,7 @@ from .gain import (GainMap, PlanReport, capture_adaptive, gain_for_level,
 from .metrics import EvalReport, evaluate_protocol, gamma_correct, psnr, ssim
 from .readout import (BinMap, GainStack, bin_capture,
                       capture_spatially_varying, compose_from_gain_stack,
-                      native_estimate_blocks, plan_bin_roi)
+                      plan_bin_roi)
 from .roi import RoiGrid
 from .scenes import SceneSpec, boxed_sinusoid, load_and_normalize
 from .sensor import (PhotonEstimate, Plan, RadianceMap, RawCapture,
@@ -31,7 +31,7 @@ __all__ = [
     "dark_variance", "dequantize", "estimate_photons", "evaluate_protocol",
     "fit_read_noise", "gain_for_level", "gain_from_vignetting",
     "gamma_correct", "light_to_bin_lut", "load_and_normalize",
-    "native_estimate_blocks", "next_gain", "noise_sigma", "optimal_pitch",
+    "next_gain", "noise_sigma", "optimal_pitch",
     "plan_bin_roi", "plan_gain_roi", "psnr",
     "quantize", "quantize_to_ladder", "simulate_capture",
     "ssim", "sweep_pitch",

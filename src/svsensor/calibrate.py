@@ -71,10 +71,9 @@ def dark_variance(frames: list) -> float:
             stacks.append(np.asarray(f, dtype=np.float64))
     if len(gains) > 1:
         raise DataError("dark frames span multiple gains")
-    cube = np.stack(stacks)
-    if cube.ndim != 3:
+    if len({s.shape for s in stacks}) > 1 or stacks[0].ndim != 2:
         raise DataError("dark frames must share dimensions")
-    return float(cube.var(axis=0, ddof=1).mean())
+    return float(np.stack(stacks).var(axis=0, ddof=1).mean())
 
 
 def fit_read_noise(samples: list, config: SensorConfig | None = None,
@@ -96,6 +95,9 @@ def fit_read_noise(samples: list, config: SensorConfig | None = None,
         raise DataError("need at least three gain samples")
     g = np.asarray([s[0] for s in samples], dtype=np.float64)
     v = np.asarray([s[1] for s in samples], dtype=np.float64)
+    if not np.all((g > 0) & (g < np.inf)):
+        raise DataError(f"calibration gains must be finite and positive, not "
+                        f"{g.tolist()}")
     if np.unique(g).size < 2:
         raise NumericalError("all gains equal: quadratic fit is degenerate")
     design = np.column_stack([g ** 2, np.ones_like(g)])

@@ -13,11 +13,14 @@ drawn once and read out under each of the four plans, so methods are
 compared on identical photon arrivals and the comparison is paired:
 strategies that coincide on an ROI produce identical pixels there.
 Estimates are normalized by well capacity, gamma corrected, and scored with
-SSIM per ROI against the noise-free ground truth.  The ROIs are scored in
-stacks of same-shape blocks, and the ground truth's blur statistics are
-computed once per scene and view and shared by the four methods.  Reports
-aggregate the worst-case ROI (the number that exposes how the darkest or
-most damaged region fared) alongside the mean.
+SSIM per ROI against the noise-free ground truth.  Every stage after the
+noise draw is local to one ROI, so one loop over chunks of same-shape ROI
+blocks does them all: per chunk, the ground truth's blocks are tonemapped
+and their blur statistics taken once, and each method's blocks are read
+out (``readout.read_blocks``), estimated, tonemapped and scored, at unit
+resolution and, where binned, at native resolution.  No per-method frame
+is built.  Reports aggregate the worst-case ROI (the number that exposes
+how the darkest or most damaged region fared) alongside the mean.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .gain import _check_eta, _check_roi_size, plan_gain_roi
-from .readout import native_estimate_blocks, plan_bin_roi, read_plan
+from .readout import plan_bin_roi, read_blocks
 from .roi import RoiGrid
-from .sensor import (Plan, RadianceMap, SensorConfig, draw_noise,
+from .sensor import (Plan, RadianceMap, SensorConfig, dequantize, draw_noise,
                      estimate_photons, roi_ladder, simulate_capture)
 from .theory import TheoryParams
 
@@ -45,12 +48,12 @@ _SSIM_RADIUS = 5
 _SSIM_WEIGHTS = np.exp(-0.5 / 1.5 ** 2
                        * np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1) ** 2)
 _SSIM_WEIGHTS /= _SSIM_WEIGHTS.sum()
-# ROI pixels the stacked SSIM blurs at once: its working set is about a
-# dozen float64 arrays of this size at any frame size, and evaluate's two
-# threads each hold one chunk.  On a 2-core x86 host with both threads,
-# 2**15 timed fastest at 512x512 (roi 32); 2**14 was about 20% slower, and
-# 2**16 and 2**17 added 2 and 9 MB to its peak RSS.  At 2048x2048 (roi 128)
-# 2**16 was about 10% faster than 2**15.
+# ROI pixels per chunk of evaluate's loop, which reads them out under every
+# plan and scores them: about a dozen float64 arrays of this size per
+# thread, at any frame size.  In single 12 s protocol_512 runs on a 2-core
+# x86 host, 2**15 took 0.60-0.71 s a pass at 71.7-73.4 MB peak RSS, 2**14
+# 0.89-0.91 s (twice the chunks, contending for the GIL), and 2**16
+# 0.50-0.52 s at 73.5-73.8 MB; the lower peak was chosen.
 _SSIM_CHUNK_PIXELS = 1 << 15
 
 
@@ -69,8 +72,10 @@ def _gamma_in_place(x: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
-    """The protocol's rendering: photons over well capacity, gamma 1/3.2."""
-    return _gamma_in_place(photons / config.well_capacity, 1.0 / 3.2)
+    """The protocol's rendering, written into the float64 array
+    ``photons``: photons over well capacity, gamma 1/3.2."""
+    photons /= config.well_capacity
+    return _gamma_in_place(photons, 1.0 / 3.2)
 
 
 def _blur(stack: np.ndarray, crop: int) -> np.ndarray:
@@ -83,8 +88,8 @@ def _blur(stack: np.ndarray, crop: int) -> np.ndarray:
     symmetric correlation.  With ``crop`` the window radius no kept output
     reads past a block's edge, so the axis-1 pass computes only the kept
     rows and the axis-2 pass only the kept columns; with ``crop`` 0 each
-    axis is padded first by numpy's ``symmetric`` mode, which is scipy's
-    ``reflect`` even on lines shorter than the radius."""
+    axis is padded first as numpy's ``symmetric`` mode pads it, which is
+    scipy's ``reflect`` even on lines shorter than the radius."""
     return _window(_window(stack, 1, crop), 2, crop)
 
 
@@ -92,9 +97,11 @@ def _window(x: np.ndarray, axis: int, crop: int) -> np.ndarray:
     """One pass of ``_blur`` along ``axis`` of a 3-D ``x``."""
     r = _SSIM_RADIUS
     if crop == 0:
-        pad = [(0, 0)] * 3
-        pad[axis] = (r, r)
-        x = np.pad(x, pad, mode="symmetric")
+        # numpy's "symmetric" pad, repeated reflections included, as an
+        # index: the line extended with period 2n, mirrored
+        n = x.shape[axis]
+        p = np.arange(-r, n + r) % (2 * n)
+        x = np.take(x, np.where(p < n, p, 2 * n - 1 - p), axis=axis)
     m = x.shape[axis] - 2 * r  # outputs kept; output t is centred on x[t + r]
 
     def tap(d):
@@ -156,118 +163,47 @@ def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     return (smap[0], float(means[0])) if image else (smap, means)
 
 
-class RoiScorer:
-    """Per-ROI SSIM and mean squared error of test images against one
-    reference on the ROI grid ``grid``.
+def _share(helper, grid: RoiGrid, work) -> None:
+    """Call ``work(rs, cs, shape, at)`` for each chunk of ``grid``: per
+    same-shape group ``rs`` x ``cs`` of ``grid.parts()``, ``at`` the ROI row
+    and column indices within it of ``_SSIM_CHUNK_PIXELS`` pixels' worth of
+    ROIs.  This thread and one task on the executor ``helper`` take chunks
+    from one locked iterator, and each chunk writes only its own ROIs.  Once
+    this thread finds no chunk left, the helper's task is cancelled if it
+    has not started and waited for if it has, so a helper that is busy
+    elsewhere or descheduled delays the return by at most one chunk.  A
+    chunk that raises stops both threads after the chunk they hold, and its
+    error is raised here."""
+    def every_chunk():
+        for rs, cs, shape in grid.parts():
+            ii, jj = np.nonzero(np.ones((rs.stop - rs.start,
+                                         cs.stop - cs.start), bool))
+            step = max(1, _SSIM_CHUNK_PIXELS // math.prod(shape))
+            for s in range(0, ii.size, step):
+                yield rs, cs, shape, (ii[s:s + step], jj[s:s + step])
 
-    ``reference(k)`` renders the reference at native view k, one pixel per
-    k x k superpixel (k = 1 is the unit view), so that ROI (i, j) starts at
-    row ``i * grid.size // k`` and column ``j * grid.size // k``.  A view's
-    reference blocks and their blur statistics are computed for every ROI
-    the first time the view is scored and reused for every test image;
-    the statistics cover the interior that ``ssim`` averages.  Same-shape
-    blocks are scored as stacks, ``_SSIM_CHUNK_PIXELS`` pixels at a time,
-    and the calling thread and one task on the executor ``helper`` share
-    the chunks.  Each chunk does the same float operations whichever thread
-    takes it, so the scores do not depend on the helper.
-    """
+    chunks, lock = every_chunk(), threading.Lock()
+    failed = threading.Event()
 
-    def __init__(self, grid: RoiGrid, reference, helper):
-        self.grid = grid
-        self._reference = reference
-        self._helper = helper
-        self._views = {}
+    def drain():
+        while not failed.is_set():
+            with lock:
+                chunk = next(chunks, None)
+            if chunk is None:
+                return
+            try:
+                work(*chunk)
+            except BaseException:
+                failed.set()
+                raise
 
-    def _view(self, k: int) -> list:
-        """(ROI rows, ROI columns, reference blocks, mu_a, var_a) for each
-        same-shape ROI group whose blocks view k tiles."""
-        if k not in self._views:
-            parts = []
-            if self.grid.size % k == 0:
-                ref = self._reference(k)
-                for rs, cs, (bh, bw) in self.grid.parts():
-                    if bh % k or bw % k:
-                        continue
-                    blocks = self.grid.blocks(ref, rs, cs,
-                                              (bh // k, bw // k), k)
-                    crop = _crop(blocks.shape)
-                    inner = (*blocks.shape[:2], blocks.shape[2] - 2 * crop,
-                             blocks.shape[3] - 2 * crop)
-                    parts.append((rs, cs, blocks, np.empty(inner),
-                                  np.empty(inner)))
-
-            def stats(n, i, j):
-                _, _, blocks, mu, var = parts[n]
-                mu[i, j], var[i, j] = _reference_stats(blocks[i, j])
-
-            self._share(stats, parts)
-            self._views[k] = parts
-        return self._views[k]
-
-    def scores(self, test: np.ndarray, k: int = 1, select=None):
-        """Per-ROI SSIM and MSE grids of ``test``, an image at view k, on
-        the ROIs where the boolean grid ``select`` holds (all by default);
-        NaN elsewhere and where k does not tile the ROI."""
-        ssims = np.full(self.grid.shape, np.nan)
-        mse = np.full(self.grid.shape, np.nan)
-        parts = self._view(k)
-        tests = [self.grid.blocks(test, rs, cs, ref.shape[2:], k)
-                 for rs, cs, ref, _, _ in parts]
-
-        def score(n, i, j):
-            rs, cs, ref, mu, var = parts[n]
-            a, b = ref[i, j], tests[n][i, j]
-            at = (rs.start + i, cs.start + j)
-            ssims[at] = ssim(a, b, (mu[i, j], var[i, j]))[1]
-            mse[at] = ((a - b) ** 2).mean(axis=(1, 2))
-
-        self._share(score, parts, select)
-        return ssims, mse
-
-    def _share(self, work, parts, select=None):
-        """Call ``work(n, i, j)`` for each chunk of ``_chunks(parts,
-        select)``, on this thread and on a task on the helper, which take
-        chunks from one locked iterator; each chunk writes only its own
-        ROIs.  Once this thread finds no chunk left, the helper's task is
-        cancelled if it has not started and waited for if it has, so a
-        helper that is busy elsewhere or descheduled delays the return by
-        at most one chunk.  A chunk that raises stops both threads after
-        the chunk they hold, and its error is raised here."""
-        chunks, lock = _chunks(parts, select), threading.Lock()
-        failed = threading.Event()
-
-        def drain():
-            while not failed.is_set():
-                with lock:
-                    chunk = next(chunks, None)
-                if chunk is None:
-                    return
-                try:
-                    work(*chunk)
-                except BaseException:
-                    failed.set()
-                    raise
-
-        side = self._helper.submit(drain)
-        try:
-            drain()
-        finally:
-            late = None if side.cancel() else side.exception()
-        if late is not None:
-            raise late
-
-
-def _chunks(parts, select):
-    """Yield (part index n, ROI rows, ROI columns) index arrays of the
-    blocks of each (ROI rows, ROI columns, blocks, ...) group ``parts[n]``
-    where the boolean ROI grid ``select`` holds (all if None),
-    ``_SSIM_CHUNK_PIXELS`` pixels' worth at a time."""
-    for n, (rs, cs, blocks, *_) in enumerate(parts):
-        ii, jj = np.nonzero(np.ones(blocks.shape[:2], bool) if select is None
-                            else select[rs, cs])
-        step = max(1, _SSIM_CHUNK_PIXELS // math.prod(blocks.shape[2:]))
-        for s in range(0, ii.size, step):
-            yield n, ii[s:s + step], jj[s:s + step]
+    side = helper.submit(drain)
+    try:
+        drain()
+    finally:
+        late = None if side.cancel() else side.exception()
+    if late is not None:
+        raise late
 
 
 def _decibels(mse: float) -> float:
@@ -319,22 +255,72 @@ class EvalReport:
         return rows
 
 
-def _score_method(scorer: RoiScorer, img: np.ndarray, raw, est,
-                  config: SensorConfig) -> MethodScores:
-    """Score one method's rendered estimate ``img`` per ROI; binned ROIs are
-    also scored at native resolution against the block-mean reference."""
-    ssims, mse = scorer.scores(img)
-    native = ssims.copy()
-    for k, rois, view in native_estimate_blocks(raw, est):
-        if k > 1:
-            at_k, _ = scorer.scores(_tonemap(view, config), k, rois)
-            native = np.where(np.isnan(at_k), native, at_k)
-    return MethodScores(worst_ssim=float(ssims.min()),
-                        mean_ssim=float(ssims.mean()),
-                        worst_psnr=float(np.min([_decibels(m) for m in
-                                                 mse.ravel().tolist()])),
-                        worst_ssim_native=float(native.min()),
-                        ssim_grid=ssims)
+def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
+                 config: SensorConfig, helper, dump=None) -> dict:
+    """Per-ROI SSIM, MSE and native SSIM, as one (3, ROI rows, ROI columns)
+    array per name, of each ``Plan`` of ``plans`` on the ROI grid ``grid``,
+    read out from the realization ``noise`` of ``scene``.
+
+    Per chunk of ``_share``, the ground truth's blocks are tonemapped and
+    their blur statistics taken once; each plan's blocks are then read out,
+    estimated as ``dequantize(digits) / gain``, tonemapped and scored.  An
+    ROI binned at k whose blocks k tiles is also scored at native
+    resolution, one pixel per superpixel, against the tonemapped k x k
+    block means of the ground truth; elsewhere its native SSIM is its SSIM.
+    ``dump``, a dict, receives each plan's and the ground truth's
+    (``"ground_truth"``) tonemapped frame in 16 bits.
+    """
+    h, w = scene.data.shape
+    for plan in plans.values():
+        plan.check_gains(config)
+    scores = {name: np.full((3, *grid.shape), np.nan) for name in plans}
+    # the block means over the whole frame: a block stack's mean adds in
+    # another order and differs in the last bits
+    means = {k: scene.data[:h // k * k, :w // k * k].reshape(
+        h // k, k, w // k, k).mean(axis=(1, 3))
+        for k in {math.isqrt(n) for plan in plans.values()
+                  for n in np.unique(plan.bins).tolist() if n > 1}}
+    if dump is not None:
+        dump.update((name, np.empty((h, w), np.uint16))
+                    for name in ("ground_truth", *plans))
+
+    def score(rs, cs, shape, at):
+        bh, bw = shape
+        views = {}  # k: the chunk's native ground truth and its statistics
+        for plan in plans.values():
+            for n in np.unique(plan.bins[rs, cs][at]).tolist():
+                k = math.isqrt(n)
+                if k > 1 and k not in views and not (bh % k or bw % k):
+                    ref_k = _tonemap(grid.blocks(
+                        means[k], rs, cs, (bh // k, bw // k), k)[at], config)
+                    views[k] = ref_k, _reference_stats(ref_k)
+        ref = _tonemap(grid.blocks(scene.data, rs, cs, shape)[at], config)
+        stats = _reference_stats(ref)
+        if dump is not None:
+            grid.blocks(dump["ground_truth"], rs, cs, shape)[at] = np.rint(
+                ref * 65535)
+        for name, plan in plans.items():
+            digits, _ = read_blocks(noise, plan, config, grid, rs, cs, shape,
+                                    at)
+            img = dequantize(digits, config)
+            img /= plan.gains[rs, cs][at][:, None, None]
+            _tonemap(img, config)
+            ssims = ssim(ref, img, stats)[1]
+            native = ssims.copy()
+            bins = plan.bins[rs, cs][at]
+            for k, (ref_k, (mu, var)) in views.items():
+                sel = np.flatnonzero(bins == k * k)
+                if sel.size:
+                    native[sel] = ssim(ref_k[sel], img[sel, ::k, ::k],
+                                       (mu[sel], var[sel]))[1]
+            scores[name][:, rs, cs][:, at[0], at[1]] = (
+                ssims, ((ref - img) ** 2).mean(axis=(1, 2)), native)
+            if dump is not None:
+                grid.blocks(dump[name], rs, cs, shape)[at] = np.rint(
+                    img * 65535)
+
+    _share(helper, grid, score)
+    return scores
 
 
 def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
@@ -347,7 +333,7 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     method's gamma-corrected output plus the ground truth, for visual
     inspection.  The call owns one helper thread: it draws the main
     realization while this thread captures the pilot and plans from it,
-    and then shares the SSIM chunks.
+    and then shares the ROI chunks.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -395,36 +381,24 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
                                        "digital"),
         }
 
-        gt_gamma = _tonemap(scene.data, config)
-
-        def reference(k):
-            # the ground truth at native view k: the mean of each k x k block
-            if k == 1:
-                return gt_gamma
-            h, w = scene.height // k * k, scene.width // k * k
-            return _tonemap(scene.data[:h, :w].reshape(h // k, k, w // k, k)
-                            .mean(axis=(1, 3)), config)
-
-        scorer = RoiScorer(RoiGrid(scene.height, scene.width, roi_size),
-                           reference, helper)
-        report = EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
-                            seed=seed)
+        dump = None if dump_dir is None else {}
         if dump_dir is not None:
             from pathlib import Path
             from .fileio import file_errors, write_pgm16
-            dump = Path(dump_dir)
-            with file_errors(dump, "write"):
-                dump.mkdir(parents=True, exist_ok=True)
-            write_pgm16(dump / "ground_truth.pgm",
-                        np.rint(gt_gamma * 65535).astype(np.uint16))
-        noise = drawn.result()
-        for name in methods:
-            raw = read_plan(noise, plans[name], config)
-            est = estimate_photons(raw, config)
-            img = _tonemap(est.data, config)
-            report.scores[name] = _score_method(scorer, img, raw, est, config)
-            if dump_dir is not None:
-                write_pgm16(dump / f"{name}.pgm",
-                            np.rint(img * 65535).astype(np.uint16))
-            del raw, est, img  # free before the next readout
-    return report
+            dump_dir = Path(dump_dir)
+            with file_errors(dump_dir, "write"):
+                dump_dir.mkdir(parents=True, exist_ok=True)
+        scores = _score_plans(scene, drawn.result(),
+                              RoiGrid(scene.height, scene.width, roi_size),
+                              {name: plans[name] for name in methods},
+                              config, helper, dump)
+    for name, frame in (dump or {}).items():
+        write_pgm16(dump_dir / f"{name}.pgm", frame)
+    return EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
+                      seed=seed, scores={name: MethodScores(
+                          worst_ssim=float(ssims.min()),
+                          mean_ssim=float(ssims.mean()),
+                          worst_psnr=min(map(_decibels, mse.ravel().tolist())),
+                          worst_ssim_native=float(native.min()),
+                          ssim_grid=ssims)
+                          for name, (ssims, mse, native) in scores.items()})

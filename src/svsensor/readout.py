@@ -14,14 +14,17 @@ All modes cut the photon-noise term by N and are decoded by the same nominal
 gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
 Reproducibility: one seed is one noise realization.  Every planned capture
-goes through ``read_plan``, which digitizes a ``sensor.draw_noise``
-realization under one ``sensor.Plan`` (``fit_plan`` makes it of a gain plan
-and a bin plan): the whole frame drawn in a fixed order, independent of the
-plan (unit-pixel photons and read noise, then superpixel post-amp normals on
-the global k-grids).  Captures of the same scene with the same seed but
-different plans therefore share their physical noise realization: a scalar
-gain and a grid of that gain give the same digits, and the evaluation
-protocol draws one realization and reads it out under each method's plan.
+goes through one kernel, ``read_blocks``, which digitizes the blocks of a
+selection of ROIs of a ``sensor.draw_noise`` realization under one
+``sensor.Plan`` (``fit_plan`` makes it of a gain plan and a bin plan):
+``read_plan`` runs it over every ROI into a frame, and ``evaluate`` over
+each chunk of ROIs it scores.  The realization is the whole frame drawn in
+a fixed order, independent of the plan (unit-pixel photons and read noise,
+then superpixel post-amp normals on the global k-grids).  Captures of the
+same scene with the same seed but different plans therefore share their
+physical noise realization: a scalar gain and a grid of that gain give the
+same digits, and the evaluation protocol draws one realization and reads it
+out under each method's plan.
 The per-pixel adaptive loop (``gain.capture_adaptive``) reads the same draws
 through its own sequential recursion.
 """
@@ -37,9 +40,9 @@ from .errors import ConfigError, DataError, ShapeError
 from .gain import GainMap
 from .roi import RoiGrid
 from .sensor import (BIN_LADDER, PhotonEstimate, Plan, RadianceMap,
-                     RawCapture, Realization, SensorConfig, estimate_photons,
-                     is_bin_factor, is_json_int, quantize, roi_ladder,
-                     simulate_capture)
+                     RawCapture, Realization, SensorConfig,
+                     _quantize_in_place, estimate_photons, is_bin_factor,
+                     is_json_int, roi_ladder, simulate_capture)
 from .theory import TheoryParams, cutoff_frequencies, ladder_bin_factors
 
 
@@ -160,76 +163,95 @@ def capture_spatially_varying(scene: RadianceMap, gain_map, bin_map: BinMap,
 
     The returned capture and estimate are at unit resolution with each
     superpixel's value replicated over its footprint (the nearest-neighbor
-    upsampled view); ``native_estimate_blocks`` recovers the per-ROI native
-    resolution.
+    upsampled view); an ROI binned at k reads at native resolution, one
+    value per superpixel, when sampled ``[::k, ::k]``.
     """
     raw = simulate_capture(scene, gain_map, bin_map, config, seed)
     return raw, estimate_photons(raw, config)
 
 
-def read_plan(noise: Realization, plan: Plan,
-              config: SensorConfig) -> RawCapture:
-    """The capture kernel: digitize a ``draw_noise`` realization under a
-    ``Plan``, once ``Plan.check_gains`` has held it to the configured gain
-    range.  Analog modes read the superpixel draws of every k they bin at, so the
-    realization must be drawn at least that far.
+def read_blocks(noise: Realization, plan: Plan, config: SensorConfig,
+                grid: RoiGrid, rs: slice, cs: slice, shape, at):
+    """The capture kernel: the digits and saturation mask, as two (ROIs,
+    h, w) stacks, of the ROIs ``at`` (row and column indices within the
+    ``grid.parts()`` group ``rs`` x ``cs`` of blocks ``shape`` = (h, w)) of
+    a ``draw_noise`` realization, read under a ``Plan`` on ``grid`` that
+    ``Plan.check_gains`` has held to the gain range.  Analog modes read the
+    superpixel draws of every k they bin at, so the realization must be
+    drawn at least that far.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
     starts at a multiple of k in both axes; every k divides the ROI size,
     so gain and factor are constant over each superpixel.  Superpixels cut
-    by the frame edge are padded by edge replication.  The capture's digits
-    are at unit resolution, each superpixel's value replicated over its
-    footprint, and it carries the plan it was read under.
-
-    Each factor is read out only on the ROIs that carry it: per same-shape
-    ROI group (``RoiGrid.parts``), their blocks are gathered, summed per
-    superpixel, quantized and written over the unit-pixel digits and mask.
+    by the frame edge are padded by edge replication.  Each factor is read
+    on the blocks that carry it, over their unit-pixel readout, and its
+    value replicated over each superpixel's footprint.
     """
-    charge = noise.charge
-    grid = plan.grid(*charge.shape)
-    plan.check_gains(config)
-    gains, bins, mode = plan.gains, plan.bins, plan.mode
+    bh, bw = shape
 
-    digits = quantize(grid.expand(gains) * charge + noise.n_post, config)
+    def gather(arr, k=1, sel=slice(None)):
+        # the blocks of the ROIs at[sel], at one pixel per k x k superpixel
+        return grid.blocks(arr, rs, cs, (-(-bh // k), -(-bw // k)),
+                           k)[at[0][sel], at[1][sel]]
+
+    gains, bins = plan.gains[rs, cs][at], plan.bins[rs, cs][at]
+    v = gather(noise.charge)
+    v *= gains[:, None, None]
+    v += gather(noise.n_post)
+    digits = _quantize_in_place(v, config)
     sat = digits == config.digital_max
-    for rs, cs, (bh, bw) in grid.parts():
-        group = bins[rs, cs]
-        for n in np.unique(group[group > 1]).tolist():
-            k = math.isqrt(n)
-            ii, jj = np.nonzero(group == n)
+    for n in np.unique(bins[bins > 1]).tolist():
+        k = math.isqrt(n)
+        sel = np.flatnonzero(bins == n)
 
-            def superpixels(arr, reduce):
-                # reduce each k x k superpixel of the selected ROIs' blocks,
-                # those cut by the frame edge padded by edge replication
-                blocks = grid.blocks(arr, rs, cs, (bh, bw))[ii, jj]
-                if bh % k or bw % k:
-                    blocks = np.pad(blocks, ((0, 0), (0, -bh % k),
-                                             (0, -bw % k)), mode="edge")
-                m, sh, sw = blocks.shape
-                return reduce(blocks.reshape(m, sh // k, k, sw // k, k),
-                              axis=(2, 4))
+        def superpixels(blocks, reduce):
+            # reduce each k x k superpixel of the selected blocks, those cut
+            # by the frame edge padded by edge replication
+            if bh % k or bw % k:
+                blocks = np.pad(blocks, ((0, 0), (0, -bh % k), (0, -bw % k)),
+                                mode="edge")
+            m, sh, sw = blocks.shape
+            return reduce(blocks.reshape(m, sh // k, k, sw // k, k),
+                          axis=(2, 4))
 
-            if mode == "digital":
-                # integer sums of digits, any clipped unit pixel
-                d_sup = np.rint(superpixels(digits, np.sum) / n
-                                ).astype(np.uint16)
-                sat_sup = superpixels(sat, np.any)
+        if plan.mode == "digital":
+            # integer sums of digits, any clipped unit pixel
+            d_sup = np.rint(superpixels(digits[sel], np.sum) / n
+                            ).astype(np.uint16)
+            sat_sup = superpixels(sat[sel], np.any)
+        else:
+            g = gains[sel, None, None]
+            post = gather(noise.sup_post[k], k, sel)
+            summed = superpixels(gather(noise.charge, 1, sel), np.sum)
+            if plan.mode == "additive":
+                # shared sense node holds at most N wells' worth of charge
+                summed = np.minimum(summed, n * config.well_capacity)
+                v = (g / n) * summed + post
             else:
-                g = gains[rs, cs][ii, jj][:, None, None]
-                post = grid.blocks(noise.sup_post[k], rs, cs,
-                                   (-(-bh // k), -(-bw // k)), k)[ii, jj]
-                summed = superpixels(charge, np.sum)
-                if mode == "additive":
-                    # shared sense node holds at most N wells' worth of charge
-                    summed = np.minimum(summed, n * config.well_capacity)
-                    v = (g / n) * summed + post
-                else:
-                    v = g * (summed / n) + post
-                d_sup = quantize(v, config)
-                sat_sup = d_sup == config.digital_max
-            for out, sup in ((digits, d_sup), (sat, sat_sup)):
-                grid.blocks(out, rs, cs, (bh, bw))[ii, jj] = np.repeat(
-                    np.repeat(sup, k, axis=1), k, axis=2)[:, :bh, :bw]
+                v = g * (summed / n) + post
+            d_sup = _quantize_in_place(v, config)
+            sat_sup = d_sup == config.digital_max
+        for out, sup in ((digits, d_sup), (sat, sat_sup)):
+            out[sel] = np.repeat(np.repeat(sup, k, axis=1), k,
+                                 axis=2)[:, :bh, :bw]
+    return digits, sat
+
+
+def read_plan(noise: Realization, plan: Plan,
+              config: SensorConfig) -> RawCapture:
+    """Digitize a ``draw_noise`` realization under a ``Plan``, held first
+    to the configured gain range: ``read_blocks`` over every ROI, written
+    into one frame.  The capture carries the plan it was read under."""
+    grid = plan.grid(*noise.charge.shape)
+    plan.check_gains(config)
+    digits = np.empty(noise.charge.shape, np.uint16)
+    sat = np.empty(digits.shape, bool)
+    for rs, cs, shape in grid.parts():
+        at = np.nonzero(np.ones((rs.stop - rs.start, cs.stop - cs.start),
+                                bool))
+        for out, blocks in zip((digits, sat), read_blocks(
+                noise, plan, config, grid, rs, cs, shape, at)):
+            grid.blocks(out, rs, cs, shape)[at] = blocks
     return RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                       seed=noise.seed)
 
@@ -262,17 +284,6 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
         density[lit], params.pitch_candidates, gain, params.snr_t, config),
         ladder)
     return BinMap(roi_size=roi_size, factors=factors, mode=mode)
-
-
-def native_estimate_blocks(raw: RawCapture, estimate: PhotonEstimate):
-    """The native-resolution views of a spatially-varying capture's
-    estimate: yield (k, ROIs read out at linear bin factor k, the estimate
-    sampled ``[::k, ::k]``) for each k the capture uses.  The view holds one
-    value per k x k superpixel; ROI (i, j)'s superpixels fill its rows
-    ``i * roi_size // k`` onward and columns ``j * roi_size // k`` onward."""
-    ks = np.sqrt(raw.plan.bins).astype(np.int64)
-    for k in np.unique(ks).tolist():
-        yield k, ks == k, estimate.data[::k, ::k]
 
 
 def compose_from_gain_stack(stack: GainStack, gain_map

@@ -112,7 +112,8 @@ def load_and_normalize(spec: SceneSpec, config: SensorConfig) -> RadianceMap:
     else:
         data = _hdr_blobs(spec.seed, spec.width, spec.height)
 
-    if spec.mean_level_frac is not None:
+    # an empty map has no mean to rescale, and RadianceMap rejects it
+    if spec.mean_level_frac is not None and data.size:
         mean = data.mean()
         if mean <= 0:
             raise DataError("scene mean is zero: cannot normalize")

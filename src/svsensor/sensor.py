@@ -52,6 +52,14 @@ def is_bin_factor(n, ladder=BIN_LADDER):
     return np.isin(n, [k * k for k in ladder], kind="sort")
 
 
+def _read_only(arr, dtype=None) -> np.ndarray:
+    """A read-only view of ``arr`` as ``dtype`` (of a converted copy if need
+    be), leaving the caller's own array writeable."""
+    view = np.asarray(arr, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 def roi_ladder(roi_size: int) -> tuple:
     """The linear bin factors k of ``BIN_LADDER`` that divide ``roi_size``,
     the only ones a plan at that size uses."""
@@ -144,14 +152,14 @@ class RadianceMap:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError("radiance map must be 2-D")
+        arr = _read_only(self.data, np.float64)
+        if arr.ndim != 2 or arr.size == 0:
+            raise ShapeError("radiance map must be 2-D and not empty, not "
+                             f"of shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise DataError("radiance map contains non-finite values")
         if np.any(arr < 0):
             raise DataError("radiance map contains negative values")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -242,14 +250,13 @@ class RawCapture:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        d = np.asarray(self.digits)
-        m = np.asarray(self.saturation_mask, dtype=bool)
+        d = _read_only(self.digits)
+        m = _read_only(self.saturation_mask, bool)
         if d.ndim != 2 or m.shape != d.shape:
             raise ShapeError("digits must be 2-D and the mask of their shape")
         self.plan.grid(*d.shape)
-        for name, arr in (("digits", d), ("saturation_mask", m)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "digits", d)
+        object.__setattr__(self, "saturation_mask", m)
 
     @cached_property
     def gain(self) -> np.ndarray:
@@ -265,14 +272,12 @@ class PhotonEstimate:
     validity_mask: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        m = np.asarray(self.validity_mask, dtype=bool)
+        d = _read_only(self.data, np.float64)
+        m = _read_only(self.validity_mask, bool)
         if d.shape != m.shape:
             raise ShapeError("estimate/validity shape mismatch")
         if not np.all(np.isfinite(d[m])):
             raise DataError("non-finite estimate on valid pixels")
-        d.flags.writeable = False
-        m.flags.writeable = False
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "validity_mask", m)
 
@@ -286,7 +291,11 @@ def quantize(voltage: np.ndarray, config: SensorConfig) -> np.ndarray:
     [0, digital_max] so values below the black level remain representable
     down to digit 0.
     """
-    d = np.array(voltage, dtype=np.float64)
+    return _quantize_in_place(np.array(voltage, dtype=np.float64), config)
+
+
+def _quantize_in_place(d: np.ndarray, config: SensorConfig) -> np.ndarray:
+    """``quantize`` of the float64 array ``d``, overwriting it."""
     d *= config.adc_slope
     np.rint(d, out=d)
     d += config.black_level

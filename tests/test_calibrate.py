@@ -55,6 +55,10 @@ class TestDarkVariance:
         dark_variance(frames)
         assert not any("gain" in vars(f) for f in frames)
 
+    def test_frames_of_different_shapes_rejected(self, config):
+        with pytest.raises(DataError, match="share dimensions"):
+            dark_variance([np.zeros((4, 4)), np.zeros((4, 5))])
+
     def test_mixed_gains_rejected(self, config):
         frames = dark_frames(config, 1.0, 2, seed=92) + \
             dark_frames(config, 2.0, 2, seed=93)
@@ -117,6 +121,12 @@ class TestFit:
     def test_degenerate_design_rejected(self):
         samples = [(2.0, 5.0), (2.0, 5.1), (2.0, 4.9)]
         with pytest.raises(NumericalError):
+            fit_read_noise(samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -4.0])
+    def test_gains_finite_and_positive(self, bad):
+        samples = [(1.0, 5.0), (bad, 6.0), (9.0, 40.0)]
+        with pytest.raises(DataError, match="finite and positive"):
             fit_read_noise(samples)
 
     def test_needs_three_samples(self):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -465,6 +466,19 @@ _BAD_INPUTS = [
        ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
        dict(_GAIN, values=[value, 1.0, 1.0, 1.0]))
       for name, value in [("zero", 0.0), ("negative", -1.0)]],
+    # an empty scene is a data error, not a bad ROI size
+    *[(f"{name}_empty_scene", 3, [name, "{empty}", *_RUN], None)
+      for name in ("simulate", "evaluate")],
+    # a calibration burst of frames of two shapes, and a gain that is not
+    # finite and positive, are data errors
+    *[(f"calibrate_{name}", 3,
+       ["calibrate", "--manifest", "{bad}", "--output", "{out}"],
+       {"gains": [{"gain": g, "frames": ["{dark4}", second]}
+                  for g, second in zip(gains, ("{dark4}", last, "{dark4}"))]})
+      for name, gains, last in [
+        ("frames_of_two_shapes", (1.0, 3.0, 9.0), "{dark5}"),
+        ("nan_gain", (1.0, math.nan, 9.0), "{dark4}"),
+        ("negative_gain", (1.0, -4.0, 9.0), "{dark4}")]],
 ]
 
 
@@ -477,11 +491,21 @@ def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
              "gain": str(tmp_path / "gain.json"),
              "stack": str(tmp_path / "stack"),
              "vignette": str(tmp_path / "vignette.pfm"),
-             "nodir": str(tmp_path / "nodir")}
+             "nodir": str(tmp_path / "nodir"),
+             "empty": str(tmp_path / "empty.pfm"),
+             "dark4": str(tmp_path / "dark4.pgm"),
+             "dark5": str(tmp_path / "dark5.pgm")}
     if isinstance(bad, bytes):
         Path(files["bad"]).write_bytes(bad)
     elif bad is not None:
-        save_json(files["bad"], bad)
+        # a document may name the files above, as "{name}"
+        text = json.dumps(bad)
+        for name, path in files.items():
+            text = text.replace("{%s}" % name, path)
+        Path(files["bad"]).write_text(text)
+    write_pfm(files["empty"], np.zeros((0, 0)))
+    write_pgm16(files["dark4"], np.zeros((4, 4), np.uint16))
+    write_pgm16(files["dark5"], np.zeros((4, 5), np.uint16))
     save_json(files["gain"], _GAIN)
     write_pfm(files["vignette"], np.ones((16, 16), dtype=np.float32))
     scene = RadianceMap(data=np.full((64, 64), 80.0))

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -14,10 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from svsensor import metrics
-from svsensor import (ConfigError, NumericalError, RoiGrid, SceneSpec,
-                      SensorConfig, ShapeError, evaluate_protocol,
-                      gamma_correct, load_and_normalize, psnr, ssim)
-from svsensor.metrics import METHODS, RoiScorer
+from svsensor import (ConfigError, NumericalError, Plan, RadianceMap,
+                      RoiGrid, SceneSpec, SensorConfig, ShapeError,
+                      estimate_photons, evaluate_protocol, gamma_correct,
+                      load_and_normalize, psnr, ssim)
+from svsensor.metrics import METHODS
+from svsensor.readout import read_plan
+from svsensor.sensor import BIN_MODES, draw_noise, roi_ladder
 
 from conftest import roi_slices
 
@@ -184,56 +188,71 @@ def _block_means(image, k):
     return image[:h, :w].reshape(h // k, k, w // k, k).mean(axis=(1, 3))
 
 
-class TestRoiScorer:
+class TestChunkLoop:
+    """``metrics._score_plans``, evaluate's one loop over ROI chunks."""
+
     @given(h=st.integers(1, 70), w=st.integers(1, 70),
            roi=st.sampled_from([8, 16, 24, 32]),
            chunk=st.sampled_from([1, 300, 1 << 18]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_stacked_scores_equal_per_roi_ssim(self, h, w, roi, chunk, seed):
-        # bit for bit, on clipped edge ROIs, at every native view and with
-        # chunks from one block to the whole frame, shared with a helper
-        # thread; at one block per chunk both threads take blocks, and a
-        # short switch interval makes them interleave often
+    @example(h=70, w=70, roi=16, chunk=1, seed=0)
+    @example(h=64, w=41, roi=32, chunk=300, seed=1)
+    def test_scores_equal_per_roi_ssim(self, h, w, roi, chunk, seed):
+        # bit for bit, on clipped edge ROIs, under plans of every mode, and
+        # with chunks from one block to the whole frame, shared with a
+        # helper thread; at one block per chunk both threads take blocks,
+        # and a short switch interval makes them interleave often
+        config = SensorConfig()
         rng = np.random.default_rng(seed)
-        ref = rng.uniform(0, 1, (h, w))
-        test = np.clip(ref + rng.normal(0, 0.1, (h, w)), 0, 1)
+        scene = RadianceMap(data=rng.uniform(0, 300, (h, w)))
+        noise = draw_noise(scene, config, seed, 8)
         grid = RoiGrid(h, w, roi)
+        plans = {}
+        for mode in BIN_MODES:
+            bins = rng.choice(roi_ladder(roi), grid.shape) ** 2
+            gains = rng.uniform(1.0, 4.0, grid.shape)
+            plans[mode] = Plan(roi, gains * bins if mode == "additive"
+                               else gains, bins, mode)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(1) as helper:
-                scorer = RoiScorer(grid, lambda k: ref if k == 1
-                                   else _block_means(ref, k), helper)
-                self.check_scores(scorer, grid, ref, test, roi, chunk, rng)
+            with (ThreadPoolExecutor(1) as helper,
+                  mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk)):
+                scores = metrics._score_plans(scene, noise, grid, plans,
+                                              config, helper)
         finally:
             sys.setswitchinterval(interval)
 
-    def check_scores(self, scorer, grid, ref, test, roi, chunk, rng):
-        h, w = ref.shape
-        with mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk):
-            ssims, mse = scorer.scores(test)
-            for (i, j), sl in roi_slices(h, w, roi):
-                assert ssims[i, j] == ssim(ref[sl], test[sl])[1]
-                assert mse[i, j] == np.mean((ref[sl] - test[sl]) ** 2)
-            for k in (2, 4, 8):
-                select = rng.random(grid.shape) < 0.7
-                at_k, _ = scorer.scores(test[::k, ::k], k, select)
-                ref_k = _block_means(ref, k)
-                for (i, j), (rs, cs) in roi_slices(h, w, roi):
-                    if (select[i, j] and roi % k == 0
-                            and (rs.stop - rs.start) % k == 0
-                            and (cs.stop - cs.start) % k == 0):
-                        native = ref_k[rs.start // k:rs.stop // k,
-                                       cs.start // k:cs.stop // k]
-                        assert at_k[i, j] == ssim(
-                            native, test[rs, cs][::k, ::k])[1]
-                    else:
-                        assert np.isnan(at_k[i, j])
+        def render(photons):
+            return gamma_correct(photons / config.well_capacity, 1 / 3.2)
+
+        truth = render(scene.data)
+        for name, plan in plans.items():
+            img = render(estimate_photons(read_plan(noise, plan, config),
+                                          config).data)
+            ssims, mse, native = scores[name]
+            for (i, j), (rs, cs) in roi_slices(h, w, roi):
+                a, b = truth[rs, cs], img[rs, cs]
+                assert ssims[i, j] == ssim(a, b)[1]
+                assert mse[i, j] == np.mean((a - b) ** 2)
+                k = math.isqrt(int(plan.bins[i, j]))
+                if k > 1 and not (b.shape[0] % k or b.shape[1] % k):
+                    ref_k = render(_block_means(scene.data, k))
+                    assert native[i, j] == ssim(
+                        ref_k[rs.start // k:rs.stop // k,
+                              cs.start // k:cs.stop // k], b[::k, ::k])[1]
+                else:
+                    assert native[i, j] == ssims[i, j]
 
     def test_error_on_the_helper_is_raised(self):
         # the helper's chunk fails while this thread holds one, and this
         # thread raises the helper's error
-        ref = np.random.default_rng(3).uniform(0, 1, (64, 64))
+        config = SensorConfig()
+        scene = RadianceMap(
+            data=np.random.default_rng(3).uniform(0, 300, (64, 64)))
+        grid = RoiGrid(64, 64, 16)
+        plans = {"unit": Plan(16, np.ones(grid.shape),
+                              np.ones(grid.shape, int), "digital")}
         real, helped = metrics.ssim, threading.Event()
 
         def ssim_failing_on_helper(*args):
@@ -246,9 +265,24 @@ class TestRoiScorer:
         with (ThreadPoolExecutor(1) as helper,
               mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", 1),
               mock.patch.object(metrics, "ssim", ssim_failing_on_helper)):
-            scorer = RoiScorer(RoiGrid(64, 64, 16), lambda k: ref, helper)
             with pytest.raises(NumericalError, match="helper chunk"):
-                scorer.scores(ref)
+                metrics._score_plans(scene, draw_noise(scene, config, 4),
+                                     grid, plans, config, helper)
+
+    def test_peak_memory_of_evaluate(self, config):
+        # nothing frame-sized lives per method: one four-method evaluate of
+        # a 512 x 512 scene at ROI 32 peaks at no more than 9 float64
+        # frames of traced memory, the pilot and the main draw included
+        spec = SceneSpec(source="hdr_blobs", seed=512, width=512, height=512,
+                         mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        tracemalloc.start()
+        try:
+            evaluate_protocol(scene, config, roi_size=32, seed=513)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * scene.data.nbytes
 
 
 class TestPsnr:

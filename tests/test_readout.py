@@ -17,11 +17,10 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
                       PhotonEstimate, Plan, RadianceMap, SensorConfig,
                       ShapeError, bin_capture, capture_spatially_varying,
                       compose_from_gain_stack, estimate_photons,
-                      native_estimate_blocks, plan_bin_roi,
-                      quantize_to_ladder, simulate_capture)
-from svsensor.readout import fit_plan, read_plan
+                      plan_bin_roi, quantize_to_ladder, simulate_capture)
+from svsensor.readout import fit_plan, read_blocks, read_plan
 from svsensor.roi import RoiGrid
-from svsensor.sensor import BIN_MODES, draw_noise, quantize
+from svsensor.sensor import BIN_MODES, draw_noise, quantize, roi_ladder
 
 from conftest import roi_slices
 
@@ -170,7 +169,8 @@ class TestBinModes:
 
     def test_bin_capture_plan_describes_its_digits(self, config):
         # one digit per superpixel: the reduced capture's plan is its
-        # gain at factor 1, so its native view is the estimate itself
+        # gain at factor 1, so its estimate is its native view, one value
+        # per superpixel decoded at the superpixel's gain
         scene = RadianceMap(data=np.full((24, 24), 40.0))
         raw = bin_capture(scene, 8.0, 64, "digital", config, seed=59)
         assert raw.digits.shape == (3, 3)
@@ -178,9 +178,8 @@ class TestBinModes:
         assert raw.plan.gains.tolist() == [[8.0]]
         assert raw.plan.bins.tolist() == [[1]]
         est = estimate_photons(raw, config)
-        (k, rois, view), = native_estimate_blocks(raw, est)
-        assert (k, rois.tolist()) == (1, [[True]])
-        assert np.array_equal(view, est.data)
+        assert np.array_equal(est.data, ((raw.digits - config.black_level)
+                                         / config.adc_slope) / 8.0)
 
     @given(mode=st.sampled_from(BIN_MODES), k=st.sampled_from([1, 2, 4, 8]),
            rows=st.integers(1, 3), cols=st.integers(1, 3),
@@ -273,6 +272,45 @@ class TestReadPlan:
         assert raw.digits.dtype == digits.dtype
         assert np.array_equal(raw.digits, digits)
         assert np.array_equal(raw.saturation_mask, sat)
+
+
+class TestReadBlocks:
+    @given(h=st.integers(1, 70), w=st.integers(1, 70),
+           roi=st.sampled_from([8, 12, 16, 20, 24, 32]),
+           mode=st.sampled_from(BIN_MODES), seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=70, w=53, roi=32, mode="additive", seed=1)
+    @example(h=37, w=70, roi=12, mode="average", seed=2)
+    @example(h=9, w=9, roi=8, mode="digital", seed=3)
+    def test_any_selection_equals_read_plan_blocks(self, h, w, roi, mode,
+                                                   seed):
+        # byte for byte: the kernel over any subset of an ROI group, in any
+        # order, reads the digits and mask that the frame readout holds
+        # there, on clipped edge ROIs too
+        config = SensorConfig(gain_max=128.0)
+        rng = np.random.default_rng(seed)
+        scene = RadianceMap(data=rng.uniform(0, 400, (h, w))
+                            * rng.choice([0.05, 1.0, 3.0], (h, w)))
+        grid = RoiGrid(h, w, roi)
+        factors = rng.choice(roi_ladder(roi), grid.shape) ** 2
+        gains = rng.uniform(1.0, 2.0, grid.shape)
+        if mode == "additive":
+            gains = gains * factors
+        plan = Plan(roi, gains, factors, mode)
+        noise = draw_noise(scene, config, seed, max_k=8)
+        raw = read_plan(noise, plan, config)
+        for rs, cs, shape in grid.parts():
+            cols = cs.stop - cs.start
+            picked = rng.permutation(np.flatnonzero(
+                rng.random((rs.stop - rs.start) * cols) < 0.6))
+            at = np.divmod(picked, cols)
+            digits, sat = read_blocks(noise, plan, config, grid, rs, cs,
+                                      shape, at)
+            assert digits.shape == sat.shape == (picked.size, *shape)
+            assert digits.dtype == np.uint16 and sat.dtype == bool
+            assert np.array_equal(
+                digits, grid.blocks(raw.digits, rs, cs, shape)[at])
+            assert np.array_equal(
+                sat, grid.blocks(raw.saturation_mask, rs, cs, shape)[at])
 
 
 class TestFitPlan:
@@ -404,20 +442,19 @@ class TestSpatiallyVarying:
                     mode="digital")
         raw, est = capture_spatially_varying(scene, gm, bm, config, seed=65)
         assert raw.plan.bins.tolist() == [[1, 4], [16, 64]]
+        # each ROI's estimate is constant over each of its superpixels, so
+        # sampling it [::k, ::k] gives its native view, one value per
+        # superpixel
         shapes = {}
-        for k, rois, view in native_estimate_blocks(raw, est):
-            r = 32 // k
-            for i, j in zip(*np.nonzero(rois)):
-                blk = view[i * r:(i + 1) * r, j * r:(j + 1) * r]
-                assert np.array_equal(
-                    blk, est.data[i * 32:(i + 1) * 32:k, j * 32:(j + 1) * 32:k])
-                shapes[int(i), int(j)] = blk.shape
+        for (i, j), sl in roi_slices(64, 64, 32):
+            k = math.isqrt(int(raw.plan.bins[i, j]))
+            blk = est.data[sl]
+            native = blk[::k, ::k]
+            assert np.array_equal(blk, np.repeat(np.repeat(native, k, 0),
+                                                 k, 1))
+            shapes[i, j] = native.shape
         assert shapes == {(0, 0): (32, 32), (0, 1): (16, 16),
                           (1, 0): (8, 8), (1, 1): (4, 4)}
-        # replicated view is constant within each superpixel footprint
-        blk = est.data[32:64, 32:64]
-        assert np.array_equal(blk, np.repeat(np.repeat(blk[::8, ::8], 8, 0),
-                                             8, 1))
 
 
 class TestCompose:

@@ -185,6 +185,40 @@ class TestCaptureContracts:
             PhotonEstimate(data=np.array([[np.inf]]),
                            validity_mask=np.array([[True]]))
 
+    def test_empty_map_is_a_shape_error(self):
+        for shape in ((0, 0), (0, 4), (4, 0)):
+            with pytest.raises(ShapeError):
+                RadianceMap(data=np.zeros(shape))
+
+
+class TestHeldArrays:
+    """A radiance map, a capture and an estimate hold their arrays
+    read-only, and leave the caller's own arrays writeable."""
+
+    def test_radiance_map(self):
+        data = np.full((4, 4), 50.0)
+        scene = RadianceMap(data=data)
+        assert data.flags.writeable
+        assert not scene.data.flags.writeable
+        data[0, 0] = 60.0  # the caller may still write its array
+
+    def test_raw_capture(self):
+        digits = np.zeros((4, 4), np.uint16)
+        mask = np.zeros((4, 4), bool)
+        raw = RawCapture(digits=digits, saturation_mask=mask,
+                         plan=Plan(4, [[1.0]], [[1]], "digital"))
+        assert digits.flags.writeable and mask.flags.writeable
+        assert not raw.digits.flags.writeable
+        assert not raw.saturation_mask.flags.writeable
+
+    def test_photon_estimate(self):
+        data = np.ones((4, 4))
+        valid = np.ones((4, 4), bool)
+        est = PhotonEstimate(data=data, validity_mask=valid)
+        assert data.flags.writeable and valid.flags.writeable
+        assert not est.data.flags.writeable
+        assert not est.validity_mask.flags.writeable
+
 
 class TestRawCapturePlan:
     # named by the sidecar fields that hold them: the .npz arrays gain_grid
