@@ -16,11 +16,12 @@ Estimates are normalized by well capacity, gamma corrected, and scored with
 SSIM per ROI against the noise-free ground truth.  Every stage after the
 noise draw is local to one ROI, so one loop over chunks of same-shape ROI
 blocks does them all: per chunk, the ground truth's blocks are tonemapped
-and their blur statistics taken once, and each method's blocks are read
-out (``readout.read_blocks``), estimated, tonemapped and scored, at unit
-resolution and, where binned, at native resolution.  No per-method frame
-is built.  Reports aggregate the worst-case ROI (the number that exposes
-how the darkest or most damaged region fared) alongside the mean.
+and their blur statistics taken once, each method's blocks are read out
+(``readout.read_blocks``), estimated, tonemapped and scored at unit
+resolution, and every method's ROIs binned at one factor are scored
+together at native resolution.  No per-method frame is built.  Reports
+aggregate the worst-case ROI (the number that exposes how the darkest or
+most damaged region fared) alongside the mean.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ _SSIM_RADIUS = 5
 _SSIM_WEIGHTS = np.exp(-0.5 / 1.5 ** 2
                        * np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1) ** 2)
 _SSIM_WEIGHTS /= _SSIM_WEIGHTS.sum()
-# ROI pixels per chunk of evaluate's loop, which reads them out under every
-# plan and scores them: about a dozen float64 arrays of this size per
-# thread, at any frame size.  In single 12 s protocol_512 runs on a 2-core
-# x86 host, 2**15 took 0.60-0.71 s a pass at 71.7-73.4 MB peak RSS, 2**14
-# 0.89-0.91 s (twice the chunks, contending for the GIL), and 2**16
-# 0.50-0.52 s at 73.5-73.8 MB; the lower peak was chosen.
-_SSIM_CHUNK_PIXELS = 1 << 15
+# Most ROI pixels per chunk of evaluate's loop, which reads them out under
+# every plan and scores them: about a dozen float64 arrays of this size per
+# thread, at any frame size.  Chunks are as large as that allows: with both
+# threads running, every numpy call hands the GIL over, so the helper
+# thread pays only where the calls are few and large.  2**17 was faster
+# still, but a 512 x 512 evaluate then peaked above 9 frames of traced
+# memory.
+_SSIM_CHUNK_PIXELS = 1 << 16
 
 
 def gamma_correct(image: np.ndarray, exponent: float) -> np.ndarray:
@@ -166,8 +168,10 @@ def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
 def _share(helper, grid: RoiGrid, work) -> None:
     """Call ``work(rs, cs, shape, at)`` for each chunk of ``grid``: per
     same-shape group ``rs`` x ``cs`` of ``grid.parts()``, ``at`` the ROI row
-    and column indices within it of ``_SSIM_CHUNK_PIXELS`` pixels' worth of
-    ROIs.  This thread and one task on the executor ``helper`` take chunks
+    and column indices within it of at most ``_SSIM_CHUNK_PIXELS`` pixels'
+    worth of ROIs (one ROI at least), in two chunks at least where the
+    group has two ROIs or more, so that both threads have work on any
+    frame.  This thread and one task on the executor ``helper`` take chunks
     from one locked iterator, and each chunk writes only its own ROIs.  Once
     this thread finds no chunk left, the helper's task is cancelled if it
     has not started and waited for if it has, so a helper that is busy
@@ -178,7 +182,9 @@ def _share(helper, grid: RoiGrid, work) -> None:
         for rs, cs, shape in grid.parts():
             ii, jj = np.nonzero(np.ones((rs.stop - rs.start,
                                          cs.stop - cs.start), bool))
-            step = max(1, _SSIM_CHUNK_PIXELS // math.prod(shape))
+            # a chunk at least for this thread and one for the helper
+            step = max(1, min(_SSIM_CHUNK_PIXELS // math.prod(shape),
+                              -(-ii.size // 2)))
             for s in range(0, ii.size, step):
                 yield rs, cs, shape, (ii[s:s + step], jj[s:s + step])
 
@@ -267,6 +273,10 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     ROI binned at k whose blocks k tiles is also scored at native
     resolution, one pixel per superpixel, against the tonemapped k x k
     block means of the ground truth; elsewhere its native SSIM is its SSIM.
+    The native ground truth and its statistics are taken once per chunk and
+    factor, and one SSIM call scores every plan's ROIs binned at that factor:
+    each block is scored on its own, so stacking them changes no value and
+    saves numpy calls, each of which costs a GIL hand-off.
     ``dump``, a dict, receives each plan's and the ground truth's
     (``"ground_truth"``) tonemapped frame in 16 bits.
     """
@@ -299,6 +309,7 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
         if dump is not None:
             grid.blocks(dump["ground_truth"], rs, cs, shape)[at] = np.rint(
                 ref * 65535)
+        binned = {k: [] for k in views}  # k: (plan name, ROIs, their blocks)
         for name, plan in plans.items():
             digits, _ = read_blocks(noise, plan, config, grid, rs, cs, shape,
                                     at)
@@ -306,18 +317,26 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
             img /= plan.gains[rs, cs][at][:, None, None]
             _tonemap(img, config)
             ssims = ssim(ref, img, stats)[1]
-            native = ssims.copy()
             bins = plan.bins[rs, cs][at]
-            for k, (ref_k, (mu, var)) in views.items():
+            for k, found in binned.items():
                 sel = np.flatnonzero(bins == k * k)
                 if sel.size:
-                    native[sel] = ssim(ref_k[sel], img[sel, ::k, ::k],
-                                       (mu[sel], var[sel]))[1]
+                    found.append((name, sel, img[sel, ::k, ::k]))
             scores[name][:, rs, cs][:, at[0], at[1]] = (
-                ssims, ((ref - img) ** 2).mean(axis=(1, 2)), native)
+                ssims, ((ref - img) ** 2).mean(axis=(1, 2)), ssims)
             if dump is not None:
                 grid.blocks(dump[name], rs, cs, shape)[at] = np.rint(
                     img * 65535)
+        # native resolution: one stack per factor k of every plan's ROIs
+        # binned at k
+        for k, found in binned.items():
+            ref_k, (mu, var) = views[k]
+            sel = np.concatenate([s for _, s, _ in found])
+            out = ssim(ref_k[sel], np.concatenate([b for *_, b in found]),
+                       (mu[sel], var[sel]))[1]
+            for name, s, _ in found:
+                scores[name][2, rs, cs][at[0][s], at[1][s]] = out[:s.size]
+                out = out[s.size:]
 
     _share(helper, grid, score)
     return scores

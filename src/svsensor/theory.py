@@ -45,6 +45,11 @@ class TheoryParams:
         if p.size == 0 or not _finite_ascending(p):
             raise ConfigError("pitch candidates must be positive, finite and "
                               "strictly ascending")
+        # the largest bin factor, (p[-1] / p[0])^2, is a float
+        ratio = float(p[-1]) / float(p[0])
+        if not ratio * ratio < math.inf:
+            raise ConfigError("pitch candidates must span a ratio whose "
+                              "square is finite")
         if len(self.light_grid) and not _finite_ascending(
                 np.asarray(self.light_grid, dtype=float)):
             raise ConfigError("light grid must be positive, finite and "
@@ -76,12 +81,20 @@ def noise_sigma(photon_density: float, pitch: float, gain: float,
                 config: SensorConfig) -> float:
     """Pooled standard deviation of shot plus read noise for a pitch-p pixel;
     independent of the signal frequency."""
-    if not (photon_density >= 0 and pitch > 0 and 0 < gain < math.inf):
-        raise ConfigError("need photon density >= 0, pitch > 0 and a finite "
-                          "gain > 0")
-    var = (config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
-           + photon_density * pitch * pitch / 2.0)
-    return math.sqrt(var)
+    if not (photon_density >= 0 and pitch > 0):
+        raise ConfigError("need photon density >= 0 and pitch > 0")
+    return math.sqrt(_read_variance(gain, config)
+                     + photon_density * pitch * pitch / 2.0)
+
+
+def _read_variance(gain: float, config: SensorConfig) -> float:
+    """Read noise variance referred to the input at ``gain``, sigma_pre^2 +
+    sigma_post^2 / gain^2; ConfigError unless the gain is positive and its
+    square a finite float above 0."""
+    if not (gain > 0 and 0 < gain * gain < math.inf):
+        raise ConfigError(f"gain must be positive with a square that is a "
+                          f"finite float above 0, not {gain!r}")
+    return config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
 
 
 def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
@@ -99,19 +112,23 @@ def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
     """
     d = np.asarray(densities, dtype=np.float64).reshape(-1, 1)
     p = np.asarray(pitches, dtype=np.float64).reshape(1, -1)
-    if not (np.all(d > 0) and np.all(p > 0) and 0 < gain < math.inf):
-        raise ConfigError("need photon density > 0, pitch > 0 and a finite "
-                          "gain > 0")
-    read = config.sigma_pre ** 2 + config.sigma_post ** 2 / gain ** 2
-    target = snr_t * np.sqrt(read + d * p * p / 2.0)
-    dc = d * p * p
-    resolved = ~(dc < target)
-    lo = np.zeros(np.broadcast_shapes(d.shape, p.shape))
-    hi = 1.0 / p + lo
-    active = resolved & (hi - lo > _CUTOFF_REL_TOL * hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if not (np.all(d > 0) and np.all(p > 0)):
+        raise ConfigError("need photon density > 0 and pitch > 0")
+    read = _read_variance(gain, config)
+    # a density or pitch far out of range overflows to inf, or its sine to
+    # NaN, in its own lanes only
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        target = snr_t * np.sqrt(read + d * p * p / 2.0)
+        dc = d * p * p
+        resolved = ~(dc < target)
+        lo = np.zeros(np.broadcast_shapes(d.shape, p.shape))
+        hi = 1.0 / p + lo
+        active = resolved & (hi - lo > _CUTOFF_REL_TOL * hi)
         while active.any():
             mid = 0.5 * (lo + hi)
+            # a bracket of adjacent subnormals has no float between its
+            # ends and can stay wider than the tolerance: it stops too
+            active &= (lo < mid) & (mid < hi)
             c = np.where(mid == 0, dc,
                          d * p * np.sin(np.pi * p * mid) / (np.pi * mid))
             above = c >= target

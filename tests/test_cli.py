@@ -267,6 +267,24 @@ def test_evaluate_and_calibrate_run_without_scipy(tmp_path, scene_path,
     assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
+@pytest.mark.parametrize("pitches, code", [("1e308", 0), ("0.5,1e308", 2)])
+def test_theory_ends_on_huge_pitches(pitches, code):
+    # a pitch of 1e308 overflows the contrast and noise terms, and its
+    # cutoff bisection shrinks to a bracket of subnormals that has no
+    # float between its ends; that lane stops, and next to a pitch of 0.5
+    # its bin factor overflows
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from svsensor.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "theory", "--pitches", pitches,
+         "--lights", "1,10"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == code
+    assert out.stderr == ("" if code == 0 else
+                          "error: pitch candidates must span a ratio whose "
+                          "square is finite\n")
+
+
 @pytest.mark.parametrize("text", ["{bad", "3", "[]",
                                   '{"well_capacity": "abc"}'])
 def test_malformed_config_exits_2(tmp_path, scene_path, text, capsys):
@@ -427,6 +445,19 @@ _BAD_INPUTS = [
                            "--roi-size", "32", "--gain", "V",
                            "--output", "{out}"]),
     ]],
+    # a gain whose square overflows or underflows, and pitches whose bin
+    # factor (largest over smallest, squared) overflows, are configuration
+    # errors
+    *[(f"{name}_{value}", 2, [a.replace("V", value) for a in argv], None)
+      for value in ("1e200", "1e-200") for name, argv in [
+        ("theory_gain", ["theory", "--pitches", "0.5,1", "--lights", "1,2",
+                         "--gain", "V"]),
+        ("plan_bin_gain", ["plan-bin", "--pilot", "{stack}/frame_000",
+                           "--roi-size", "32", "--gain", "V",
+                           "--output", "{out}"]),
+    ]],
+    ("theory_pitch_span", 2,
+     ["theory", "--pitches", "1e-300,1e150", "--lights", "1e-290"], None),
     *[(f"capture_gain_map_{value.lower()}_eta", 3,
        ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
        json.dumps(dict(_GAIN, eta="X")).replace('"X"', value).encode())

@@ -1,5 +1,6 @@
 """Quality metrics and the four-method evaluation protocol."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -243,6 +244,30 @@ class TestChunkLoop:
                               cs.start // k:cs.stop // k], b[::k, ::k])[1]
                 else:
                     assert native[i, j] == ssims[i, j]
+
+    @pytest.mark.parametrize("roi", [8, 16, 24, 32, 64, 128])
+    def test_chunks_split_every_group_for_two_threads(self, roi):
+        # each ROI in one chunk; every group of two or more ROIs in two
+        # chunks at least, so that the helper thread gets one; a chunk
+        # over _SSIM_CHUNK_PIXELS only where one ROI is
+        for h, w in [(roi, roi), (roi - 3, roi + 5), (2 * roi, roi),
+                     (128, 128), (256, 256), (300, 257), (512, 200),
+                     (512, 512)]:
+            grid = RoiGrid(h, w, roi)
+            chunks = []
+            with ThreadPoolExecutor(1) as helper:
+                metrics._share(helper, grid, lambda *c: chunks.append(c))
+            seen = np.zeros(grid.shape, int)
+            per_group = collections.Counter()
+            for rs, cs, shape, at in chunks:
+                np.add.at(seen[rs, cs], at, 1)
+                per_group[rs.start, cs.start] += 1
+                assert (at[0].size * math.prod(shape)
+                        <= metrics._SSIM_CHUNK_PIXELS or at[0].size == 1)
+            assert (seen == 1).all(), (h, w)
+            for rs, cs, _ in grid.parts():
+                rois = (rs.stop - rs.start) * (cs.stop - cs.start)
+                assert per_group[rs.start, cs.start] >= min(rois, 2), (h, w)
 
     def test_error_on_the_helper_is_raised(self):
         # the helper's chunk fails while this thread holds one, and this

@@ -106,6 +106,15 @@ class TestNoiseSigma:
         double = noise_sigma(120.0, 2.0, 2.0, config) ** 2
         assert double - base == pytest.approx(3 * 120.0 / 2.0)
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0, math.nan, math.inf,
+                                      1e200, 1e-200])
+    def test_rejects_gains_out_of_range(self, config, gain):
+        # the square of 1e200 overflows and that of 1e-200 is 0
+        with pytest.raises(ConfigError):
+            noise_sigma(100.0, 1.0, gain, config)
+        with pytest.raises(ConfigError):
+            cutoff_frequencies(100.0, 1.0, gain, 4.0, config)
+
 
 class TestCutoff:
     def test_matches_brute_force_scan(self, config):
@@ -282,7 +291,9 @@ class TestParamsValidation:
         ("pitch_candidates", (0.5, float("nan"))),
         ("pitch_candidates", (0.5, float("inf"))),
         ("light_grid", (1.0, float("nan"))),
-        ("light_grid", (1.0, float("inf")))])
+        ("light_grid", (1.0, float("inf"))),
+        # the largest bin factor, (1e150 / 1e-300)^2, is not finite
+        ("pitch_candidates", (1e-300, 1e150))])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ConfigError):
             TheoryParams(**{field: value})
