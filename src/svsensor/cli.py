@@ -59,9 +59,7 @@ def _float_list(text):
 
 def cmd_simulate(args, config) -> int:
     scene = _load_scene(args.scene, config, args.mean_frac)
-    gm = (GainMap.from_json_dict(fileio.load_json(args.gain_map))
-          if args.gain_map else args.gain)
-    raw = simulate_capture(scene, gm, None, config, seed=args.seed)
+    raw = simulate_capture(scene, args.gain, None, config, seed=args.seed)
     return _save_capture(args, raw, config)
 
 
@@ -210,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("scene", help="radiance map PFM")
     p.add_argument("--gain", type=float, default=1.0)
-    p.add_argument("--gain-map", help="gain plan JSON (overrides --gain)")
     p.add_argument("--mean-frac", type=float, default=None,
                    help="normalize scene mean to this fraction of full well")
     p.add_argument("--output", required=True, help="capture base path")

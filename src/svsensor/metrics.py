@@ -15,7 +15,8 @@ strategies that coincide on an ROI produce identical pixels there.
 Estimates are normalized by well capacity, gamma corrected, and scored with
 SSIM per ROI against the noise-free ground truth.  Every stage after the
 noise draw is local to one ROI, so one loop over chunks of same-shape ROI
-blocks does them all: per chunk, the ground truth's blocks are tonemapped
+blocks does them all, the calling thread taking every other chunk and one
+helper thread the rest: per chunk, the ground truth's blocks are tonemapped
 and their blur statistics taken once, each method's blocks are read out
 (``readout.read_blocks``), estimated, tonemapped and scored at unit
 resolution, and every method's ROIs binned at one factor are scored
@@ -27,7 +28,6 @@ most damaged region fared) alongside the mean.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -171,45 +171,30 @@ def _share(helper, grid: RoiGrid, work) -> None:
     and column indices within it of at most ``_SSIM_CHUNK_PIXELS`` pixels'
     worth of ROIs (one ROI at least), in two chunks at least where the
     group has two ROIs or more, so that both threads have work on any
-    frame.  This thread and one task on the executor ``helper`` take chunks
-    from one locked iterator, and each chunk writes only its own ROIs.  Once
-    this thread finds no chunk left, the helper's task is cancelled if it
-    has not started and waited for if it has, so a helper that is busy
-    elsewhere or descheduled delays the return by at most one chunk.  A
-    chunk that raises stops both threads after the chunk they hold, and its
-    error is raised here."""
-    def every_chunk():
-        for rs, cs, shape in grid.parts():
-            ii, jj = np.nonzero(np.ones((rs.stop - rs.start,
-                                         cs.stop - cs.start), bool))
-            # a chunk at least for this thread and one for the helper
-            step = max(1, min(_SSIM_CHUNK_PIXELS // math.prod(shape),
-                              -(-ii.size // 2)))
-            for s in range(0, ii.size, step):
-                yield rs, cs, shape, (ii[s:s + step], jj[s:s + step])
+    frame.  The chunks are listed once and split by turns: one task on the
+    executor ``helper`` takes the odd ones while this thread takes the even
+    ones, and each chunk writes only its own ROIs.  Both shares are run to
+    the end; this thread's error is raised first, else the helper's."""
+    chunks = []
+    for rs, cs, shape in grid.parts():
+        ii, jj = np.nonzero(np.ones((rs.stop - rs.start, cs.stop - cs.start),
+                                    bool))
+        # a chunk at least for this thread and one for the helper
+        step = max(1, min(_SSIM_CHUNK_PIXELS // math.prod(shape),
+                          -(-ii.size // 2)))
+        chunks += [(rs, cs, shape, (ii[s:s + step], jj[s:s + step]))
+                   for s in range(0, ii.size, step)]
 
-    chunks, lock = every_chunk(), threading.Lock()
-    failed = threading.Event()
+    def run(share):
+        for chunk in share:
+            work(*chunk)
 
-    def drain():
-        while not failed.is_set():
-            with lock:
-                chunk = next(chunks, None)
-            if chunk is None:
-                return
-            try:
-                work(*chunk)
-            except BaseException:
-                failed.set()
-                raise
-
-    side = helper.submit(drain)
+    side = helper.submit(run, chunks[1::2])
     try:
-        drain()
+        run(chunks[::2])
     finally:
-        late = None if side.cancel() else side.exception()
-    if late is not None:
-        raise late
+        side.exception()  # waits for the helper's share
+    side.result()
 
 
 def _decibels(mse: float) -> float:
@@ -267,7 +252,8 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     array per name, of each ``Plan`` of ``plans`` on the ROI grid ``grid``,
     read out from the realization ``noise`` of ``scene``.
 
-    Per chunk of ``_share``, the ground truth's blocks are tonemapped and
+    Per chunk of ``_share``, which this thread and one task on the executor
+    ``helper`` take by turns, the ground truth's blocks are tonemapped and
     their blur statistics taken once; each plan's blocks are then read out,
     estimated as ``dequantize(digits) / gain``, tonemapped and scored.  An
     ROI binned at k whose blocks k tiles is also scored at native
@@ -352,7 +338,7 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     method's gamma-corrected output plus the ground truth, for visual
     inspection.  The call owns one helper thread: it draws the main
     realization while this thread captures the pilot and plans from it,
-    and then shares the ROI chunks.
+    and then takes every other ROI chunk.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:

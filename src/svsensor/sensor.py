@@ -344,7 +344,8 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape = scene.data.shape
-    charge = draw_photons(rng, scene.data * config.quantum_efficiency)
+    qe = config.quantum_efficiency
+    charge = draw_photons(rng, scene.data if qe == 1 else scene.data * qe)
     charge += rng.normal(0.0, config.sigma_pre, shape)
     n_post = rng.normal(0.0, config.sigma_post, shape)
     sup_post = {}

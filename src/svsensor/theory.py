@@ -107,8 +107,9 @@ def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
     bisected together, each with the float operations of ``contrast`` and
     ``noise_sigma`` and stopping at its own bracket width, so a lane's
     cutoff does not depend on the others.  NaN marks a lane where even the
-    zero-frequency contrast falls short: nothing is resolved at that pitch
-    and light level (distinct from a cutoff of 0).
+    zero-frequency contrast falls short, or where the noise level overflows:
+    nothing is resolved at that pitch and light level (distinct from a
+    cutoff of 0).
     """
     d = np.asarray(densities, dtype=np.float64).reshape(-1, 1)
     p = np.asarray(pitches, dtype=np.float64).reshape(1, -1)
@@ -120,7 +121,7 @@ def cutoff_frequencies(densities, pitches, gain: float, snr_t: float,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         target = snr_t * np.sqrt(read + d * p * p / 2.0)
         dc = d * p * p
-        resolved = ~(dc < target)
+        resolved = ~(dc < target) & np.isfinite(target)
         lo = np.zeros(np.broadcast_shapes(d.shape, p.shape))
         hi = 1.0 / p + lo
         active = resolved & (hi - lo > _CUTOFF_REL_TOL * hi)

@@ -269,10 +269,9 @@ def test_evaluate_and_calibrate_run_without_scipy(tmp_path, scene_path,
 
 @pytest.mark.parametrize("pitches, code", [("1e308", 0), ("0.5,1e308", 2)])
 def test_theory_ends_on_huge_pitches(pitches, code):
-    # a pitch of 1e308 overflows the contrast and noise terms, and its
-    # cutoff bisection shrinks to a bracket of subnormals that has no
-    # float between its ends; that lane stops, and next to a pitch of 0.5
-    # its bin factor overflows
+    # a pitch of 1e308 overflows the contrast and noise terms, so that its
+    # lanes resolve nothing (no cutoff, no p* and no N) and are not
+    # bisected; next to a pitch of 0.5 its bin factor overflows
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", "import sys; from svsensor.cli import main; "
@@ -283,6 +282,19 @@ def test_theory_ends_on_huge_pitches(pitches, code):
     assert out.stderr == ("" if code == 0 else
                           "error: pitch candidates must span a ratio whose "
                           "square is finite\n")
+    assert out.stdout == ("l0,p,f_cutoff\n1,1e+308,\n10,1e+308,\n"
+                          "l0,p_star,N\n1,,\n10,,\n" if code == 0 else "")
+
+
+def test_simulate_takes_no_gain_map(tmp_path, scene_path, capsys):
+    # a gain plan is captured with `capture --gain-map`; simulate reads
+    # one --gain
+    save_json(tmp_path / "gains.json", _GAIN)
+    assert main(["simulate", scene_path, "--gain-map",
+                 str(tmp_path / "gains.json"), "--seed", "1",
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments: --gain-map" in capsys.readouterr().err
+    assert not (tmp_path / "out.pgm").exists()
 
 
 @pytest.mark.parametrize("text", ["{bad", "3", "[]",
@@ -323,9 +335,6 @@ def _malformed(plan):
 
 _RUN = ["--seed", "1", "--output", "{out}"]
 _BAD_INPUTS = [
-    *[(f"simulate_gain_map_{name}", 3,
-       ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN], doc)
-      for name, doc in _malformed(_GAIN).items()],
     *[(f"capture_gain_map_{name}", 3,
        ["capture", "{scene}", "--gain-map", "{bad}", *_RUN], doc)
       for name, doc in _malformed(_GAIN).items()],
@@ -386,12 +395,12 @@ _BAD_INPUTS = [
       *_RUN], dict(_BIN, values=[-2, 1, 1, 1])),
     # a constant or per-pixel gain plan that names an roi_size names a
     # positive one
-    ("simulate_gain_map_constant_negative_roi_size", 3,
-     ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN],
+    ("capture_gain_map_constant_negative_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
      {"mode": "constant", "roi_size": -5, "eta": 0.0, "shape": [],
       "values": [2.0]}),
-    ("simulate_gain_map_per_pixel_zero_roi_size", 3,
-     ["simulate", "{scene}", "--gain-map", "{bad}", *_RUN],
+    ("capture_gain_map_per_pixel_zero_roi_size", 3,
+     ["capture", "{scene}", "--gain-map", "{bad}", *_RUN],
      {"mode": "per_pixel", "roi_size": 0, "eta": 0.0, "shape": [64, 64],
       "values": [2.0] * 64 * 64}),
     *[(f"{name}_into_missing_dir", 3, argv, None) for name, argv in [
@@ -817,8 +826,8 @@ _PINNED = [
     ("simulate_gain", ["simulate", *_SCENE, "--gain", "2"],
      "4de182fd6b41b485456f8fdc305f928ee85abccc7ef35fbc83904a292eb154a1",
      "46815a0b0414e8c2fb0d4c81ae229025cd9c5a6bed21da10732504ab504dcee8"),
-    ("simulate_gain_map",
-     ["simulate", *_SCENE, "--gain-map", "{root}/gains.json"],
+    ("capture_gain_map",
+     ["capture", *_SCENE, "--gain-map", "{root}/gains.json"],
      "177926e812f5cb4efdc2f48021476ef384dbe7864c4b3532b77e727cf6702465",
      "ac8583f120ab11adc522131b4b29a11fa08f38ed7d099a5152539fa28db4f703"),
     *[(f"capture_{mode}",

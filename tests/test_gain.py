@@ -172,7 +172,7 @@ class TestPerPixelPlanner:
         # fixed point of the headroom rule
         import svsensor.sensor as sensor_mod
         monkeypatch.setattr(sensor_mod, "draw_photons",
-                            lambda rng, m: np.asarray(m, dtype=np.float64))
+                            lambda rng, m: np.array(m, dtype=np.float64))
         scene = RadianceMap(data=np.full((4, 8), 200.0))
         raw, _ = capture_adaptive(scene, 2.0, quiet_config, seed=24)
         expected = gain_for_level(200.0, 2.0, quiet_config)

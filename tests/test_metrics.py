@@ -249,14 +249,24 @@ class TestChunkLoop:
     def test_chunks_split_every_group_for_two_threads(self, roi):
         # each ROI in one chunk; every group of two or more ROIs in two
         # chunks at least, so that the helper thread gets one; a chunk
-        # over _SSIM_CHUNK_PIXELS only where one ROI is
+        # over _SSIM_CHUNK_PIXELS only where one ROI is; wherever there
+        # are two chunks or more both threads score some, their counts
+        # differing by at most the number of ROI groups
         for h, w in [(roi, roi), (roi - 3, roi + 5), (2 * roi, roi),
                      (128, 128), (256, 256), (300, 257), (512, 200),
                      (512, 512)]:
             grid = RoiGrid(h, w, roi)
-            chunks = []
+            chunks, by = [], collections.Counter()
+
+            def work(*chunk):
+                chunks.append(chunk)
+                by[threading.current_thread() is threading.main_thread()] += 1
+
             with ThreadPoolExecutor(1) as helper:
-                metrics._share(helper, grid, lambda *c: chunks.append(c))
+                metrics._share(helper, grid, work)
+            if len(chunks) > 1:
+                assert by[True] and by[False], (h, w)
+            assert abs(by[True] - by[False]) <= len(list(grid.parts()))
             seen = np.zeros(grid.shape, int)
             per_group = collections.Counter()
             for rs, cs, shape, at in chunks:
@@ -268,6 +278,26 @@ class TestChunkLoop:
             for rs, cs, _ in grid.parts():
                 rois = (rs.stop - rs.start) * (cs.stop - cs.start)
                 assert per_group[rs.start, cs.start] >= min(rois, 2), (h, w)
+
+    def test_error_on_the_caller_comes_first(self, config):
+        # both threads raise: the caller's own error reaches the caller,
+        # once the helper has finished its share, and no thread is left
+        real, helped = metrics.ssim, threading.Event()
+
+        def ssim_failing_on_both(*args):
+            if threading.current_thread() is not threading.main_thread():
+                helped.set()
+                raise NumericalError("helper chunk")
+            assert helped.wait(10)
+            raise NumericalError("caller chunk")
+
+        scene = RadianceMap(
+            data=np.random.default_rng(5).uniform(0, 300, (64, 64)))
+        before = threading.active_count()
+        with mock.patch.object(metrics, "ssim", ssim_failing_on_both):
+            with pytest.raises(NumericalError, match="caller chunk"):
+                evaluate_protocol(scene, config, roi_size=16, seed=6)
+        assert threading.active_count() == before
 
     def test_error_on_the_helper_is_raised(self):
         # the helper's chunk fails while this thread holds one, and this
@@ -330,7 +360,7 @@ class TestProtocol:
     def test_noiseless_limit_scores_near_one(self, monkeypatch):
         import svsensor.sensor as sensor_mod
         monkeypatch.setattr(sensor_mod, "draw_photons",
-                            lambda rng, m: np.asarray(m, dtype=np.float64))
+                            lambda rng, m: np.array(m, dtype=np.float64))
         config = SensorConfig(sigma_pre=0.0, sigma_post=0.0)
         scene = self.hdr_scene(config)
         report = evaluate_protocol(scene, config, roi_size=32, seed=9)

@@ -1,6 +1,7 @@
 """Sensor model: ADC behavior, noise statistics, estimator bias/variance,
 determinism."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap,
                       PhotonEstimate, Plan, RadianceMap, RawCapture, RoiGrid,
                       SensorConfig, ShapeError, dequantize, estimate_photons,
                       quantize, simulate_capture)
-from svsensor.sensor import is_bin_factor
+from svsensor.sensor import draw_noise, is_bin_factor
 
 
 def mc_estimates(level, gain, config, n, seed):
@@ -189,6 +190,21 @@ class TestCaptureContracts:
         for shape in ((0, 0), (0, 4), (4, 0)):
             with pytest.raises(ShapeError):
                 RadianceMap(data=np.zeros(shape))
+
+    def test_noise_draw_copies_no_scene(self, config):
+        # at unit quantum efficiency the photon draw reads the scene as it
+        # is: a 512 x 512 realization to k = 8 peaks at its own arrays
+        # (charge, post-amp normals, superpixel normals: 2.33 frames) plus
+        # the draw's temporaries, well under 2.5 frames
+        scene = RadianceMap(data=np.random.default_rng(7).uniform(
+            0, 600, (512, 512)))
+        tracemalloc.start()
+        try:
+            draw_noise(scene, config, 8, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * scene.data.nbytes
 
 
 class TestHeldArrays:

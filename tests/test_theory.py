@@ -175,6 +175,18 @@ class TestCutoffTable:
             assert best_pitch_index(table)[i] == (-1 if best is None
                                                   else best[0])
 
+    def test_overflowing_lanes_resolve_nothing(self, config):
+        # the square of a pitch of 1e308, or of 2 at a density of 1e308,
+        # overflows: the contrast and the noise level are both inf, and
+        # such a lane resolves nothing, beside lanes that keep their cutoffs
+        densities, pitches = [100.0, 1000.0, 1e308], [0.5, 2.0, 1e308]
+        table = cutoff_frequencies(densities, pitches, 1.0, 4.0, config)
+        assert np.isnan(table[:, 2]).all() and np.isnan(table[2, 1])
+        for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]:
+            assert table[i, j] == cutoff_frequency(
+                densities[i], pitches[j], 1.0, 4.0, config)
+        assert (best_pitch_index(table[:, 2:]) == -1).all()
+
     @pytest.mark.parametrize("densities, pitches, gain", [
         ([1.0, float("nan")], [0.5], 1.0), ([1.0, -1.0], [0.5], 1.0),
         ([1.0, 0.0], [0.5], 1.0), ([1.0], [0.5, 0.0], 1.0),
