@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: simulate, plan-gain, plan-bin, capture, compose, calibrate,
-theory, evaluate.  Exit codes: 0 success, 2 usage/configuration error,
-3 data or shape error, 4 numerical failure.  Diagnostics go to stderr; data
-goes to the requested files or stdout.  Every stochastic subcommand requires
-an explicit nonnegative --seed so reruns are byte-identical.
+theory, evaluate.  Exit codes: 0 success, 2 usage error, else the raised
+error's ``exit_code`` (see ``errors``).  Diagnostics go to stderr; data goes
+to the requested files or stdout.  Every stochastic subcommand requires an
+explicit nonnegative --seed so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .calibrate import dark_variance, fit_read_noise
-from .errors import ConfigError, DataError, NumericalError, ShapeError
+from .errors import ConfigError, DataError, NumericalError
 from .gain import GainMap, capture_adaptive, gain_from_vignetting, plan_gain_roi, quantize_to_ladder
 from .metrics import METHODS, evaluate_protocol
 from .readout import BinMap, compose_from_gain_stack, plan_bin_roi
@@ -27,9 +27,7 @@ from .sensor import BIN_MODES, RadianceMap, SensorConfig, estimate_photons, simu
 from .theory import TheoryParams, light_to_bin_lut, sweep_pitch
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+EXIT_USAGE = 2  # argparse's own exit code
 
 
 def _load_config(path) -> SensorConfig:
@@ -303,15 +301,9 @@ def main(argv=None) -> int:
         # tracer or a test) is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](
             args, config)
-    except ConfigError as exc:
+    except (ConfigError, DataError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ShapeError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
 from .sensor import (Plan, PhotonEstimate, RadianceMap, RawCapture,
-                     SensorConfig, dequantize, draw_noise)
+                     SensorConfig, _quantize_in_place, dequantize, draw_noise)
 
 _WARMUP = 32  # pixels replayed to guess a chunk's start gain
 
@@ -117,11 +117,17 @@ def gain_for_level(level, eta: float, config: SensorConfig):
     if not np.all((m >= 0) & (m < np.inf)):
         raise DataError("estimated level must be finite and nonnegative")
     _check_eta(eta)
-    with np.errstate(divide="ignore", over="ignore"):  # clipped below
-        g = config.well_capacity / (m + eta * np.sqrt(m))
-    g = np.where(m == 0, config.gain_max,
-                 np.clip(g, config.gain_min, config.gain_max))
+    g = _safe_gains(m, eta, config)
     return float(g) if g.ndim == 0 else g
+
+
+def _safe_gains(m: np.ndarray, eta: float, config: SensorConfig):
+    """``gain_for_level`` of the float64 levels ``m``, unchecked: a level at
+    or below 0 (dark) gets ``gain_max``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = config.well_capacity / (m + eta * np.sqrt(m))  # clipped below
+    return np.where(m <= 0, config.gain_max,
+                    np.clip(g, config.gain_min, config.gain_max))
 
 
 def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
@@ -154,13 +160,16 @@ def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
 def next_gain(digit: int, gain: float, eta: float,
               config: SensorConfig) -> float:
     """Streaming update rule: gain for the next pixel from the previous
-    readout.  A saturated readout resets the next gain to 1."""
+    readout, ``gain_for_level`` of its decoded level in plain floats.  A
+    saturated readout resets the next gain to 1, a dark one to gain_max."""
+    digit = float(digit)  # a NumPy integer digit would wrap below black
     if digit >= config.digital_max:
         return 1.0
-    level = dequantize(digit, config) / gain
+    level = (digit - config.black_level) / config.adc_slope / gain
     if level <= 0:
         return config.gain_max
-    return gain_for_level(float(level), eta, config)
+    g = config.well_capacity / (level + eta * math.sqrt(level))
+    return min(max(g, config.gain_min), config.gain_max)
 
 
 def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
@@ -187,100 +196,72 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     to 1, a dark one to ``gain_max``) erase all history, so on natural
     scenes most guesses hold or merge within a few pixels.
 
-    The result is exact, not approximate: both bodies do the same float
-    operations in the same order (``np.rint`` rounds half to even like
-    ``round``, ``np.sqrt`` is correctly rounded like ``math.sqrt``), so
-    every digit and gain is bit for bit that of the plain sequential loop.
+    The result is exact, not approximate.  The scalar body ``scan`` calls
+    ``next_gain`` after a one-line ADC; the vector body ``step`` calls
+    ``sensor._quantize_in_place``, ``sensor.dequantize`` and
+    ``_safe_gains``.  Both do the same float operations in the same order
+    (``np.rint`` rounds half to even like ``round``, ``np.sqrt`` is
+    correctly rounded like ``math.sqrt``), so every digit and gain is bit
+    for bit that of the plain sequential loop.
     """
     _check_eta(eta)
     noise = draw_noise(scene, config, seed)
     shape = scene.data.shape
     n = scene.data.size
-
-    slope = config.adc_slope
-    black = config.black_level
-    dmax = config.digital_max
-    lwc = config.well_capacity
-    gmin, gmax = config.gain_min, config.gain_max
-
     charge, n_post = noise.charge.ravel(), noise.n_post.ravel()
     digits = np.empty(n, dtype=np.uint16)
     gains = np.empty(n, dtype=np.float64)
-    sqrt = math.sqrt
 
     def scan(g, start, stop, guess=itertools.repeat(None)):
         """The scalar body over pixels [start, stop) from incoming gain
         ``g``: write their digits and gains and return the outgoing gain,
         or None at the first pixel whose gain equals its ``guess``."""
         out_d, out_g = [], []
-        put_digit, put_gain = out_d.append, out_g.append
-        # Plain comparisons stand in for min/max: this runs once per pixel.
         for c, post, s in zip(charge[start:stop].tolist(),
                               n_post[start:stop].tolist(), guess):
             if g == s:
                 g = None
                 break
-            put_gain(g)
-            d = round((g * c + post) * slope) + black
-            if d < 0:
-                d = 0
-            elif d > dmax:
-                d = dmax
-            put_digit(d)
-            if d == dmax:
-                g = 1.0
-                continue
-            level = (d - black) / slope / g
-            if level <= 0:
-                g = gmax
-                continue
-            g = lwc / (level + eta * sqrt(level))
-            if g < gmin:
-                g = gmin
-            elif g > gmax:
-                g = gmax
+            out_g.append(g)
+            d = min(max(round((g * c + post) * config.adc_slope)
+                        + config.black_level, 0), config.digital_max)
+            out_d.append(d)
+            g = next_gain(d, g, eta, config)
         digits[start:start + len(out_d)] = out_d
         gains[start:start + len(out_g)] = out_g
         return g
 
     def step(g, c, post):
         """One pixel of every chunk at once: the scalar body on arrays."""
-        d = np.rint((g * c + post) * slope) + black
-        np.minimum(np.maximum(d, 0, out=d), dmax, out=d)
-        level = (d - black) / slope / g
-        nxt = lwc / (level + eta * np.sqrt(level))
-        np.minimum(np.maximum(nxt, gmin, out=nxt), gmax, out=nxt)
-        nxt[level <= 0] = gmax
-        nxt[d == dmax] = 1.0
+        d = _quantize_in_place(g * c + post, config)
+        nxt = _safe_gains(dequantize(d, config) / g, eta, config)
+        nxt[d == config.digital_max] = 1.0
         return d, nxt
 
     size = math.isqrt(n)
-    m = n // size if n > 1 else 0  # chunks; a frame of one pixel has none
-    g = 1.0
-    if m:
-        cut = m * size
-        c_rows = charge[:cut].reshape(m, size)
-        p_rows = n_post[:cut].reshape(m, size)
-        d_rows = digits[:cut].reshape(m, size)
-        g_rows = gains[:cut].reshape(m, size)
-        guess = np.full(m, gmax)
-        with np.errstate(invalid="ignore", divide="ignore"):  # dark: gmax
-            for j in range(size - min(_WARMUP, size), size):
-                guess[1:] = step(guess[1:], c_rows[:-1, j], p_rows[:-1, j])[1]
-            guess[0] = 1.0
-            for j in range(size):
-                g_rows[:, j] = guess
-                d_rows[:, j], guess = step(guess, c_rows[:, j], p_rows[:, j])
-        starts, ends = g_rows[:, 0].tolist(), guess.tolist()
-        g = ends[0]
-        for i in range(1, m):
-            got = (None if g == starts[i] else
-                   scan(g, i * size, (i + 1) * size, g_rows[i].tolist()))
-            g = ends[i] if got is None else got  # None: the guess holds
-    scan(g, m * size, n)
+    m = n // size  # chunks, one at least
+    cut = m * size
+    c_rows = charge[:cut].reshape(m, size)
+    p_rows = n_post[:cut].reshape(m, size)
+    d_rows = digits[:cut].reshape(m, size)
+    g_rows = gains[:cut].reshape(m, size)
+    guess = np.full(m, config.gain_max)
+    for j in range(size - min(_WARMUP, size), size):
+        guess[1:] = step(guess[1:], c_rows[:-1, j], p_rows[:-1, j])[1]
+    guess[0] = 1.0
+    for j in range(size):
+        g_rows[:, j] = guess
+        d_rows[:, j], guess = step(guess, c_rows[:, j], p_rows[:, j])
+    starts, ends = g_rows[:, 0].tolist(), guess.tolist()
+    g = ends[0]
+    for i in range(1, m):
+        got = (None if g == starts[i] else
+               scan(g, i * size, (i + 1) * size, g_rows[i].tolist()))
+        g = ends[i] if got is None else got  # None: the guess holds
+    scan(g, cut, n)
 
     digits, gains = digits.reshape(shape), gains.reshape(shape)
-    sat = digits == dmax
+    sat = digits == config.digital_max
     plan = Plan(1, gains, np.ones(shape, dtype=np.int64), "digital")
     raw = RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                      seed=seed, meta={"strategy": "per_pixel", "eta": eta})

@@ -115,15 +115,17 @@ class SensorConfig:
         if self.pixel_pitch <= 0:
             raise ConfigError("pixel_pitch must be positive")
 
-    @property
+    # Derived once per config (``next_gain`` reads them for every pixel it
+    # steps); ``==``, hashing and ``to_json`` see only the fields.
+    @cached_property
     def digital_max(self) -> int:
         return (1 << self.bit_depth) - 1
 
-    @property
+    @cached_property
     def black_level(self) -> int:
         return int(np.rint(self.black_level_frac * self.digital_max))
 
-    @property
+    @cached_property
     def adc_slope(self) -> float:
         """Digits per amplified electron."""
         return (self.digital_max - self.black_level) / self.well_capacity

@@ -271,19 +271,22 @@ def test_evaluate_and_calibrate_run_without_scipy(tmp_path, scene_path,
 def test_theory_ends_on_huge_pitches(pitches, code):
     # a pitch of 1e308 overflows the contrast and noise terms, so that its
     # lanes resolve nothing (no cutoff, no p* and no N) and are not
-    # bisected; next to a pitch of 0.5 its bin factor overflows
+    # bisected, and at a light of 1e-320 (a subnormal, printed as
+    # 9.99988867e-321) its sine's argument overflows; next to a pitch of 0.5
+    # its bin factor overflows
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", "import sys; from svsensor.cli import main; "
          "sys.exit(main(sys.argv[1:]))", "theory", "--pitches", pitches,
-         "--lights", "1,10"], capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(src)))
+         "--lights", "1e-320,1,10"], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == code
     assert out.stderr == ("" if code == 0 else
                           "error: pitch candidates must span a ratio whose "
                           "square is finite\n")
-    assert out.stdout == ("l0,p,f_cutoff\n1,1e+308,\n10,1e+308,\n"
-                          "l0,p_star,N\n1,,\n10,,\n" if code == 0 else "")
+    assert out.stdout == (
+        "l0,p,f_cutoff\n9.99988867e-321,1e+308,\n1,1e+308,\n10,1e+308,\n"
+        "l0,p_star,N\n9.99988867e-321,,\n1,,\n10,,\n" if code == 0 else "")
 
 
 def test_simulate_takes_no_gain_map(tmp_path, scene_path, capsys):

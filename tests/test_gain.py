@@ -13,7 +13,8 @@ from svsensor import (ConfigError, DataError, GainMap, PhotonEstimate,
                       gain_for_level, gain_from_vignetting, next_gain,
                       plan_gain_roi, quantize, quantize_to_ladder,
                       simulate_capture)
-from svsensor.sensor import draw_noise
+from svsensor.gain import _safe_gains
+from svsensor.sensor import dequantize, draw_noise
 
 from conftest import roi_slices
 
@@ -193,11 +194,26 @@ class TestPerPixelPlanner:
         assert sat.sum() == 1
         assert raw.gain.ravel()[17] == 1.0
 
-    def test_next_gain_matches_decode(self, config):
-        digit = 1500
-        level = (digit - config.black_level) / config.adc_slope / 2.0
-        assert next_gain(digit, 2.0, 2.0, config) == pytest.approx(
-            gain_for_level(level, 2.0, config))
+    def test_next_gain_matches_decode(self):
+        # the scalar rule equals, bit for bit, the array path of the vector
+        # body: dequantize, divide by the gain, the array rule with its dark
+        # reset, then the saturate reset; for every digit, and for NumPy
+        # integer digits below the black level, which must not wrap
+        for config in (SensorConfig(), SensorConfig(bit_depth=8),
+                       SensorConfig(gain_max=2.0)):
+            d = np.arange(config.digital_max + 1)
+            below = d[:config.black_level]
+            for g in [1.0, 1.3, *np.geomspace(1.0, config.gain_max, 4)[1:]]:
+                for eta in (0.0, 2.0, 4.0):
+                    want = _safe_gains(dequantize(d, config) / g, eta, config)
+                    want[d == config.digital_max] = 1.0
+                    want = want.tolist()
+                    assert [next_gain(k, g, eta, config)
+                            for k in d.tolist()] == want, (config, g, eta)
+                    for kind in (np.uint16, np.int64):
+                        assert [next_gain(k, g, eta, config)
+                                for k in below.astype(kind)] == want[
+                                    :below.size], (config, g, eta, kind)
 
     def test_natural_scene_saturation_small(self, config):
         from svsensor import SceneSpec, load_and_normalize

@@ -302,6 +302,21 @@ class TestSerialization:
             "bit_depth", "black_level_frac", "gain_min", "gain_max",
             "quantum_efficiency"}
 
+    def test_derived_constants_follow_replace(self, config):
+        # the ADC constants are cached on each config: a replaced config
+        # derives its own, and equality and JSON still see the nine fields
+        import json
+        assert (config.digital_max, config.black_level) == (4095, 205)
+        eight = replace(config, bit_depth=8)
+        assert (eight.digital_max, eight.black_level) == (255, 13)
+        assert eight.adc_slope == (255 - 13) / 1000.0
+        assert config.adc_slope == (4095 - 205) / 1000.0
+        assert config == SensorConfig() and eight == SensorConfig(bit_depth=8)
+        assert eight != config and hash(config) == hash(SensorConfig())
+        assert json.loads(eight.to_json()) == dict(
+            json.loads(config.to_json()), bit_depth=8)
+        assert len(json.loads(config.to_json())) == 9
+
     def test_config_rejects_unknown_fields(self):
         with pytest.raises(ConfigError):
             SensorConfig.from_json('{"well_capacity": 10, "dark_current": 1}')

@@ -178,8 +178,11 @@ class TestCutoffTable:
     def test_overflowing_lanes_resolve_nothing(self, config):
         # the square of a pitch of 1e308, or of 2 at a density of 1e308,
         # overflows: the contrast and the noise level are both inf, and
-        # such a lane resolves nothing, beside lanes that keep their cutoffs
-        densities, pitches = [100.0, 1000.0, 1e308], [0.5, 2.0, 1e308]
+        # such a lane resolves nothing, beside lanes that keep their cutoffs.
+        # At a density of 1e-320 the pitch of 1e308 keeps a finite contrast
+        # and noise, but its sine's argument pi * p * f overflows: no cutoff
+        densities = [100.0, 1000.0, 1e308, 1e-320]
+        pitches = [0.5, 2.0, 1e308]
         table = cutoff_frequencies(densities, pitches, 1.0, 4.0, config)
         assert np.isnan(table[:, 2]).all() and np.isnan(table[2, 1])
         for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]:
