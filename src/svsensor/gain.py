@@ -245,7 +245,7 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     p_rows = n_post[:cut].reshape(m, size)
     d_rows = digits[:cut].reshape(m, size)
     g_rows = gains[:cut].reshape(m, size)
-    guess = np.full(m, config.gain_max)
+    guess = np.full(m, float(config.gain_max))  # float64 even for an int
     for j in range(size - min(_WARMUP, size), size):
         guess[1:] = step(guess[1:], c_rows[:-1, j], p_rows[:-1, j])[1]
     guess[0] = 1.0

@@ -43,12 +43,18 @@ from .theory import TheoryParams
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
            "const_gain_vary_bin", "vary_gain_vary_bin")
 
-# 11-tap Gaussian window: radius 5 at sigma 1.5, weighted as scipy's
-# gaussian_filter1d weights it at truncate 10/3
-_SSIM_RADIUS = 5
-_SSIM_WEIGHTS = np.exp(-0.5 / 1.5 ** 2
-                       * np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1) ** 2)
-_SSIM_WEIGHTS /= _SSIM_WEIGHTS.sum()
+
+def _gaussian_weights(sigma: float, truncate: float = 4.0) -> np.ndarray:
+    """scipy's Gaussian kernel, computed as scipy computes it: exp(-x**2 /
+    (2 sigma**2)) for |x| <= int(truncate * sigma + 0.5), normalized."""
+    r = int(truncate * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    return phi / phi.sum()
+
+
+# 11-tap SSIM window: radius 5 at sigma 1.5, truncate 10/3
+_SSIM_WEIGHTS = _gaussian_weights(1.5, 10.0 / 3.0)
+_SSIM_RADIUS = len(_SSIM_WEIGHTS) // 2
 # Most ROI pixels per chunk of evaluate's loop, which reads them out under
 # every plan and scores them: about a dozen float64 arrays of this size per
 # thread, at any frame size.  Chunks are as large as that allows: with both
@@ -80,40 +86,46 @@ def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
     return _gamma_in_place(photons, 1.0 / 3.2)
 
 
-def _blur(stack: np.ndarray, crop: int) -> np.ndarray:
-    """The SSIM window over each block of an (n, h, w) stack, each block
-    with its own reflect boundary, cropped by ``crop`` pixels on every side.
+def _blur(stack: np.ndarray, crop: int,
+          weights: np.ndarray = _SSIM_WEIGHTS) -> np.ndarray:
+    """A window over each block of an (n, h, w) stack, each block with its
+    own reflect boundary, cropped by ``crop`` pixels on every side.
 
-    Bit for bit scipy's ``gaussian_filter1d`` along axes 1 and 2 (reflect,
-    truncate 10/3) then the crop: each output sums ``x[c] * w0`` and then
-    ``(x[c - j] + x[c + j]) * wj`` for j = 5 down to 1, the order of scipy's
-    symmetric correlation.  With ``crop`` the window radius no kept output
-    reads past a block's edge, so the axis-1 pass computes only the kept
-    rows and the axis-2 pass only the kept columns; with ``crop`` 0 each
-    axis is padded first as numpy's ``symmetric`` mode pads it, which is
-    scipy's ``reflect`` even on lines shorter than the radius."""
-    return _window(_window(stack, 1, crop), 2, crop)
+    The window takes any odd, symmetric ``weights`` (radius r), by default
+    the SSIM window's.  Bit for bit scipy's ``correlate1d`` with them (so
+    ``gaussian_filter1d`` with ``_gaussian_weights``) along axes 1 and 2,
+    reflect mode, then the crop: each output sums ``x[c] * w0`` and then
+    ``(x[c - j] + x[c + j]) * wj`` for j = r down to 1, the order of scipy's
+    symmetric correlation.  With ``crop`` equal to r no kept output reads
+    past a block's edge, so the axis-1 pass computes only the kept rows and
+    the axis-2 pass only the kept columns; with ``crop`` 0 each axis is
+    extended first by ``_reflect``."""
+    return _window(_window(stack, 1, crop, weights), 2, crop, weights)
 
 
-def _window(x: np.ndarray, axis: int, crop: int) -> np.ndarray:
+def _reflect(n: int, r: int) -> np.ndarray:
+    """Indices extending a line of ``n`` samples by ``r`` on each side as
+    scipy's ``reflect`` mode (numpy's ``symmetric`` pad) does, repeated
+    reflections included: the line continued with period 2n, mirrored."""
+    p = np.arange(-r, n + r) % (2 * n)
+    return np.where(p < n, p, 2 * n - 1 - p)
+
+
+def _window(x: np.ndarray, axis: int, crop: int, weights) -> np.ndarray:
     """One pass of ``_blur`` along ``axis`` of a 3-D ``x``."""
-    r = _SSIM_RADIUS
+    r = len(weights) // 2
     if crop == 0:
-        # numpy's "symmetric" pad, repeated reflections included, as an
-        # index: the line extended with period 2n, mirrored
-        n = x.shape[axis]
-        p = np.arange(-r, n + r) % (2 * n)
-        x = np.take(x, np.where(p < n, p, 2 * n - 1 - p), axis=axis)
+        x = np.take(x, _reflect(x.shape[axis], r), axis=axis)
     m = x.shape[axis] - 2 * r  # outputs kept; output t is centred on x[t + r]
 
     def tap(d):
         return x[:, r + d:r + d + m] if axis == 1 else x[:, :, r + d:r + d + m]
 
-    out = tap(0) * _SSIM_WEIGHTS[r]
+    out = tap(0) * weights[r]
     pair = np.empty_like(out)
     for j in range(r, 0, -1):
         np.add(tap(-j), tap(j), out=pair)
-        pair *= _SSIM_WEIGHTS[r + j]
+        pair *= weights[r + j]
         out += pair
     return out
 

@@ -7,6 +7,12 @@ Scenes are expected photon arrivals per unit pixel per exposure.  A
 the mean sits at a chosen fraction of the well capacity (the simulation
 protocol uses 0.05).  ``boxed_sinusoid`` is generated directly in photon
 units.
+
+The synthetic scenes are smoothed noise, blurred as scipy's
+``gaussian_filter`` blurs in one of two passes: a fixed sigma through
+``metrics._blur``'s window, bit for bit, and the ``hdr_blobs`` illumination
+field, whose sigma grows with the frame, through one FFT per axis, equal
+to rounding: a window's cost grows with its radius, an FFT's does not.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import read_pfm
-from .sensor import RadianceMap, SensorConfig
+from .metrics import _blur, _gaussian_weights, _reflect
+from .sensor import RadianceMap, SensorConfig, is_json_int
 from .theory import contrast
 
 
@@ -46,6 +53,11 @@ class SceneSpec:
             raise ConfigError(f"unknown scene source {self.source!r}")
         if self.mean_level_frac is not None and not (0 < self.mean_level_frac < 1):
             raise ConfigError("mean_level_frac must lie in (0, 1)")
+        for name, least in (("width", 1), ("height", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_json_int(value) and value >= least):
+                raise ConfigError(f"scene {name} must be an integer of at "
+                                  f"least {least}, not {value!r}")
 
 
 def boxed_sinusoid(freq: float, density: float, pitch: float,
@@ -65,13 +77,35 @@ def boxed_sinusoid(freq: float, density: float, pitch: float,
     return np.tile(row, (height, 1))
 
 
+def _window_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy's ``gaussian_filter(x, sigma)`` bit for bit: the window pass."""
+    return _blur(x[None], 0, _gaussian_weights(sigma))[0]
+
+
+def _fft_blur(x: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy's ``gaussian_filter(x, sigma)`` to rounding: the FFT pass.
+    Per axis, each line is extended by the kernel radius r as ``_reflect``
+    extends it, convolved with the kernel by one real FFT at length n + 2r,
+    which the extension keeps from wrapping, and cut to its middle n."""
+    w = _gaussian_weights(sigma)
+    r = len(w) // 2
+    for axis in (0, 1):
+        n = x.shape[axis]
+        kernel = np.fft.rfft(np.roll(np.pad(w, (0, n - 1)), -r))
+        # rebinding x frees each step's input; the copy frees the margins
+        x = np.fft.rfft(np.take(x, _reflect(n, r), axis=axis), axis=axis)
+        x *= kernel if axis else kernel[:, None]
+        x = np.fft.irfft(x, n + 2 * r, axis=axis)
+        x = (x[r:r + n] if axis == 0 else x[:, r:r + n]).copy()
+    return x
+
+
 def _texture(seed: int, width: int, height: int) -> np.ndarray:
     """Broadband positive texture with unit mean: smoothed noise at two
     scales so there is detail for binning to destroy."""
-    from scipy.ndimage import gaussian_filter
     rng = np.random.default_rng(seed)
-    fine = gaussian_filter(rng.standard_normal((height, width)), 1.2)
-    coarse = gaussian_filter(rng.standard_normal((height, width)), 4.0)
+    fine = _window_blur(rng.standard_normal((height, width)), 1.2)
+    coarse = _window_blur(rng.standard_normal((height, width)), 4.0)
     img = fine + 0.6 * coarse
     img -= img.min()
     mean = img.mean()
@@ -83,15 +117,17 @@ def _texture(seed: int, width: int, height: int) -> np.ndarray:
 
 def _hdr_blobs(seed: int, width: int, height: int) -> np.ndarray:
     """Piecewise-smooth scene spanning four decades: a smooth log-domain
-    illumination field modulated by mild texture."""
-    from scipy.ndimage import gaussian_filter
+    illumination field modulated by mild texture.  The texture's sigma of 1
+    takes the window pass; the field's, an eighth of the frame's smaller
+    side, takes the FFT pass, whose cost does not grow with sigma (the
+    window would read 2049 taps per pixel at 2048 x 2048)."""
     rng = np.random.default_rng(seed)
-    field = gaussian_filter(rng.standard_normal((height, width)),
-                            0.125 * min(height, width))
+    field = _fft_blur(rng.standard_normal((height, width)),
+                      0.125 * min(height, width))
     lo, hi = field.min(), field.max()
     field = (field - lo) / (hi - lo) if hi > lo else np.zeros_like(field)
     img = 10.0 ** (field * 4.0 - 1.0)
-    tex = 1.0 + 0.35 * gaussian_filter(rng.standard_normal((height, width)), 1.0)
+    tex = 1.0 + 0.35 * _window_blur(rng.standard_normal((height, width)), 1.0)
     img *= np.clip(tex, 0.05, None)
     return img
 

@@ -267,6 +267,81 @@ def test_evaluate_and_calibrate_run_without_scipy(tmp_path, scene_path,
     assert json.loads(out.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+from pathlib import Path
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+
+import numpy as np
+from svsensor import SceneSpec, SensorConfig, load_and_normalize
+from svsensor.cli import main
+from svsensor.fileio import write_pfm
+
+d = Path(sys.argv[1])
+for source in ("texture", "hdr_blobs"):
+    scene = load_and_normalize(SceneSpec(source=source, seed=5, width=48,
+                                         height=40, mean_level_frac=0.05),
+                               SensorConfig()).data
+    write_pfm(d / f"{source}.pfm", scene)
+write_pfm(d / "dark.pfm", np.zeros((16, 16)))
+scene = str(d / "hdr_blobs.pfm")
+(d / "stack").mkdir()
+runs = [["simulate", scene, "--gain", "1", "--seed", "1",
+         "--output", f"{d}/stack/frame_000"],
+        ["simulate", scene, "--gain", "4", "--seed", "1",
+         "--output", f"{d}/stack/frame_001"],
+        *[["simulate", f"{d}/dark.pfm", "--gain", g, "--seed", str(j),
+           "--output", f"{d}/dark_{g}_{j}"] for g in ("1", "4", "16")
+          for j in (0, 1)],
+        ["plan-gain", "--pilot", f"{d}/stack/frame_000", "--roi-size", "16",
+         "--output", f"{d}/gain.json"],
+        ["plan-bin", "--pilot", f"{d}/stack/frame_000", "--roi-size", "16",
+         "--mode", "digital", "--output", f"{d}/bin.json"],
+        ["capture", scene, "--gain-map", f"{d}/gain.json", "--bin-map",
+         f"{d}/bin.json", "--seed", "2", "--output", f"{d}/cap"],
+        ["capture", scene, "--per-pixel-eta", "2", "--seed", "2",
+         "--output", f"{d}/adaptive"],
+        ["compose", "--stack", f"{d}/stack", "--gain-map", f"{d}/gain.json",
+         "--snap", "--output", f"{d}/composed"],
+        ["calibrate", "--manifest", f"{d}/manifest.json",
+         "--output", f"{d}/profile.json"],
+        ["theory", "--pitches", "0.5,1,2", "--lights", "1,10",
+         "--output", f"{d}/theory.csv"],
+        ["evaluate", scene, "--roi-size", "16", "--seed", "3",
+         "--output", f"{d}/report.json"]]
+(d / "stack" / "manifest.json").write_text(json.dumps({"frames": [
+    {"gain": 1.0, "base": "frame_000"}, {"gain": 4.0, "base": "frame_001"}]}))
+(d / "manifest.json").write_text(json.dumps({"gains": [
+    {"gain": float(g), "frames": [f"{d}/dark_{g}_{j}.pgm" for j in (0, 1)]}
+    for g in ("1", "4", "16")]}))
+codes = {argv[0]: 0 for argv in runs}
+for argv in runs:
+    codes[argv[0]] |= main(argv)
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # scipy is a test-only dependency: with every scipy import refused, the
+    # synthetic scenes build and every subcommand runs on one of them
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == dict.fromkeys(
+        ["simulate", "plan-gain", "plan-bin", "capture", "compose",
+         "calibrate", "theory", "evaluate"], 0)
+
+
 @pytest.mark.parametrize("pitches, code", [("1e308", 0), ("0.5,1e308", 2)])
 def test_theory_ends_on_huge_pitches(pitches, code):
     # a pitch of 1e308 overflows the contrast and noise terms, so that its

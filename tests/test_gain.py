@@ -282,6 +282,34 @@ class TestPerPixelPlanner:
         assert raw.saturation_mask.ravel()[450 + offset]
         assert g[450 + offset] == config.gain_max and g[451 + offset] == 1.0
 
+    def test_integer_gain_max_guesses_as_float(self, monkeypatch):
+        # a JSON config may give gain_max as an int; the chunks' warm-up
+        # guesses must still be float gains, not truncated ones, so the
+        # scalar repair runs on as many pixels as with the float gain_max
+        from svsensor import SceneSpec, load_and_normalize
+        import svsensor.gain as gain_mod
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return next_gain(*args)
+
+        monkeypatch.setattr(gain_mod, "next_gain", counted)
+        counts, outputs = [], []
+        for text in ('{"gain_max": 27}', '{"gain_max": 27.0}'):
+            config = SensorConfig.from_json(text)
+            spec = SceneSpec(source="hdr_blobs", seed=1, width=256,
+                             height=256, mean_level_frac=0.05)
+            calls.clear()
+            raw, _ = capture_adaptive(load_and_normalize(spec, config), 2.0,
+                                      config, seed=1)
+            counts.append(len(calls))
+            outputs.append(raw.digits.tobytes() + raw.gain.tobytes())
+        assert isinstance(SensorConfig.from_json('{"gain_max": 27}').gain_max,
+                          int)
+        assert counts[0] == counts[1], counts
+        assert outputs[0] == outputs[1]
+
     def test_adaptive_capture_pinned_ragged(self, config):
         # 300 x 257 = 77100 pixels is not a multiple of isqrt(77100) = 277,
         # so a chunked scan has a tail and repairs to make

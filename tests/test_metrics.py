@@ -486,10 +486,10 @@ class TestProtocol:
             seed=78).to_json_dict()
 
     @pytest.mark.parametrize("size, roi, digest", [
-        (512, 32, "25a930cca541faa97848b02ee3c041d513f51e4623e437087e949633de08c950"),
-        (300, 32, "ecd9e0a3f355e529e6c8159a014403fc8267ac52cc8d70690f53622de83e4c08"),
-        (257, 16, "ed8344c54f6568329bb8313bd528225f49503f4c756872fb95e902cb4bcb4780"),
-    ])
+        (512, 32, "f7cf131a32fed5d1dfda00112a86ecf53474587645812f8252342f39f257db17"),
+        (300, 32, "263bb0101a6dcaef0dfc29b8a4feb5c0ca0429fe5e8ba4a2f478076dfff2e274"),
+        (257, 16, "e3a12c3353113bdd9c4ed7161517064cbb487a75cef3865931a114453700fed9"),
+    ], ids=["512-32", "300-32", "257-16"])
     def test_reports_pinned(self, config, size, roi, digest):
         # whole reports, clipped edge ROIs included, fixed so that a rewrite
         # of the capture or the scoring cannot change a single bit of them

@@ -9,6 +9,7 @@ import pytest
 
 from svsensor import (ConfigError, DataError, RadianceMap, SceneSpec,
                       boxed_sinusoid, contrast, load_and_normalize)
+from svsensor import scenes
 from svsensor.fileio import read_pfm, write_pfm
 
 
@@ -88,6 +89,69 @@ class TestNormalization:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):
             SceneSpec(source="texture", mean_level_frac=1.5)
+
+    @pytest.mark.parametrize("source", ["texture", "hdr_blobs"])
+    @pytest.mark.parametrize("field, value", [
+        ("width", -1), ("width", 0), ("width", 2.5), ("width", True),
+        ("height", -1), ("height", 0), ("height", 2.5), ("height", True),
+        ("seed", -3), ("seed", 1.5), ("seed", True), ("seed", None)])
+    def test_bad_size_or_seed_rejected(self, config, source, field, value):
+        # a size must be a positive integer and a seed a nonnegative one,
+        # bools excluded, as plan fields are checked
+        with pytest.raises(ConfigError):
+            spec = SceneSpec(source=source, mean_level_frac=0.05,
+                             **{field: value})
+            load_and_normalize(spec, config)
+
+
+class TestSynthetic:
+    @pytest.mark.parametrize("source", ["texture", "hdr_blobs"])
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 5), (5, 1),
+                                               (3, 5)])
+    def test_tiny_scenes_build(self, config, source, height, width):
+        # a 1 x 1 or 1 x N scene is valid and goes through both blurs
+        spec = SceneSpec(source=source, seed=np.int64(2), width=width,
+                         height=height, mean_level_frac=0.05)
+        data = load_and_normalize(spec, config).data
+        assert data.shape == (height, width)
+        assert np.all(data >= 0)
+        assert data.mean() == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("height, width",
+                             [(1, 1), (3, 5), (1, 64), (300, 257), (512, 512)])
+    def test_window_pass_equals_gaussian_filter(self, height, width):
+        # bit for bit at the scenes' fixed sigmas: scipy is the oracle,
+        # not a dependency
+        from scipy.ndimage import gaussian_filter
+        x = np.random.default_rng(height * width).standard_normal(
+            (height, width))
+        for sigma in (1.0, 1.2, 4.0):
+            assert np.array_equal(scenes._window_blur(x, sigma),
+                                  gaussian_filter(x, sigma)), sigma
+
+    @pytest.mark.parametrize("height, width", [(1, 1), (3, 5), (1, 64),
+                                               (300, 257), (512, 512),
+                                               (2048, 2048)])
+    def test_fft_pass_matches_gaussian_filter(self, height, width):
+        # to rounding at the illumination field's sigma, an eighth of the
+        # smaller side
+        from scipy.ndimage import gaussian_filter
+        x = np.random.default_rng(height + width).standard_normal(
+            (height, width))
+        sigma = 0.125 * min(height, width)
+        want = gaussian_filter(x, sigma)
+        got = scenes._fft_blur(x, sigma)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_texture_pinned(self):
+        # SHA-256 of two texture scenes, a ragged and a square one, as
+        # scipy's gaussian_filter built them
+        digest = hashlib.sha256()
+        for height, width in ((300, 257), (64, 64)):
+            digest.update(scenes._texture(11, width, height).tobytes())
+        assert digest.hexdigest() == (
+            "e3f06a5c79cb712404481f2202abd720b3e364a13b026aab44484232878d9745")
 
 
 class TestSinusoid:
