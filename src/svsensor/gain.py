@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
 from .sensor import (Plan, PhotonEstimate, RadianceMap, RawCapture,
-                     SensorConfig, _quantize_in_place, dequantize, draw_noise)
+                     SensorConfig, _adc_in_place, _helper_thread, dequantize,
+                     draw_noise)
 
 _WARMUP = 32  # pixels replayed to guess a chunk's start gain
 
@@ -126,8 +127,10 @@ def _safe_gains(m: np.ndarray, eta: float, config: SensorConfig):
     or below 0 (dark) gets ``gain_max``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = config.well_capacity / (m + eta * np.sqrt(m))  # clipped below
-    return np.where(m <= 0, config.gain_max,
-                    np.clip(g, config.gain_min, config.gain_max))
+    # two ufuncs, not np.clip, whose own overhead is the larger cost on the
+    # adaptive capture's short arrays
+    return np.where(m <= 0, config.gain_max, np.minimum(
+        np.maximum(g, config.gain_min), config.gain_max))
 
 
 def plan_gain_roi(snapshot: PhotonEstimate, roi_size: int, eta: float,
@@ -169,7 +172,10 @@ def next_gain(digit: int, gain: float, eta: float,
     if level <= 0:
         return config.gain_max
     g = config.well_capacity / (level + eta * math.sqrt(level))
-    return min(max(g, config.gain_min), config.gain_max)
+    # min(max(g, gain_min), gain_max) without the two builtin calls, which
+    # cost the adaptive capture's repairs about 0.3 us a pixel
+    g = config.gain_min if config.gain_min > g else g
+    return config.gain_max if config.gain_max < g else g
 
 
 def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
@@ -177,10 +183,10 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     """Closed-loop per-pixel capture: each readout sets the next pixel's gain.
 
     The physical randomness (photon arrivals and read noise) does not depend
-    on the gain choice, so ``draw_noise`` draws it up front, the same
-    realization every other capture reads at this seed.  The first pixel of
-    the frame uses gain 1 and each later pixel, in C order, the
-    ``next_gain`` of the readout before it.
+    on the gain choice, so ``draw_noise`` draws it up front, on this thread
+    and one helper thread, the same realization every other capture reads
+    at this seed.  The first pixel of the frame uses gain 1 and each later
+    pixel, in C order, the ``next_gain`` of the readout before it.
 
     That recursion is sequential, so it is solved by speculating and
     repairing.  The scan is cut into chunks of ``isqrt(n)`` pixels.  Each
@@ -198,19 +204,24 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
 
     The result is exact, not approximate.  The scalar body ``scan`` calls
     ``next_gain`` after a one-line ADC; the vector body ``step`` calls
-    ``sensor._quantize_in_place``, ``sensor.dequantize`` and
-    ``_safe_gains``.  Both do the same float operations in the same order
-    (``np.rint`` rounds half to even like ``round``, ``np.sqrt`` is
-    correctly rounded like ``math.sqrt``), so every digit and gain is bit
-    for bit that of the plain sequential loop.
+    ``sensor._adc_in_place``, ``sensor.dequantize`` of its float64 digits
+    (no cast to ``uint16`` and back) and ``_safe_gains``.  Both do the
+    same float operations in the same order (``np.rint`` rounds half to
+    even like ``round``, ``np.sqrt`` is correctly rounded like
+    ``math.sqrt``), so every digit and gain is bit for bit that of the
+    plain sequential loop.
     """
     _check_eta(eta)
-    noise = draw_noise(scene, config, seed)
+    with _helper_thread() as helper:
+        noise = draw_noise(scene, config, seed, helper=helper)
     shape = scene.data.shape
     n = scene.data.size
     charge, n_post = noise.charge.ravel(), noise.n_post.ravel()
     digits = np.empty(n, dtype=np.uint16)
     gains = np.empty(n, dtype=np.float64)
+
+    slope, black = config.adc_slope, config.black_level
+    top = config.digital_max
 
     def scan(g, start, stop, guess=itertools.repeat(None)):
         """The scalar body over pixels [start, stop) from incoming gain
@@ -223,8 +234,8 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
                 g = None
                 break
             out_g.append(g)
-            d = min(max(round((g * c + post) * config.adc_slope)
-                        + config.black_level, 0), config.digital_max)
+            d = round((g * c + post) * slope) + black
+            d = 0 if d < 0 else top if d > top else d
             out_d.append(d)
             g = next_gain(d, g, eta, config)
         digits[start:start + len(out_d)] = out_d
@@ -232,10 +243,11 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
         return g
 
     def step(g, c, post):
-        """One pixel of every chunk at once: the scalar body on arrays."""
-        d = _quantize_in_place(g * c + post, config)
+        """One pixel of every chunk at once: the scalar body on arrays,
+        its digits as float64."""
+        d = _adc_in_place(g * c + post, config)
         nxt = _safe_gains(dequantize(d, config) / g, eta, config)
-        nxt[d == config.digital_max] = 1.0
+        nxt[d == top] = 1.0
         return d, nxt
 
     size = math.isqrt(n)

@@ -18,9 +18,12 @@ goes through one kernel, ``read_blocks``, which digitizes the blocks of a
 selection of ROIs of a ``sensor.draw_noise`` realization under one
 ``sensor.Plan`` (``fit_plan`` makes it of a gain plan and a bin plan):
 ``read_plan`` runs it over every ROI into a frame, and ``evaluate`` over
-each chunk of ROIs it scores.  The realization is the whole frame drawn in
-a fixed order, independent of the plan (unit-pixel photons and read noise,
-then superpixel post-amp normals on the global k-grids).  Captures of the
+each chunk of ROIs it scores.  The realization is independent of the plan:
+the frame is drawn in bands of 16 rows, band b from child b of
+``SeedSequence(seed).spawn``, and within a band in a fixed order (unit-pixel
+photons, pre-amp and post-amp normals, then the band's rows of superpixel
+post-amp normals on the global k-grids for k = 2, 4, 8, which 16 rows
+never cut).  Which thread draws a band changes no value.  Captures of the
 same scene with the same seed but different plans therefore share their
 physical noise realization: a scalar gain and a grid of that gain give the
 same digits, and the evaluation protocol draws one realization and reads it
@@ -41,7 +44,7 @@ from .gain import GainMap
 from .roi import RoiGrid
 from .sensor import (BIN_LADDER, PhotonEstimate, Plan, RadianceMap,
                      RawCapture, Realization, SensorConfig,
-                     _quantize_in_place, estimate_photons, is_bin_factor,
+                     _adc_in_place, estimate_photons, is_bin_factor,
                      is_json_int, roi_ladder, simulate_capture)
 from .theory import TheoryParams, cutoff_frequencies, ladder_bin_factors
 
@@ -198,7 +201,7 @@ def read_blocks(noise: Realization, plan: Plan, config: SensorConfig,
     v = gather(noise.charge)
     v *= gains[:, None, None]
     v += gather(noise.n_post)
-    digits = _quantize_in_place(v, config)
+    digits = _adc_in_place(v, config).astype(np.uint16)
     sat = digits == config.digital_max
     for n in np.unique(bins[bins > 1]).tolist():
         k = math.isqrt(n)
@@ -229,7 +232,7 @@ def read_blocks(noise: Realization, plan: Plan, config: SensorConfig,
                 v = (g / n) * summed + post
             else:
                 v = g * (summed / n) + post
-            d_sup = _quantize_in_place(v, config)
+            d_sup = _adc_in_place(v, config).astype(np.uint16)
             sat_sup = d_sup == config.digital_max
         for out, sup in ((digits, d_sup), (sat, sat_sup)):
             out[sel] = np.repeat(np.repeat(sup, k, axis=1), k,
