@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .roi import RoiGrid
 from .sensor import (Plan, PhotonEstimate, RadianceMap, RawCapture,
-                     SensorConfig, _adc_in_place, dequantize, draw_noise)
+                     SensorConfig, _adc_in_place, _helper_thread, dequantize,
+                     draw_noise)
 
 _WARMUP = 32  # pixels replayed to guess a chunk's start gain
 
@@ -182,10 +183,10 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     """Closed-loop per-pixel capture: each readout sets the next pixel's gain.
 
     The physical randomness (photon arrivals and read noise) does not depend
-    on the gain choice, so ``draw_noise`` draws it up front, the same
-    realization every other capture reads at this seed.  The first pixel of
-    the frame uses gain 1 and each later pixel, in C order, the
-    ``next_gain`` of the readout before it.
+    on the gain choice, so ``draw_noise`` draws it up front, on this thread
+    and one helper thread, the same realization every other capture reads
+    at this seed.  The first pixel of the frame uses gain 1 and each later
+    pixel, in C order, the ``next_gain`` of the readout before it.
 
     That recursion is sequential, so it is solved by speculating and
     repairing.  The scan is cut into chunks of ``isqrt(n)`` pixels.  Each
@@ -211,7 +212,8 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     plain sequential loop.
     """
     _check_eta(eta)
-    noise = draw_noise(scene, config, seed)
+    with _helper_thread() as helper:
+        noise = draw_noise(scene, config, seed, helper=helper)
     shape = scene.data.shape
     n = scene.data.size
     charge, n_post = noise.charge.ravel(), noise.n_post.ravel()

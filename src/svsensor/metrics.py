@@ -36,9 +36,9 @@ from .errors import ConfigError, ShapeError
 from .gain import _check_eta, _check_roi_size, plan_gain_roi
 from .readout import plan_bin_roi, read_blocks
 from .roi import RoiGrid
-from .sensor import (Plan, RadianceMap, SensorConfig, _check_seed,
-                     dequantize, draw_noise, estimate_photons, roi_ladder,
-                     simulate_capture)
+from .sensor import (Plan, RadianceMap, SensorConfig, _by_turns, _check_seed,
+                     _helper_thread, _simulate, dequantize, draw_noise,
+                     estimate_photons, roi_ladder)
 from .theory import TheoryParams
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
@@ -184,10 +184,10 @@ def _share(helper, grid: RoiGrid, work) -> None:
     and column indices within it of at most ``_SSIM_CHUNK_PIXELS`` pixels'
     worth of ROIs (one ROI at least), in two chunks at least where the
     group has two ROIs or more, so that both threads have work on any
-    frame.  The chunks are listed once and split by turns: one task on the
-    executor ``helper`` takes the odd ones while this thread takes the even
-    ones, and each chunk writes only its own ROIs.  Both shares are run to
-    the end; this thread's error is raised first, else the helper's."""
+    frame.  The chunks are listed once and split by turns
+    (``sensor._by_turns``): one task on the executor ``helper`` takes the
+    odd ones while this thread takes the even ones, and each chunk writes
+    only its own ROIs."""
     chunks = []
     for rs, cs, shape in grid.parts():
         ii, jj = np.nonzero(np.ones((rs.stop - rs.start, cs.stop - cs.start),
@@ -197,17 +197,7 @@ def _share(helper, grid: RoiGrid, work) -> None:
                           -(-ii.size // 2)))
         chunks += [(rs, cs, shape, (ii[s:s + step], jj[s:s + step]))
                    for s in range(0, ii.size, step)]
-
-    def run(share):
-        for chunk in share:
-            work(*chunk)
-
-    side = helper.submit(run, chunks[1::2])
-    try:
-        run(chunks[::2])
-    finally:
-        side.exception()  # waits for the helper's share
-    side.result()
+    _by_turns(helper, chunks, work)
 
 
 def _decibels(mse: float) -> float:
@@ -350,9 +340,11 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     ``dump_dir``, when given, receives 16-bit PGM renderings of each
     method's gamma-corrected output plus the ground truth, for visual
     inspection.  The call owns one helper thread: it draws the main
-    realization while this thread captures the pilot and plans from it,
-    and then takes every other ROI chunk.  ConfigError, before anything is
-    drawn, unless ``seed`` is a nonnegative integer.
+    realization while this thread draws and captures the pilot and plans
+    from it (each draw takes all its bands on its own thread, which beat
+    splitting both between the two), and then takes every other ROI chunk.
+    ConfigError, before anything is drawn, unless ``seed`` is a
+    nonnegative integer.
     """
     unknown = set(methods) - set(METHODS)
     if unknown:
@@ -362,10 +354,6 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     _check_roi_size(roi_size)
     _check_eta(eta)
     TheoryParams(snr_t=snr_t)
-    # imported here: only evaluate needs it, and it costs every command's
-    # start-up about 9 ms
-    from concurrent.futures import ThreadPoolExecutor
-
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
     # one realization for all methods, drawn before the plans are made: to
@@ -373,11 +361,10 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     # only readout here that reads superpixel draws
     max_k = (roi_ladder(roi_size)[-1] if "const_gain_vary_bin" in methods
              else 1)
-    with ThreadPoolExecutor(1) as helper:
+    with _helper_thread() as helper:
         drawn = helper.submit(draw_noise, scene, config, main_seed, max_k)
         pilot = estimate_photons(
-            simulate_capture(scene, 1.0, None, config, seed=pilot_seed),
-            config)
+            _simulate(scene, 1.0, None, config, pilot_seed), config)
         gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
         # the constant gain protects the brightest pixel: one ROI over the
         # frame

@@ -18,9 +18,12 @@ goes through one kernel, ``read_blocks``, which digitizes the blocks of a
 selection of ROIs of a ``sensor.draw_noise`` realization under one
 ``sensor.Plan`` (``fit_plan`` makes it of a gain plan and a bin plan):
 ``read_plan`` runs it over every ROI into a frame, and ``evaluate`` over
-each chunk of ROIs it scores.  The realization is the whole frame drawn in
-a fixed order, independent of the plan (unit-pixel photons and read noise,
-then superpixel post-amp normals on the global k-grids).  Captures of the
+each chunk of ROIs it scores.  The realization is independent of the plan:
+the frame is drawn in bands of 16 rows, band b from child b of
+``SeedSequence(seed).spawn``, and within a band in a fixed order (unit-pixel
+photons, pre-amp and post-amp normals, then the band's rows of superpixel
+post-amp normals on the global k-grids for k = 2, 4, 8, which 16 rows
+never cut).  Which thread draws a band changes no value.  Captures of the
 same scene with the same seed but different plans therefore share their
 physical noise realization: a scalar gain and a grid of that gain give the
 same digits, and the evaluation protocol draws one realization and reads it

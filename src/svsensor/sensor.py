@@ -334,38 +334,97 @@ class Realization:
     sup_post: Mapping
 
 
+_BAND_ROWS = 16  # a multiple of every superpixel side k of BIN_LADDER
+
+
 def _check_seed(seed) -> None:
     """ConfigError unless ``seed`` is a nonnegative integer (not a bool)."""
     if not (is_json_int(seed) and seed >= 0):
         raise ConfigError(f"a seed must be a nonnegative integer, not {seed!r}")
 
 
+def _helper_thread():
+    """An executor of one worker thread, which starts at its first task and
+    is joined when its ``with`` block ends."""
+    # imported here: it costs every command's start-up about 9 ms
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)
+
+
+def _by_turns(helper, items, work) -> None:
+    """Call ``work(*item)`` for each of ``items``.  With an executor
+    ``helper``, one task on it takes the odd items while this thread takes
+    the even ones; both shares are run to the end, and this thread's error
+    is raised first, else the helper's.  Without one, or for one item,
+    this thread takes them all in order."""
+    def run(share):
+        for item in share:
+            work(*item)
+
+    if helper is None or len(items) < 2:
+        return run(items)
+    side = helper.submit(run, items[1::2])
+    try:
+        run(items[::2])
+    finally:
+        side.exception()  # waits for the helper's share
+    side.result()
+
+
 def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
-               max_k: int = 1) -> Realization:
+               max_k: int = 1, helper=None) -> Realization:
     """The noise realization of one (scene, seed), whatever the plan.
 
-    Every draw comes from the root stream ``default_rng(SeedSequence(seed))``
-    over the whole frame, in this order: unit-pixel photon arrivals (C
-    order), pre-amp normals, post-amp normals, then the post-amp normals of
-    the k x k superpixels on the ``ceil(h/k) x ceil(w/k)`` grid for
-    k = 2, 4, 8 up to ``max_k``.  Draws past ``max_k`` would come after all
-    of these, so skipping them changes no value that a plan reads, and one
-    realization drawn to the largest k of several plans serves them all.
+    The frame is drawn in bands of 16 rows; band b (rows ``16 b`` up to
+    ``16 b + 16``) draws from child b of ``SeedSequence(seed).spawn`` of
+    one child per band, in this order: its unit-pixel photon arrivals
+    (``draw_photons``, C order), pre-amp normals, post-amp normals, then the
+    post-amp normals of its rows of k x k superpixels on the
+    ``ceil(h/k) x ceil(w/k)`` grid (rows ``16 b / k`` up to
+    ``ceil((16 b + 16) / k)``) for k = 2, 4, 8 up to ``max_k``.  16 is a
+    multiple of 8, so no superpixel straddles two bands.  Each normal is
+    ``sigma * standard_normal()``, the value ``normal(0, sigma)`` gives.
+    Draws past ``max_k`` would come after all of these in each band, so
+    skipping them changes no value that a plan reads, and one realization
+    drawn to the largest k of several plans serves them all.
+
+    With an executor ``helper``, one task on it draws the odd bands while
+    this thread draws the even ones.  Each band has its own stream, so the
+    realization is the same bit for bit whichever thread draws a band.
     ConfigError unless ``seed`` is a nonnegative integer.
     """
     _check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    shape = scene.data.shape
+    h, w = scene.data.shape
     qe = config.quantum_efficiency
-    charge = draw_photons(rng, scene.data if qe == 1 else scene.data * qe)
-    charge += rng.normal(0.0, config.sigma_pre, shape)
-    n_post = rng.normal(0.0, config.sigma_post, shape)
+    charge, n_post = np.empty((h, w)), np.empty((h, w))
     sup_post = {}
     k = 2
     while k <= max_k:
-        sup_post[k] = rng.normal(0.0, config.sigma_post,
-                                 (-(-shape[0] // k), -(-shape[1] // k)))
+        sup_post[k] = np.empty((-(-h // k), -(-w // k)))
         k *= 2
+
+    def band(r0, child):
+        rng = np.random.default_rng(child)
+        rows = slice(r0, r0 + _BAND_ROWS)
+        mean = scene.data[rows]
+        charge[rows] = draw_photons(rng, mean if qe == 1 else mean * qe)
+        post = [arr[r0 // k:-(-(r0 + _BAND_ROWS) // k)]
+                for k, arr in ((1, n_post), *sup_post.items())]
+        # all the band's normals in one call, which draws the same stream
+        # as one call per array: few calls, so that few hand the GIL over
+        at = post[0].size
+        z = rng.standard_normal(at + sum(a.size for a in post))
+        pre = z[:at].reshape(post[0].shape)
+        pre *= config.sigma_pre
+        charge[rows] += pre
+        for a in post:
+            np.multiply(z[at:at + a.size].reshape(a.shape), config.sigma_post,
+                        out=a)
+            at += a.size
+
+    starts = range(0, h, _BAND_ROWS)
+    _by_turns(helper, list(zip(starts, np.random.SeedSequence(seed).spawn(
+        len(starts)))), band)
     for arr in (charge, n_post, *sup_post.values()):
         arr.flags.writeable = False
     return Realization(seed, charge, n_post, MappingProxyType(sup_post))
@@ -374,22 +433,32 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
                      config: SensorConfig, seed: int = 0) -> RawCapture:
     """Simulate a full capture of ``scene``: ``draw_noise`` at ``seed``,
-    read out by ``readout.read_plan`` under the plan that
-    ``readout.fit_plan`` makes of ``gain_map`` (a ``GainMap``, or a number
-    read as the constant plan of that gain) and ``bin_map`` (a ``BinMap`` on
-    the same ROI grid, or None for unit pixels).
+    on this thread and one helper thread, read out by ``readout.read_plan``
+    under the plan that ``readout.fit_plan`` makes of ``gain_map`` (a
+    ``GainMap``, or a number read as the constant plan of that gain) and
+    ``bin_map`` (a ``BinMap`` on the same ROI grid, or None for unit
+    pixels).
 
     One seed is one noise realization: however the same gain is written
     (a scalar, or a per-ROI or per-pixel GainMap of it, with or without an
     all-ones BinMap), the digits are the same.
     """
+    with _helper_thread() as helper:
+        return _simulate(scene, gain_map, bin_map, config, seed, helper)
+
+
+def _simulate(scene: RadianceMap, gain_map, bin_map, config: SensorConfig,
+              seed: int, helper=None) -> RawCapture:
+    """``simulate_capture``, drawing on the executor ``helper`` too if one
+    is given."""
     from .readout import fit_plan, read_plan  # builds on sensor types
 
     plan = fit_plan(gain_map, bin_map, scene.data.shape)
     # the largest superpixel whose post-amp draws the readout reads; digital
     # binning reads only unit-pixel draws
     k = 1 if plan.mode == "digital" else math.isqrt(int(plan.bins.max()))
-    return read_plan(draw_noise(scene, config, seed, k), plan, config)
+    return read_plan(draw_noise(scene, config, seed, k, helper), plan,
+                     config)
 
 
 def estimate_photons(raw: RawCapture, config: SensorConfig) -> PhotonEstimate:

@@ -669,30 +669,36 @@ def ragged_pilot(tmp_path_factory):
     return root / "pilot"
 
 
-@pytest.mark.parametrize("roi, gain, digest", [
-    (16, "1", "e56d24acfcc2dc845a559c52627278cd"
-     "a508c18e56f967c8c9a57181975d9169"),
-    (16, "27", "50a754b2ce065ff87e4d1d86ab597fec"
-     "2170430ca1435b39282f22b978197cd8"),
-    (32, "1", "eeb39bcfa36fe3cf042a4b6492235586"
-     "f92a83ce0850231235a2b789d8efc7f9"),
+# the plan-bin pins: ROI size, gain, SHA-256 of bins.json
+_PLAN_BIN_PINS = [
+    (16, "1", "1ef2675a17d1c5d09b9d06109687575f"
+     "e13da8663d86ea5a1be24b88cd0b45bd"),
+    (16, "27", "e2a97c8d7c6e565ca69b7bb105f027fc"
+     "b2a2458a8786b4622e5fde28344924da"),
+    (32, "1", "ffca7f6d4a9620cfd06507132af5e813"
+     "fb97fb121197715576566322aa41b29a"),
     (32, "27", "13ca3dd40bff9aa34baa0c4161bb81c5"
      "79ee7bae72efc5b3359f771a2757c7ca"),
-    (12, "27", "903cc7b3ee4f22569e6a2f568a6821bc"
-     "72d991d206ac86f6b8d3d62ae0c7c114"),
-    (20, "27", "b694238b98e746b0674ce07915821fb5"
-     "a933a18f375ac6a65678ba0f7c8edce0"),
-    (36, "27", "aa9cc7e121ac1f7b68ee218a03de4fe9"
-     "66501ae37490e531bd39f372ba5c2578"),
-    (24, "1", "aff07acb9e644d9056fc183867cca15c"
-     "eba83e330f06c33a70ced18b84d6595c"),
-    (24, "27", "337f50ae15aa384b68406998b9e83e33"
-     "d7e99c3520d43f1431e31497ba130021"),
-    (40, "1", "7710a0d967e907cbb23611b697e1b5a1"
-     "54aa8df9020ac85c5b7b746af898428f"),
+    (12, "27", "7971e9684b0d4942994eb0d9b78378b7"
+     "416ebfaf5eec9f1199773004dbbb29aa"),
+    (20, "27", "56d8efd44bf0400e6b9656723e98d540"
+     "2271a9891e530286da03e6d3231c5fb5"),
+    (36, "27", "07f03a46b273a94f327fb4516be71fe4"
+     "4a5dae4f885cd5fdc40c65a140ad89bb"),
+    (24, "1", "7cf7277b7b52c366dc946fee0fb3de66"
+     "3cb2bf7bb47f44f04e4ec478edfc0d12"),
+    (24, "27", "5d645b264ea1b2f292fc34c132161e07"
+     "233f650ede4c2332fac216b3b041037e"),
+    (40, "1", "39f21d54931b2bd6afccd8554a6176b8"
+     "03cb56605a00aba3e0dcaad299a35d2d"),
     (40, "27", "22bae7fa7e9fb7aca31f0ce65923625f"
      "72f773e4ca7786ca91e9d43a5d2bca4f"),
-])
+]
+
+
+@pytest.mark.parametrize("roi, gain, digest", _PLAN_BIN_PINS,
+                         ids=[f"{roi}-{gain}"
+                              for roi, gain, _ in _PLAN_BIN_PINS])
 def test_plan_bin_pinned(tmp_path, ragged_pilot, roi, gain, digest):
     # SHA-256 of bins.json, fixed so that a rewrite of the pitch planner
     # cannot move a single factor
@@ -822,7 +828,7 @@ def test_calibrate_profile_pinned(tmp_path, config_path):
                  str(tmp_path / "manifest.json"), "--electrons",
                  "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9893f063f6d27d7b2e8088177af7aa4b317a7104492b849a5ab5e570006ac697")
+        "269effc20459fe11c31957a030b500d385257dad26e956a02b16a9add5c74c26")
 
 
 def test_compose_from_stack_directory(tmp_path, config_path):
@@ -898,16 +904,16 @@ _SCENE = ["{root}/scene.pfm", "--seed", "9", "--output", "{root}/out",
           "--estimate", "{root}/out.pfm"]
 # additive and average binning read the same digits here: they differ only
 # where a superpixel's charge exceeds N wells, which saturates either way
-_BINNED = ("9ef8696ac438cbdff561b4f4fe4199ad55d24137d163933c05d6f99303c57bab",
-           "29c365a7b71f8c5d3a2b1f8dcec3b750a1ac8d7360f660121cad3a7b326a36ef")
+_BINNED = ("9abf13b954f3fccadb030e2b52170b165c033bcc42672ed759d957f69311c28f",
+           "78a2b1a61fb6debc4085e274bbe9ebcf9f6fd3e86aae4ae5b31b84c4bcce72ae")
 _PINNED = [
     ("simulate_gain", ["simulate", *_SCENE, "--gain", "2"],
-     "4de182fd6b41b485456f8fdc305f928ee85abccc7ef35fbc83904a292eb154a1",
-     "46815a0b0414e8c2fb0d4c81ae229025cd9c5a6bed21da10732504ab504dcee8"),
+     "a703b58396fd1ac17a401dbca050bec6148ca16dcf57b1195f520bda2205ffb4",
+     "c689650fc82184bc3e3df48a085242454e6a1001d0cb9fc6afd9ca3563ddfcdf"),
     ("capture_gain_map",
      ["capture", *_SCENE, "--gain-map", "{root}/gains.json"],
-     "177926e812f5cb4efdc2f48021476ef384dbe7864c4b3532b77e727cf6702465",
-     "ac8583f120ab11adc522131b4b29a11fa08f38ed7d099a5152539fa28db4f703"),
+     "36733ca8a5ca26bdd8a2aaae0bc28525e48c5e5b6b82225b328da95aa4b95436",
+     "4ea9b3cc2f011a3d17aa681982b56a7cf89698bf88e7fdaaa1513744ff76c21d"),
     *[(f"capture_{mode}",
        ["capture", *_SCENE, "--gain-map", "{root}/gains.json",
         "--bin-map", f"{{root}}/bins_{mode}.json"], *digests)
@@ -915,15 +921,15 @@ _PINNED = [
     ("capture_digital",
      ["capture", *_SCENE, "--gain-map", "{root}/gains.json",
       "--bin-map", "{root}/bins_digital.json"],
-     "ed3adbbc0cb2d02b015107655ce22dc765269c325bc05d6d3961e8c40e77f78f",
-     "14536180231dcf428ec146da5b55b125a38d2a6729ea58a0782a65c9bc78285a"),
+     "fa1f24a4ab0416750783730fd22e8b8fa7e53af079444bcbf908449d84e37534",
+     "e81bdf6417f28306fbdbe938a061f9682676a74329193c03c7417521b63d6554"),
     ("capture_per_pixel", ["capture", *_SCENE, "--per-pixel-eta", "4"],
-     "ad559e7473f3e1c5fd1bbc178dd376a39c4f3ec3a939c04b9d9592939c8abcf8",
-     "3cf9255107e6962849b004efdd078276971f67e0d287820ec322ebb167af8a21"),
+     "904d143b1fed78e8ee35a7fc0f1962718881205185c37a399e4bacdd83cac730",
+     "679a0e6e1bcdbb820b50747274c2018d55aad8cde1920b04e61e24c9777d2940"),
     ("compose_snap",
      ["compose", "--stack", "{root}/stack", "--gain-map", "{root}/plan.json",
       "--snap", "--output", "{root}/out"],
-     "120452b6a9897df37f21702333859c86af0b1d1ee06b9e790043b475064d30ce",
+     "c2c293ddaf9c578af73d19134740db7cdfd93ab465369f8823bbf255ef51b958",
      None),
 ]
 

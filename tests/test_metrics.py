@@ -486,9 +486,9 @@ class TestProtocol:
             seed=78).to_json_dict()
 
     @pytest.mark.parametrize("size, roi, digest", [
-        (512, 32, "f7cf131a32fed5d1dfda00112a86ecf53474587645812f8252342f39f257db17"),
-        (300, 32, "263bb0101a6dcaef0dfc29b8a4feb5c0ca0429fe5e8ba4a2f478076dfff2e274"),
-        (257, 16, "e3a12c3353113bdd9c4ed7161517064cbb487a75cef3865931a114453700fed9"),
+        (512, 32, "8df90b6d824df96cdae79a7f9cf2816a071dc63be3c41c115a5a720a08f5a523"),
+        (300, 32, "e7e2882bd17f32052a937cbbdba9bbf460075bb9bb854bf3b639638dd1724593"),
+        (257, 16, "286c1868b3a1659887242ed4f7f5ed8f26e751e8fcc878b864f24ecc66d49ffe"),
     ], ids=["512-32", "300-32", "257-16"])
     def test_reports_pinned(self, config, size, roi, digest):
         # whole reports, clipped edge ROIs included, fixed so that a rewrite

@@ -1,7 +1,9 @@
 """Sensor model: ADC behavior, noise statistics, estimator bias/variance,
 determinism."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,10 @@ from hypothesis import example, given, strategies as st
 
 import svsensor.sensor as sensor_mod
 from svsensor import (BinMap, ConfigError, DataError, GainMap,
-                      PhotonEstimate, Plan, RadianceMap, RawCapture, RoiGrid,
-                      SensorConfig, ShapeError, capture_adaptive, dequantize,
-                      estimate_photons, evaluate_protocol, quantize,
-                      simulate_capture)
+                      NumericalError, PhotonEstimate, Plan, RadianceMap,
+                      RawCapture, RoiGrid, SensorConfig, ShapeError,
+                      capture_adaptive, dequantize, estimate_photons,
+                      evaluate_protocol, quantize, simulate_capture)
 from svsensor.sensor import draw_noise, is_bin_factor
 
 
@@ -207,6 +209,67 @@ class TestCaptureContracts:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * scene.data.nbytes
+
+
+def _arrays(noise):
+    return (noise.charge, noise.n_post, *noise.sup_post.values())
+
+
+class TestBandedDraw:
+    """``draw_noise`` draws 16-row bands, each from its own stream."""
+
+    @pytest.mark.parametrize("qe", [1.0, 0.6])
+    @pytest.mark.parametrize("shape", [(1, 1), (15, 7), (17, 300),
+                                       (300, 257), (512, 512)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_helper_draws_the_same_realization(self, shape, qe):
+        # a short last band, superpixel rows cut by the frame edge and
+        # frames of one band: the helper thread changes no bit
+        config = SensorConfig(quantum_efficiency=qe)
+        scene = RadianceMap(data=np.random.default_rng(3).uniform(
+            0, 900, shape))
+        with ThreadPoolExecutor(1) as helper:
+            for max_k in (1, 2, 8):
+                for seed in (0, 2 ** 32 - 1):
+                    alone = draw_noise(scene, config, seed, max_k)
+                    shared = draw_noise(scene, config, seed, max_k, helper)
+                    assert list(alone.sup_post) == list(shared.sup_post)
+                    for a, b in zip(_arrays(alone), _arrays(shared)):
+                        assert a.tobytes() == b.tobytes()
+
+    def test_no_two_bands_draw_the_same_values(self, config):
+        scene = RadianceMap(data=np.full((64, 40), 300.0))
+        noise = draw_noise(scene, config, 5, 8)
+        for arr in (noise.n_post, *noise.sup_post.values()):
+            assert np.unique(arr).size == arr.size
+        bands = noise.charge.reshape(4, -1)
+        assert len({band.tobytes() for band in bands}) == 4
+
+    @pytest.mark.parametrize("thread", ["helper", "caller"])
+    @pytest.mark.parametrize("capture", [
+        lambda scene, config: simulate_capture(scene, 2.0, None, config, 1),
+        lambda scene, config: capture_adaptive(scene, 2.0, config, 1)],
+        ids=["simulate", "adaptive"])
+    def test_band_error_reaches_the_caller(self, config, monkeypatch,
+                                           capture, thread):
+        # one band of either thread's share fails: the error is raised to
+        # the capture's caller, and its helper thread is gone
+        real, caller = sensor_mod.draw_photons, threading.get_ident()
+        failed = []
+
+        def failing_once(rng, mean):
+            if not failed and (threading.get_ident() == caller) == (
+                    thread == "caller"):
+                failed.append(1)
+                raise NumericalError("injected")
+            return real(rng, mean)
+
+        monkeypatch.setattr(sensor_mod, "draw_photons", failing_once)
+        scene = RadianceMap(data=np.full((70, 20), 50.0))
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="injected"):
+            capture(scene, config)
+        assert failed and threading.active_count() == before
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"],
