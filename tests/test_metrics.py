@@ -500,6 +500,30 @@ class TestProtocol:
         text = json.dumps(report.to_json_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("size, digests", [
+        (512, {"ground_truth": "7d94cf52de1629d8830f5397afa234aca465f78efa90184b6512ee2fd87032a6",
+               "const_gain_no_bin": "28e0b01005d6614793bf1348be9e0fd5c35af7c969bf4eb255d4a04403c7cc9d",
+               "vary_gain_no_bin": "ed2177af701195cd3784ab7d2a08c17af0cbbf4a3c968cf6ba469faeab0950b9",
+               "const_gain_vary_bin": "f052f11b3ed988e2293a9f380de0ff055091c21c944a46ceadd781dcf9ad57f9",
+               "vary_gain_vary_bin": "57cf2151bb15306a24439d51ee8394d78f7f7b3f454de45f8d9b889d69bd1438"}),
+        (300, {"ground_truth": "18c775052aaaa487237cd53dc317296a96067f8a602eeef125a271c02e18f6a4",
+               "const_gain_no_bin": "623f4fb64fb73eb6c4a8fb7251965ecc666e1a9ccd0dd8486d46052c1932071c",
+               "vary_gain_no_bin": "2f6950e95a5c5308b65fa1f7b1839a80f303eecd66531f3b8e93f99915cffe1f",
+               "const_gain_vary_bin": "f57af8a80739e158096b2121e86789908d750cba52e4ab5995d081d0ae3f259d",
+               "vary_gain_vary_bin": "060aa764acd3f1cc603f8023cee9f4a79cb3b67989b17b5a0a059b747623ce14"}),
+    ], ids=["512-32", "300-32"])
+    def test_dumps_pinned(self, config, tmp_path, size, digests):
+        # every --dump-dir rendering, clipped edge ROIs included, fixed bit
+        # for bit: the blocks of ROIs that two methods read out alike must
+        # match those of a method that read them itself
+        spec = SceneSpec(source="hdr_blobs", seed=size, width=size,
+                         height=size, mean_level_frac=0.05)
+        scene = load_and_normalize(spec, config)
+        evaluate_protocol(scene, config, roi_size=32, seed=size + 1,
+                          dump_dir=tmp_path)
+        assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.glob("*.pgm")} == digests
+
     def test_unknown_method_rejected(self, config):
         scene = self.hdr_scene(config, seed=51)
         with pytest.raises(ConfigError):
