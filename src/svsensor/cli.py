@@ -69,6 +69,12 @@ def _save_capture(args, raw, config) -> int:
 
 
 def cmd_plan_gain(args, config) -> int:
+    ladder = _float_list(args.ladder) if args.ladder else None
+    for step in ladder or ():
+        if not config.gain_min <= step <= config.gain_max:
+            raise ConfigError(
+                f"gain ladder step {step} is not a gain in [gain_min="
+                f"{config.gain_min}, gain_max={config.gain_max}]")
     if args.vignetting:
         vignette = fileio.read_pfm(args.vignetting)
         gm = gain_from_vignetting(vignette, args.roi_size, args.eta, config)
@@ -79,8 +85,8 @@ def cmd_plan_gain(args, config) -> int:
         raw = fileio.load_capture(args.pilot, config)
         snapshot = estimate_photons(raw, config)
         gm, report = plan_gain_roi(snapshot, args.roi_size, args.eta, config)
-    if args.ladder:
-        gm = quantize_to_ladder(gm, _float_list(args.ladder))
+    if ladder is not None:
+        gm = quantize_to_ladder(gm, ladder)
     doc = gm.to_json_dict()
     if report is not None:
         doc["report"] = {

@@ -180,9 +180,10 @@ class Plan:
     plan is the 1 x 1 grid at ``roi_size = max(height, width)``, a
     per-pixel plan the grid at ``roi_size = 1``.
 
-    Every plan's values are checked here, once (ConfigError): a positive
-    integer ``roi_size``, a mode of ``BIN_MODES``, finite positive gains,
-    and integral bin factors whose side k in ``BIN_LADDER`` divides
+    Every plan's values are checked here, once, in this order, and the
+    first rule that fails is named (ConfigError): a positive integer
+    ``roi_size``, a mode of ``BIN_MODES``, finite positive gains, and
+    integral bin factors whose side k in ``BIN_LADDER`` divides
     ``roi_size``.  ``gains`` and ``bins`` are 2-D grids of one shape
     (ShapeError), held read-only as float64 and int64.
     """
@@ -198,15 +199,20 @@ class Plan:
         if g.ndim != 2 or b.shape != g.shape:
             raise ShapeError("a plan holds 2-D gain and bin factor grids of "
                              f"one shape, not {g.shape} and {b.shape}")
-        if not (is_json_int(size) and size >= 1 and self.mode in BIN_MODES
-                and g.dtype.kind in "iuf" and b.dtype.kind in "iuf"
-                and np.all((g > 0) & (g < np.inf))
-                and is_bin_factor(b, roi_ladder(size)).all()):
-            raise ConfigError(
-                f"a plan needs a positive integer roi_size (not {size!r}), a "
-                f"mode of {BIN_MODES} (not {self.mode!r}), finite positive "
-                f"gains and bin factors {[k * k for k in BIN_LADDER]} whose "
-                "sides divide roi_size")
+        if not (is_json_int(size) and size >= 1):
+            rule = f"a positive integer roi_size, not {size!r}"
+        elif self.mode not in BIN_MODES:
+            rule = f"a mode of {BIN_MODES}, not {self.mode!r}"
+        elif g.dtype.kind not in "iuf" or not np.all((g > 0) & (g < np.inf)):
+            rule = "finite positive gains"
+        elif (b.dtype.kind not in "iuf"
+              or not is_bin_factor(b, roi_ladder(size)).all()):
+            rule = (f"bin factors {[k * k for k in BIN_LADDER]} whose sides "
+                    f"divide roi_size {size}")
+        else:
+            rule = None
+        if rule:
+            raise ConfigError(f"a plan needs {rule}")
         for name, arr in (("gains", g.astype(np.float64)),
                           ("bins", b.astype(np.int64))):
             arr.flags.writeable = False

@@ -215,6 +215,40 @@ def test_plan_gain_nan_vignetting_exits_3(tmp_path, config_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("ladder, step", [
+    ("0.5", "0.5"), ("inf,1", "inf"), ("nan", "nan"), ("30", "30"),
+    ("1,2,27.5", "27.5")])
+def test_plan_gain_ladder_step_off_the_gain_range_exits_2(
+        tmp_path, config_path, capsys, ladder, step):
+    # a ladder step is a gain setting: one that is not finite or lies
+    # outside [gain_min, gain_max] is a configuration error naming it, and
+    # no plan is written
+    write_pfm(tmp_path / "vignette.pfm", np.ones((16, 16), np.float32))
+    plan = tmp_path / "plan.json"
+    code = main(["plan-gain", "--config", config_path, "--vignetting",
+                 str(tmp_path / "vignette.pfm"), "--roi-size", "8",
+                 f"--ladder={ladder}", "--output", str(plan)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: gain ladder step ") and step in err
+    assert len(err.strip().splitlines()) == 1
+    assert not plan.exists()
+
+
+@pytest.mark.parametrize("gain", ["0", "-1"])
+def test_simulate_nonpositive_gain_names_the_gain(tmp_path, scene_path,
+                                                  capsys, gain):
+    # the plan's message names the rule that failed, not the valid ROI
+    # size and mode
+    code = main(["simulate", scene_path, f"--gain={gain}", "--seed", "1",
+                 "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "gain" in err
+    assert "roi_size" not in err and "mode" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_every_public_name_resolves():
     import svsensor
     namespace = {}

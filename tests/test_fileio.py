@@ -202,11 +202,16 @@ def test_plan_values_off_the_ladder_rejected(tmp_path, config):
     save_capture(tmp_path / "cap", raw)
     with np.load(tmp_path / "cap.npz") as npz:
         arrays = dict(npz)
-    for name, value in [("gain_grid", [[0.0]]), ("gain_grid", [[-2.0]]),
-                        ("gain_grid", [[np.nan]]), ("gain_grid", [[np.inf]]),
-                        ("bin_grid", [[3]]), ("bin_grid", [[0]])]:
+    # the message names the rule that failed
+    for name, value, rule in [
+            ("gain_grid", [[0.0]], "positive gains"),
+            ("gain_grid", [[-2.0]], "positive gains"),
+            ("gain_grid", [[np.nan]], "positive gains"),
+            ("gain_grid", [[np.inf]], "positive gains"),
+            ("bin_grid", [[3]], "bin factors"),
+            ("bin_grid", [[0]], "bin factors")]:
         np.savez(tmp_path / "cap.npz", **dict(arrays, **{name: value}))
-        with pytest.raises(DataError, match="bin factors"):
+        with pytest.raises(DataError, match=rule):
             load_capture(tmp_path / "cap", config)
 
 
