@@ -11,7 +11,8 @@ bin maps from it, then run the four readout strategies
 on the same scene with the same seed.  The main seed's noise realization is
 drawn once and read out under each of the four plans, so methods are
 compared on identical photon arrivals and the comparison is paired:
-strategies that coincide on an ROI produce identical pixels there.
+strategies that coincide on an ROI produce identical pixels there, so such
+an ROI is read out and scored once.
 Estimates are normalized by well capacity, gamma corrected, and scored with
 SSIM per ROI against the noise-free ground truth.  Every stage after the
 noise draw is local to one ROI, so one loop over chunks of same-shape ROI
@@ -19,8 +20,10 @@ blocks does them all, the calling thread taking every other chunk and one
 helper thread the rest: per chunk, the ground truth's blocks are tonemapped
 and their blur statistics taken once, each method's blocks are read out
 (``readout.read_blocks``), estimated, tonemapped and scored at unit
-resolution, and every method's ROIs binned at one factor are scored
-together at native resolution.  No per-method frame is built.  Reports
+resolution, except those that an earlier method read out alike (the same
+gain and bin factor, and binning mode when binned), whose scores are
+copied, and every method's ROIs binned at one factor are scored together
+at native resolution.  No per-method frame is built.  Reports
 aggregate the worst-case ROI (the number that exposes how the darkest or
 most damaged region fared) alongside the mean.
 """
@@ -75,9 +78,9 @@ def gamma_correct(image: np.ndarray, exponent: float) -> np.ndarray:
 
 def _gamma_in_place(x: np.ndarray, exponent: float) -> np.ndarray:
     """``gamma_correct`` over the float64 array ``x``, written into it."""
-    np.clip(x, 0.0, None, out=x)
+    np.maximum(x, 0.0, out=x)
     x **= exponent
-    return np.clip(x, 0.0, 1.0, out=x)
+    return np.minimum(x, 1.0, out=x)
 
 
 def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
@@ -170,10 +173,26 @@ def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     mu_a, var_a = _reference_stats(a) if ref_stats is None else ref_stats
     c1, c2, crop = 0.01 ** 2, 0.03 ** 2, _crop(a.shape)
     mu_b = _blur(b, crop)
-    var_b = _blur(b * b, crop) - mu_b * mu_b
-    cov = _blur(a * b, crop) - mu_a * mu_b
-    smap = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
-           ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+    mu_bb, mu_ab = mu_b * mu_b, mu_a * mu_b
+    var_b = _blur(b * b, crop)
+    var_b -= mu_bb
+    cov = _blur(a * b, crop)
+    cov -= mu_ab
+    # ((2 mu_a mu_b + c1) (2 cov + c2)) / ((mu_a^2 + mu_b^2 + c1)
+    # (var_a + var_b + c2)), each step rounding as written out; doubling is
+    # exact, so 2 (mu_a mu_b) is (2 mu_a) mu_b
+    smap = mu_ab
+    smap *= 2
+    smap += c1
+    cov *= 2
+    cov += c2
+    smap *= cov
+    mu_bb += mu_a * mu_a
+    mu_bb += c1
+    var_b += var_a
+    var_b += c2
+    mu_bb *= var_b
+    smap /= mu_bb
     means = smap.mean(axis=(1, 2))
     return (smap[0], float(means[0])) if image else (smap, means)
 
@@ -249,8 +268,19 @@ class EvalReport:
         return rows
 
 
+def _block_means(data: np.ndarray, ks) -> dict:
+    """The k x k block means of the frame ``data`` over the blocks it holds
+    whole, one array per k of ``ks``: taken over the whole frame, as a
+    block stack's mean adds in another order and differs in the last
+    bits."""
+    h, w = data.shape
+    return {k: data[:h // k * k, :w // k * k].reshape(
+        h // k, k, w // k, k).mean(axis=(1, 3)) for k in ks}
+
+
 def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
-                 config: SensorConfig, helper, dump=None) -> dict:
+                 config: SensorConfig, helper, dump=None,
+                 means=None) -> dict:
     """Per-ROI SSIM, MSE and native SSIM, as one (3, ROI rows, ROI columns)
     array per name, of each ``Plan`` of ``plans`` on the ROI grid ``grid``,
     read out from the realization ``noise`` of ``scene``.
@@ -259,26 +289,39 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     ``helper`` take by turns, the ground truth's blocks are tonemapped and
     their blur statistics taken once; each plan's blocks are then read out,
     estimated as ``dequantize(digits) / gain``, tonemapped and scored.  An
-    ROI binned at k whose blocks k tiles is also scored at native
-    resolution, one pixel per superpixel, against the tonemapped k x k
-    block means of the ground truth; elsewhere its native SSIM is its SSIM.
-    The native ground truth and its statistics are taken once per chunk and
-    factor, and one SSIM call scores every plan's ROIs binned at that factor:
-    each block is scored on its own, so stacking them changes no value and
-    saves numpy calls, each of which costs a GIL hand-off.
-    ``dump``, a dict, receives each plan's and the ground truth's
-    (``"ground_truth"``) tonemapped frame in 16 bits.
+    ROI that an earlier plan reads out alike (the same gain and bin factor
+    N and, for N > 1, the same mode: ``read_blocks`` reads N = 1 alike in
+    every mode) has the same pixels under both, so it is not read out
+    again: its three scores and its ``dump`` block are copied from the
+    first plan that read it.  An ROI binned at k whose blocks k tiles is
+    also scored at native resolution, one pixel per superpixel, against the
+    tonemapped k x k block means of the ground truth (``means``, a dict of
+    ``_block_means`` by k, taken here when None); elsewhere its native SSIM
+    is its SSIM.  The native ground truth and its statistics are taken once
+    per chunk and factor, and one SSIM call scores every plan's ROIs binned
+    at that factor: each block is scored on its own, so stacking them
+    changes no value and saves numpy calls, each of which costs a GIL
+    hand-off.  ``dump``, a dict, receives each plan's and the ground
+    truth's (``"ground_truth"``) tonemapped frame in 16 bits.
     """
     h, w = scene.data.shape
     for plan in plans.values():
         plan.check_gains(config)
+    if means is None:
+        means = _block_means(scene.data, roi_ladder(grid.size)[1:])
     scores = {name: np.full((3, *grid.shape), np.nan) for name in plans}
-    # the block means over the whole frame: a block stack's mean adds in
-    # another order and differs in the last bits
-    means = {k: scene.data[:h // k * k, :w // k * k].reshape(
-        h // k, k, w // k, k).mean(axis=(1, 3))
-        for k in {math.isqrt(n) for plan in plans.values()
-                  for n in np.unique(plan.bins).tolist() if n > 1}}
+    # per plan, the index of the first plan before it that reads each ROI
+    # alike, or -1
+    names = list(plans)
+    source = {}
+    for i, (name, plan) in enumerate(plans.items()):
+        source[name] = first = np.full(grid.shape, -1)
+        for j in reversed(range(i)):
+            other = plans[names[j]]
+            alike = (other.gains == plan.gains) & (other.bins == plan.bins)
+            if other.mode != plan.mode:
+                alike &= plan.bins == 1
+            first[alike] = j
     if dump is not None:
         dump.update((name, np.empty((h, w), np.uint16))
                     for name in ("ground_truth", *plans))
@@ -299,22 +342,32 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
             grid.blocks(dump["ground_truth"], rs, cs, shape)[at] = np.rint(
                 ref * 65535)
         binned = {k: [] for k in views}  # k: (plan name, ROIs, their blocks)
+        firsts = {name: source[name][rs, cs][at] for name in plans}
         for name, plan in plans.items():
+            new = np.flatnonzero(firsts[name] < 0)  # the ROIs read here
+            if new.size == at[0].size:
+                own, ref_new, stats_new = at, ref, stats
+            elif new.size:
+                own = at[0][new], at[1][new]
+                ref_new, stats_new = ref[new], (stats[0][new], stats[1][new])
+            else:
+                continue
             digits, _ = read_blocks(noise, plan, config, grid, rs, cs, shape,
-                                    at)
+                                    own)
             img = dequantize(digits, config)
-            img /= plan.gains[rs, cs][at][:, None, None]
+            img /= plan.gains[rs, cs][own][:, None, None]
             _tonemap(img, config)
-            ssims = ssim(ref, img, stats)[1]
-            bins = plan.bins[rs, cs][at]
+            ssims = ssim(ref_new, img, stats_new)[1]
+            mse = ((ref_new - img) ** 2).mean(axis=(1, 2))
+            del ref_new, stats_new
+            bins = plan.bins[rs, cs][own]
             for k, found in binned.items():
                 sel = np.flatnonzero(bins == k * k)
                 if sel.size:
-                    found.append((name, sel, img[sel, ::k, ::k]))
-            scores[name][:, rs, cs][:, at[0], at[1]] = (
-                ssims, ((ref - img) ** 2).mean(axis=(1, 2)), ssims)
+                    found.append((name, new[sel], img[sel, ::k, ::k]))
+            scores[name][:, rs, cs][:, own[0], own[1]] = ssims, mse, ssims
             if dump is not None:
-                grid.blocks(dump[name], rs, cs, shape)[at] = np.rint(
+                grid.blocks(dump[name], rs, cs, shape)[own] = np.rint(
                     img * 65535)
         # native resolution: one stack per factor k of every plan's ROIs
         # binned at k
@@ -326,6 +379,15 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
             for name, s, _ in found:
                 scores[name][2, rs, cs][at[0][s], at[1][s]] = out[:s.size]
                 out = out[s.size:]
+        # the ROIs read out alike before: the first reader's rows and blocks
+        for name, first in firsts.items():
+            for j in np.unique(first[first >= 0]).tolist():
+                copied = at[0][first == j], at[1][first == j]
+                scores[name][:, rs, cs][:, copied[0], copied[1]] = scores[
+                    names[j]][:, rs, cs][:, copied[0], copied[1]]
+                if dump is not None:
+                    grid.blocks(dump[name], rs, cs, shape)[copied] = \
+                        grid.blocks(dump[names[j]], rs, cs, shape)[copied]
 
     _share(helper, grid, score)
     return scores
@@ -340,9 +402,12 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     ``dump_dir``, when given, receives 16-bit PGM renderings of each
     method's gamma-corrected output plus the ground truth, for visual
     inspection.  The call owns one helper thread: it draws the main
-    realization while this thread draws and captures the pilot and plans
-    from it (each draw takes all its bands on its own thread, which beat
-    splitting both between the two), and then takes every other ROI chunk.
+    realization and then, when a binned method is requested, takes the
+    ground truth's k x k block means for every k > 1 of the ROI size's
+    ladder, which the native scores compare with, while this thread draws
+    and captures the pilot and plans from it (each draw takes all its bands
+    on its own thread, which beat splitting both between the two); it then
+    takes every other ROI chunk.
     ConfigError, before anything is drawn, unless ``seed`` is a
     nonnegative integer.
     """
@@ -361,8 +426,17 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     # only readout here that reads superpixel draws
     max_k = (roi_ladder(roi_size)[-1] if "const_gain_vary_bin" in methods
              else 1)
+    # the block means that binned ROIs' native scores compare with
+    ks = (roi_ladder(roi_size)[1:] if {"const_gain_vary_bin",
+                                       "vary_gain_vary_bin"} & set(methods)
+          else ())
+
+    def draw():
+        return (draw_noise(scene, config, main_seed, max_k),
+                _block_means(scene.data, ks))
+
     with _helper_thread() as helper:
-        drawn = helper.submit(draw_noise, scene, config, main_seed, max_k)
+        drawn = helper.submit(draw)
         pilot = estimate_photons(
             _simulate(scene, 1.0, None, config, pilot_seed), config)
         gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
@@ -395,10 +469,11 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
             dump_dir = Path(dump_dir)
             with file_errors(dump_dir, "write"):
                 dump_dir.mkdir(parents=True, exist_ok=True)
-        scores = _score_plans(scene, drawn.result(),
+        noise, means = drawn.result()
+        scores = _score_plans(scene, noise,
                               RoiGrid(scene.height, scene.width, roi_size),
                               {name: plans[name] for name in methods},
-                              config, helper, dump)
+                              config, helper, dump, means)
     for name, frame in (dump or {}).items():
         write_pgm16(dump_dir / f"{name}.pgm", frame)
     return EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,

@@ -199,10 +199,11 @@ class TestChunkLoop:
     @example(h=70, w=70, roi=16, chunk=1, seed=0)
     @example(h=64, w=41, roi=32, chunk=300, seed=1)
     def test_scores_equal_per_roi_ssim(self, h, w, roi, chunk, seed):
-        # bit for bit, on clipped edge ROIs, under plans of every mode, and
-        # with chunks from one block to the whole frame, shared with a
-        # helper thread; at one block per chunk both threads take blocks,
-        # and a short switch interval makes them interleave often
+        # bit for bit, on clipped edge ROIs, under plans of every mode, on
+        # ROIs that two plans read alike, and with chunks from one block to
+        # the whole frame, shared with a helper thread; at one block per
+        # chunk both threads take blocks, and a short switch interval makes
+        # them interleave often
         config = SensorConfig()
         rng = np.random.default_rng(seed)
         scene = RadianceMap(data=rng.uniform(0, 300, (h, w)))
@@ -214,6 +215,15 @@ class TestChunkLoop:
             gains = rng.uniform(1.0, 4.0, grid.shape)
             plans[mode] = Plan(roi, gains * bins if mode == "additive"
                                else gains, bins, mode)
+        # plans that read some ROIs as the digital plan does: all of them
+        # in digital mode, and those at N = 1 in average mode
+        for mode in ("digital", "average"):
+            alike = rng.random(grid.shape) < 0.5
+            plans[f"{mode}_alike"] = Plan(
+                roi, np.where(alike, plans["digital"].gains,
+                              rng.uniform(1.0, 4.0, grid.shape)),
+                np.where(alike, plans["digital"].bins,
+                         rng.choice(roi_ladder(roi), grid.shape) ** 2), mode)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -431,11 +441,12 @@ class TestProtocol:
             evaluate_protocol(scene, config, **{"roi_size": 32, **bad})
         assert drawn_seeds == []
 
-    @pytest.mark.parametrize("fault", [None, "ssim", "main_draw"])
+    @pytest.mark.parametrize("fault",
+                             [None, "ssim", "main_draw", "block_means"])
     def test_errors_raised_and_helper_gone(self, config, monkeypatch, fault):
-        # an error in an SSIM chunk or in the main draw, on whichever thread
-        # it runs, reaches the caller; returned or raised, the call leaves
-        # no thread behind
+        # an error in an SSIM chunk, in the main draw or in the block means
+        # the helper takes after it, on whichever thread it runs, reaches
+        # the caller; returned or raised, the call leaves no thread behind
         real, calls = metrics.ssim, itertools.count(1)
 
         def ssim_failing_once(*args):
@@ -450,6 +461,8 @@ class TestProtocol:
             monkeypatch.setattr(metrics, "ssim", ssim_failing_once)
         elif fault == "main_draw":  # the pilot draws through sensor's name
             monkeypatch.setattr(metrics, "draw_noise", failing_draw)
+        elif fault == "block_means":
+            monkeypatch.setattr(metrics, "_block_means", failing_draw)
         scene = self.hdr_scene(config, seed=75)
         before = threading.active_count()
         if fault is None:
@@ -458,6 +471,54 @@ class TestProtocol:
             with pytest.raises(NumericalError, match="injected"):
                 evaluate_protocol(scene, config, roi_size=16, seed=76)
         assert threading.active_count() == before
+
+    def _pinned_scene(self, config, size):
+        spec = SceneSpec(source="hdr_blobs", seed=size, width=size,
+                         height=size, mean_level_frac=0.05)
+        return load_and_normalize(spec, config)
+
+    @pytest.mark.parametrize("size", [512, 300])
+    def test_each_method_alone_scores_as_with_the_others(self, config, size):
+        # a method evaluated alone reads out every one of its ROIs, so the
+        # ROIs it shares with another method in the four-method report
+        # must score the same there, bit for bit
+        scene = self._pinned_scene(config, size)
+        together = evaluate_protocol(scene, config, roi_size=32,
+                                     seed=size + 1).to_json_dict()["methods"]
+        for name in METHODS:
+            alone = evaluate_protocol(scene, config, roi_size=32,
+                                      methods=(name,), seed=size + 1)
+            assert alone.to_json_dict()["methods"] == {name: together[name]}
+
+    @pytest.mark.parametrize("size, distinct", [(512, 936), (300, 317)])
+    def test_each_distinct_readout_is_read_once(self, config, monkeypatch,
+                                                size, distinct):
+        # an ROI is read out once per distinct (gain, bin factor N, mode if
+        # N > 1) among the four plans; of 4 x 256 (512) and 4 x 100 (300)
+        # ROI readouts, the named counts are read
+        real_read, real_score = metrics.read_blocks, metrics._score_plans
+        read, seen = collections.Counter(), []
+
+        def counting_read(noise, plan, config, grid, rs, cs, shape, at):
+            read[id(plan)] += at[0].size
+            return real_read(noise, plan, config, grid, rs, cs, shape, at)
+
+        def keeping_plans(scene, noise, grid, plans, *args):
+            seen.append(plans)
+            return real_score(scene, noise, grid, plans, *args)
+
+        monkeypatch.setattr(metrics, "read_blocks", counting_read)
+        monkeypatch.setattr(metrics, "_score_plans", keeping_plans)
+        evaluate_protocol(self._pinned_scene(config, size), config,
+                          roi_size=32, seed=size + 1)
+        (plans,) = seen
+        keys = [{(float(p.gains[ij]), int(p.bins[ij]),
+                  p.mode if p.bins[ij] > 1 else None)
+                 for p in plans.values()}
+                for ij in np.ndindex(next(iter(plans.values())).gains.shape)]
+        assert sum(read.values()) == sum(map(len, keys)) == distinct
+        # the first plan reads all its ROIs
+        assert read[id(plans[METHODS[0]])] == len(keys)
 
     @pytest.mark.parametrize("methods, roi_size, max_k", [
         (METHODS, 32, 8), (METHODS, 20, 4), (METHODS, 12, 4),
@@ -516,11 +577,8 @@ class TestProtocol:
         # every --dump-dir rendering, clipped edge ROIs included, fixed bit
         # for bit: the blocks of ROIs that two methods read out alike must
         # match those of a method that read them itself
-        spec = SceneSpec(source="hdr_blobs", seed=size, width=size,
-                         height=size, mean_level_frac=0.05)
-        scene = load_and_normalize(spec, config)
-        evaluate_protocol(scene, config, roi_size=32, seed=size + 1,
-                          dump_dir=tmp_path)
+        evaluate_protocol(self._pinned_scene(config, size), config,
+                          roi_size=32, seed=size + 1, dump_dir=tmp_path)
         assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in tmp_path.glob("*.pgm")} == digests
 
