@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .gain import _check_eta, _check_roi_size, plan_gain_roi
-from .readout import plan_bin_roi, read_blocks
+from .readout import plan_bin_roi, read_blocks, read_plan
 from .roi import RoiGrid
 from .sensor import (Plan, RadianceMap, SensorConfig, _by_turns, _check_seed,
                      _helper_thread, _simulate, dequantize, draw_noise,
@@ -279,8 +279,7 @@ def _block_means(data: np.ndarray, ks) -> dict:
 
 
 def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
-                 config: SensorConfig, helper, dump=None,
-                 means=None) -> dict:
+                 config: SensorConfig, helper, means=None) -> dict:
     """Per-ROI SSIM, MSE and native SSIM, as one (3, ROI rows, ROI columns)
     array per name, of each ``Plan`` of ``plans`` on the ROI grid ``grid``,
     read out from the realization ``noise`` of ``scene``.
@@ -292,8 +291,7 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     ROI that an earlier plan reads out alike (the same gain and bin factor
     N and, for N > 1, the same mode: ``read_blocks`` reads N = 1 alike in
     every mode) has the same pixels under both, so it is not read out
-    again: its three scores and its ``dump`` block are copied from the
-    first plan that read it.  An ROI binned at k whose blocks k tiles is
+    again: its three scores are copied from the first plan that read it.  An ROI binned at k whose blocks k tiles is
     also scored at native resolution, one pixel per superpixel, against the
     tonemapped k x k block means of the ground truth (``means``, a dict of
     ``_block_means`` by k, taken here when None); elsewhere its native SSIM
@@ -301,10 +299,8 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     per chunk and factor, and one SSIM call scores every plan's ROIs binned
     at that factor: each block is scored on its own, so stacking them
     changes no value and saves numpy calls, each of which costs a GIL
-    hand-off.  ``dump``, a dict, receives each plan's and the ground
-    truth's (``"ground_truth"``) tonemapped frame in 16 bits.
+    hand-off.
     """
-    h, w = scene.data.shape
     for plan in plans.values():
         plan.check_gains(config)
     if means is None:
@@ -322,9 +318,6 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
             if other.mode != plan.mode:
                 alike &= plan.bins == 1
             first[alike] = j
-    if dump is not None:
-        dump.update((name, np.empty((h, w), np.uint16))
-                    for name in ("ground_truth", *plans))
 
     def score(rs, cs, shape, at):
         bh, bw = shape
@@ -338,9 +331,6 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
                     views[k] = ref_k, _reference_stats(ref_k)
         ref = _tonemap(grid.blocks(scene.data, rs, cs, shape)[at], config)
         stats = _reference_stats(ref)
-        if dump is not None:
-            grid.blocks(dump["ground_truth"], rs, cs, shape)[at] = np.rint(
-                ref * 65535)
         binned = {k: [] for k in views}  # k: (plan name, ROIs, their blocks)
         firsts = {name: source[name][rs, cs][at] for name in plans}
         for name, plan in plans.items():
@@ -366,9 +356,6 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
                 if sel.size:
                     found.append((name, new[sel], img[sel, ::k, ::k]))
             scores[name][:, rs, cs][:, own[0], own[1]] = ssims, mse, ssims
-            if dump is not None:
-                grid.blocks(dump[name], rs, cs, shape)[own] = np.rint(
-                    img * 65535)
         # native resolution: one stack per factor k of every plan's ROIs
         # binned at k
         for k, found in binned.items():
@@ -379,15 +366,12 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
             for name, s, _ in found:
                 scores[name][2, rs, cs][at[0][s], at[1][s]] = out[:s.size]
                 out = out[s.size:]
-        # the ROIs read out alike before: the first reader's rows and blocks
+        # the ROIs read out alike before: the first reader's rows
         for name, first in firsts.items():
             for j in np.unique(first[first >= 0]).tolist():
                 copied = at[0][first == j], at[1][first == j]
                 scores[name][:, rs, cs][:, copied[0], copied[1]] = scores[
                     names[j]][:, rs, cs][:, copied[0], copied[1]]
-                if dump is not None:
-                    grid.blocks(dump[name], rs, cs, shape)[copied] = \
-                        grid.blocks(dump[names[j]], rs, cs, shape)[copied]
 
     _share(helper, grid, score)
     return scores
@@ -401,7 +385,9 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
 
     ``dump_dir``, when given, receives 16-bit PGM renderings of each
     method's gamma-corrected output plus the ground truth, for visual
-    inspection.  The call owns one helper thread: it draws the main
+    inspection, made after scoring: each plan's capture of the main
+    realization (``readout.read_plan``), estimated and tonemapped as the
+    scored blocks are.  The call owns one helper thread: it draws the main
     realization and then, when a binned method is requested, takes the
     ground truth's k x k block means for every k > 1 of the ROI size's
     ladder, which the native scores compare with, while this thread draws
@@ -462,20 +448,26 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
                                        "digital"),
         }
 
-        dump = None if dump_dir is None else {}
         if dump_dir is not None:
             from pathlib import Path
             from .fileio import file_errors, write_pgm16
             dump_dir = Path(dump_dir)
             with file_errors(dump_dir, "write"):
                 dump_dir.mkdir(parents=True, exist_ok=True)
+        plans = {name: plans[name] for name in methods}
         noise, means = drawn.result()
         scores = _score_plans(scene, noise,
                               RoiGrid(scene.height, scene.width, roi_size),
-                              {name: plans[name] for name in methods},
-                              config, helper, dump, means)
-    for name, frame in (dump or {}).items():
-        write_pgm16(dump_dir / f"{name}.pgm", frame)
+                              plans, config, helper, means)
+    if dump_dir is not None:
+        def render(name, photons):
+            write_pgm16(dump_dir / f"{name}.pgm",
+                        np.rint(_tonemap(photons.copy(), config) * 65535))
+
+        render("ground_truth", scene.data)
+        for name, plan in plans.items():
+            render(name, estimate_photons(read_plan(noise, plan, config),
+                                          config).data)
     return EvalReport(scene_shape=scene.data.shape, roi_size=roi_size,
                       seed=seed, scores={name: MethodScores(
                           worst_ssim=float(ssims.min()),

@@ -575,8 +575,7 @@ class TestProtocol:
     ], ids=["512-32", "300-32"])
     def test_dumps_pinned(self, config, tmp_path, size, digests):
         # every --dump-dir rendering, clipped edge ROIs included, fixed bit
-        # for bit: the blocks of ROIs that two methods read out alike must
-        # match those of a method that read them itself
+        # for bit
         evaluate_protocol(self._pinned_scene(config, size), config,
                           roi_size=32, seed=size + 1, dump_dir=tmp_path)
         assert {p.stem: hashlib.sha256(p.read_bytes()).hexdigest()
