@@ -309,7 +309,8 @@ def _adc_in_place(d: np.ndarray, config: SensorConfig) -> np.ndarray:
     d *= config.adc_slope
     np.rint(d, out=d)
     d += config.black_level
-    return np.clip(d, 0, config.digital_max, out=d)
+    np.maximum(d, 0, out=d)
+    return np.minimum(d, config.digital_max, out=d)
 
 
 def dequantize(digits: np.ndarray, config: SensorConfig) -> np.ndarray:

@@ -63,6 +63,29 @@ class TestAdc:
         d = quantize(v, config).astype(int) - config.black_level
         assert d.tolist() == [100, 102]
 
+    @pytest.mark.parametrize("black_level_frac", [0.05, 0.0])
+    def test_clamp_equals_np_clip(self, black_level_frac):
+        # the ADC clamps with np.maximum then np.minimum; its float digits
+        # are bit for bit np.clip's on a sweep below digit 0, past full
+        # scale and at half-integer codes.  np.maximum would turn a -0.0
+        # into +0.0 where np.clip keeps it, but adding the black level (0
+        # included) already makes the -0.0 that rint gives -0.4 into +0.0
+        config = SensorConfig(black_level_frac=black_level_frac)
+        codes = np.concatenate([
+            np.arange(-config.black_level - 4.0, 6.0, 0.5),
+            np.arange(config.digital_max - 5.0, config.digital_max + 5.0, 0.5),
+            [-0.4, -0.0, 0.4, -1e9, 1e9]])
+        v = codes / config.adc_slope
+        d = v * config.adc_slope
+        np.rint(d, out=d)
+        d += config.black_level
+        want = np.clip(d, 0, config.digital_max)
+        got = sensor_mod._adc_in_place(v.copy(), config)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
+        assert {0.0, float(config.digital_max)} <= set(got.tolist())
+        assert np.array_equal(quantize(v, config), want.astype(np.uint16))
+
     def test_dark_noise_symmetric_below_black_level(self, config):
         # digits must be able to fall below the black level, else dark noise
         # statistics get rectified
