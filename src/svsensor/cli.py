@@ -69,6 +69,9 @@ def _save_capture(args, raw, config) -> int:
 
 
 def cmd_plan_gain(args, config) -> int:
+    if args.pilot and args.vignetting:
+        raise ConfigError("plan-gain plans from --pilot or from --vignetting, "
+                          "not both")
     ladder = _float_list(args.ladder) if args.ladder else None
     for step in ladder or ():
         if not config.gain_min <= step <= config.gain_max:

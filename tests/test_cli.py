@@ -670,6 +670,23 @@ def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
     assert "Traceback" not in err
 
 
+def test_plan_gain_pilot_and_vignetting_exits_2(tmp_path, config_path,
+                                                capsys):
+    # two sources for one plan are a configuration error naming both
+    # flags, raised before either file is read: the pilot does not exist
+    write_pfm(tmp_path / "vignette.pfm", np.ones((16, 16), np.float32))
+    plan = tmp_path / "plan.json"
+    code = main(["plan-gain", "--config", config_path,
+                 "--pilot", str(tmp_path / "missing"),
+                 "--vignetting", str(tmp_path / "vignette.pfm"),
+                 "--roi-size", "8", "--output", str(plan)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "--pilot" in err and "--vignetting" in err
+    assert not plan.exists()
+
+
 def test_plan_gain_without_inputs_exits_2(tmp_path, config_path):
     code = main(["plan-gain", "--config", config_path,
                  "--output", str(tmp_path / "x.json")])
