@@ -23,7 +23,7 @@ and their blur statistics taken once, each method's blocks are read out
 resolution, except those that an earlier method read out alike (the same
 gain and bin factor, and binning mode when binned), whose scores are
 copied, and every method's ROIs binned at one factor are scored together
-at native resolution.  No per-method frame is built.  Reports
+at native resolution.  No per-method frame is built for scoring.  Reports
 aggregate the worst-case ROI (the number that exposes how the darkest or
 most damaged region fared) alongside the mean.
 """
@@ -393,7 +393,9 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     ladder, which the native scores compare with, while this thread draws
     and captures the pilot and plans from it (each draw takes all its bands
     on its own thread, which beat splitting both between the two); it then
-    takes every other ROI chunk.
+    takes every other ROI chunk.  The main realization holds only
+    unit-pixel draws (``sensor.draw_noise``), so it is the same whichever
+    ``methods`` are requested.
     ConfigError, before anything is drawn, unless ``seed`` is a
     nonnegative integer.
     """
@@ -407,18 +409,14 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     TheoryParams(snr_t=snr_t)
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
-    # one realization for all methods, drawn before the plans are made: to
-    # the largest superpixel an additive bin plan at roi_size can use, the
-    # only readout here that reads superpixel draws
-    max_k = (roi_ladder(roi_size)[-1] if "const_gain_vary_bin" in methods
-             else 1)
     # the block means that binned ROIs' native scores compare with
     ks = (roi_ladder(roi_size)[1:] if {"const_gain_vary_bin",
                                        "vary_gain_vary_bin"} & set(methods)
           else ())
 
     def draw():
-        return (draw_noise(scene, config, main_seed, max_k),
+        # one realization for all methods, drawn before the plans are made
+        return (draw_noise(scene, config, main_seed),
                 _block_means(scene.data, ks))
 
     with _helper_thread() as helper:

@@ -13,21 +13,27 @@ Three ways to merge an aligned k x k block of unit pixels (N = k^2):
 All modes cut the photon-noise term by N and are decoded by the same nominal
 gain g, so the estimator stays ``dequantize(digits) / g`` everywhere.
 
+An analog (additive or average) superpixel is read through the output chain
+of its top-left unit pixel, so its one post-amp draw is that pixel's
+post-amp normal: ``n_post[::k, ::k]`` on the superpixel grid.  In one
+capture every pixel belongs to one readout, and the unit digits of an
+analog-binned ROI are overwritten, so each normal enters at most one output
+readout: a capture's variances and independence are those that a fresh
+draw per superpixel would give.
+
 Reproducibility: one seed is one noise realization.  Every planned capture
 goes through one kernel, ``read_blocks``, which digitizes the blocks of a
 selection of ROIs of a ``sensor.draw_noise`` realization under one
 ``sensor.Plan`` (``fit_plan`` makes it of a gain plan and a bin plan):
 ``read_plan`` runs it over every ROI into a frame, and ``evaluate`` over
 each chunk of ROIs it scores.  The realization is independent of the plan:
-the frame is drawn in bands of 16 rows, band b from child b of
-``SeedSequence(seed).spawn``, and within a band in a fixed order (unit-pixel
-photons, pre-amp and post-amp normals, then the band's rows of superpixel
-post-amp normals on the global k-grids for k = 2, 4, 8, which 16 rows
-never cut).  Which thread draws a band changes no value.  Captures of the
-same scene with the same seed but different plans therefore share their
-physical noise realization: a scalar gain and a grid of that gain give the
-same digits, and the evaluation protocol draws one realization and reads it
-out under each method's plan.
+it holds only unit-pixel draws, drawn in bands of 16 rows, band b from
+child b of ``SeedSequence(seed).spawn``, and within a band in a fixed order
+(photons, pre-amp normals, post-amp normals).  Which thread draws a band
+changes no value.  Captures of the same scene with the same seed but
+different plans therefore share their physical noise realization: a scalar
+gain and a grid of that gain give the same digits, and the evaluation
+protocol draws one realization and reads it out under each method's plan.
 The per-pixel adaptive loop (``gain.capture_adaptive``) reads the same draws
 through its own sequential recursion.
 """
@@ -179,14 +185,14 @@ def read_blocks(noise: Realization, plan: Plan, config: SensorConfig,
     h, w) stacks, of the ROIs ``at`` (row and column indices within the
     ``grid.parts()`` group ``rs`` x ``cs`` of blocks ``shape`` = (h, w)) of
     a ``draw_noise`` realization, read under a ``Plan`` on ``grid`` that
-    ``Plan.check_gains`` has held to the gain range.  Analog modes read the
-    superpixel draws of every k they bin at, so the realization must be
-    drawn at least that far.
+    ``Plan.check_gains`` has held to the gain range.
 
     A pixel with factor N = k * k belongs to the k x k superpixel that
     starts at a multiple of k in both axes; every k divides the ROI size,
     so gain and factor are constant over each superpixel.  Superpixels cut
-    by the frame edge are padded by edge replication.  Each factor is read
+    by the frame edge are padded by edge replication.  An additive or
+    average superpixel takes its one post-amp draw from its top-left unit
+    pixel, ``noise.n_post[::k, ::k]``.  Each factor is read
     on the blocks that carry it, over their unit-pixel readout, and its
     value replicated over each superpixel's footprint.
     """
@@ -224,7 +230,7 @@ def read_blocks(noise: Realization, plan: Plan, config: SensorConfig,
             sat_sup = superpixels(sat[sel], np.any)
         else:
             g = gains[sel, None, None]
-            post = gather(noise.sup_post[k], k, sel)
+            post = gather(noise.n_post[::k, ::k], k, sel)
             summed = superpixels(gather(noise.charge, 1, sel), np.sum)
             if plan.mode == "additive":
                 # shared sense node holds at most N wells' worth of charge

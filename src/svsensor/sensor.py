@@ -23,13 +23,10 @@ negligible next to read noise.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -332,16 +329,16 @@ def draw_photons(rng: np.random.Generator, mean_counts) -> np.ndarray:
 @dataclass(frozen=True)
 class Realization:
     """The read-only noise of one (scene, seed): each unit pixel's charge
-    (photon arrivals plus pre-amp noise) and post-amp normal, and the
-    post-amp normals of the k x k superpixels for each drawn k."""
+    (photon arrivals plus pre-amp noise) and post-amp normal.  An analog
+    k x k superpixel reads the post-amp normal of its top-left unit pixel
+    (``readout.read_blocks``)."""
 
     seed: int
     charge: np.ndarray
     n_post: np.ndarray
-    sup_post: Mapping
 
 
-_BAND_ROWS = 16  # a multiple of every superpixel side k of BIN_LADDER
+_BAND_ROWS = 16  # part of the realization: another value changes every draw
 
 
 def _check_seed(seed) -> None:
@@ -378,22 +375,17 @@ def _by_turns(helper, items, work) -> None:
     side.result()
 
 
-def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
-               max_k: int = 1, helper=None) -> Realization:
-    """The noise realization of one (scene, seed), whatever the plan.
+def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int, *,
+               helper=None) -> Realization:
+    """The noise realization of one (scene, seed), whatever the plan: its
+    unit-pixel draws, which every plan reads.
 
     The frame is drawn in bands of 16 rows; band b (rows ``16 b`` up to
     ``16 b + 16``) draws from child b of ``SeedSequence(seed).spawn`` of
     one child per band, in this order: its unit-pixel photon arrivals
-    (``draw_photons``, C order), pre-amp normals, post-amp normals, then the
-    post-amp normals of its rows of k x k superpixels on the
-    ``ceil(h/k) x ceil(w/k)`` grid (rows ``16 b / k`` up to
-    ``ceil((16 b + 16) / k)``) for k = 2, 4, 8 up to ``max_k``.  16 is a
-    multiple of 8, so no superpixel straddles two bands.  Each normal is
-    ``sigma * standard_normal()``, the value ``normal(0, sigma)`` gives.
-    Draws past ``max_k`` would come after all of these in each band, so
-    skipping them changes no value that a plan reads, and one realization
-    drawn to the largest k of several plans serves them all.
+    (``draw_photons``, C order), pre-amp normals, then post-amp normals.
+    Each normal is ``sigma * standard_normal()``, the value
+    ``normal(0, sigma)`` gives.
 
     With an executor ``helper``, one task on it draws the odd bands while
     this thread draws the even ones.  Each band has its own stream, so the
@@ -404,37 +396,25 @@ def draw_noise(scene: RadianceMap, config: SensorConfig, seed: int,
     h, w = scene.data.shape
     qe = config.quantum_efficiency
     charge, n_post = np.empty((h, w)), np.empty((h, w))
-    sup_post = {}
-    k = 2
-    while k <= max_k:
-        sup_post[k] = np.empty((-(-h // k), -(-w // k)))
-        k *= 2
 
     def band(r0, child):
         rng = np.random.default_rng(child)
         rows = slice(r0, r0 + _BAND_ROWS)
         mean = scene.data[rows]
         charge[rows] = draw_photons(rng, mean if qe == 1 else mean * qe)
-        post = [arr[r0 // k:-(-(r0 + _BAND_ROWS) // k)]
-                for k, arr in ((1, n_post), *sup_post.items())]
-        # all the band's normals in one call, which draws the same stream
-        # as one call per array: few calls, so that few hand the GIL over
-        at = post[0].size
-        z = rng.standard_normal(at + sum(a.size for a in post))
-        pre = z[:at].reshape(post[0].shape)
+        # both normals in one call, which draws the same stream as one call
+        # per array: few calls, so that few hand the GIL over
+        pre, post = rng.standard_normal((2, *mean.shape))
         pre *= config.sigma_pre
         charge[rows] += pre
-        for a in post:
-            np.multiply(z[at:at + a.size].reshape(a.shape), config.sigma_post,
-                        out=a)
-            at += a.size
+        np.multiply(post, config.sigma_post, out=n_post[rows])
 
     starts = range(0, h, _BAND_ROWS)
     _by_turns(helper, list(zip(starts, np.random.SeedSequence(seed).spawn(
         len(starts)))), band)
-    for arr in (charge, n_post, *sup_post.values()):
+    for arr in (charge, n_post):
         arr.flags.writeable = False
-    return Realization(seed, charge, n_post, MappingProxyType(sup_post))
+    return Realization(seed, charge, n_post)
 
 
 def simulate_capture(scene: RadianceMap, gain_map, bin_map,
@@ -461,10 +441,7 @@ def _simulate(scene: RadianceMap, gain_map, bin_map, config: SensorConfig,
     from .readout import fit_plan, read_plan  # builds on sensor types
 
     plan = fit_plan(gain_map, bin_map, scene.data.shape)
-    # the largest superpixel whose post-amp draws the readout reads; digital
-    # binning reads only unit-pixel draws
-    k = 1 if plan.mode == "digital" else math.isqrt(int(plan.bins.max()))
-    return read_plan(draw_noise(scene, config, seed, k, helper), plan,
+    return read_plan(draw_noise(scene, config, seed, helper=helper), plan,
                      config)
 
 

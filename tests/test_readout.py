@@ -20,6 +20,7 @@ from svsensor import (BinMap, ConfigError, DataError, GainMap, GainStack,
                       plan_bin_roi, quantize_to_ladder, simulate_capture)
 from svsensor.readout import fit_plan, read_blocks, read_plan
 from svsensor.roi import RoiGrid
+import svsensor.sensor as sensor_mod
 from svsensor.sensor import BIN_MODES, draw_noise, quantize, roi_ladder
 
 from conftest import roi_slices
@@ -145,6 +146,37 @@ class TestBinModes:
         assert abs(est.var(ddof=1) - pred) < 3 * se
         assert abs(est.mean() - 40.0) < 4 * est.std() / math.sqrt(est.size)
 
+    @pytest.mark.parametrize("k", [2, 8])
+    @pytest.mark.parametrize("mode", ["additive", "average"])
+    def test_analog_superpixel_reads_its_top_left_post_amp_normal(
+            self, monkeypatch, mode, k):
+        # noiseless photons and no pre-amp noise leave the closed form: the
+        # binned charge read through the output chain of the superpixel's
+        # top-left unit pixel, with that pixel's post-amp normal; 16-pixel
+        # ROIs on a 45 x 30 frame cut the edge superpixels, which sum their
+        # edge-replicated charge; no superpixel saturates, so every digit
+        # shows its post-amp draw
+        monkeypatch.setattr(sensor_mod, "draw_photons",
+                            lambda rng, mean: np.array(mean, np.float64))
+        config = SensorConfig(sigma_pre=0.0)
+        (h, w), n = (45, 30), k * k
+        scene = RadianceMap(data=np.random.default_rng(k).uniform(
+            0, 400 / n, (h, w)))
+        gain = 1.5 * n if mode == "additive" else 1.5
+        raw = simulate_capture(scene, gain, BinMap(16, np.full((3, 2), n),
+                                                   mode), config, seed=9)
+        post = draw_noise(scene, config, 9).n_post[::k, ::k]
+        charge = np.pad(scene.data, ((0, -h % k), (0, -w % k)), mode="edge")
+        summed = charge.reshape(-(-h // k), k, -(-w // k), k).sum(axis=(1, 3))
+        if mode == "additive":
+            v = (gain / n) * np.minimum(summed, n * config.well_capacity)
+        else:
+            v = gain * (summed / n)
+        sup = quantize(v + post, config)
+        assert np.array_equal(
+            raw.digits, np.repeat(np.repeat(sup, k, 0), k, 1)[:h, :w])
+        assert not raw.saturation_mask.any()
+
     def test_indivisible_dimensions_rejected(self, config):
         scene = RadianceMap(data=np.full((30, 30), 10.0))
         with pytest.raises(ShapeError):
@@ -164,8 +196,8 @@ class TestBinModes:
             raw = bin_capture(scene, gain, factor, mode, config, seed=seed)
             digest.update(raw.digits.tobytes()
                           + raw.saturation_mask.tobytes())
-        assert digest.hexdigest() == ("845369eb1b2a1ceeacf19520127c1636"
-                                      "d5682f219f921271e403429427c3d726")
+        assert digest.hexdigest() == ("6dd9141e9547e054ad6b7a189d7d9e37"
+                                      "bb07864184db438d8373f5cb35ddbdf6")
 
     def test_bin_capture_plan_describes_its_digits(self, config):
         # one digit per superpixel: the reduced capture's plan is its
@@ -235,9 +267,9 @@ def read_plan_reference(noise, gains, bins, mode, config, roi_size):
             summed = block_sum(pad(charge, k), k)
             if mode == "additive":
                 summed = np.minimum(summed, n * config.well_capacity)
-                v = (g / n) * summed + noise.sup_post[k]
+                v = (g / n) * summed + noise.n_post[::k, ::k]
             else:
-                v = g * (summed / n) + noise.sup_post[k]
+                v = g * (summed / n) + noise.n_post[::k, ::k]
             d_sup = quantize(v, config)
             sat_sup = d_sup == config.digital_max
         sel = grid.expand(bins == n)
@@ -265,7 +297,7 @@ class TestReadPlan:
         gains = rng.uniform(1.0, 2.0, grid.shape)
         if mode == "additive":
             gains = gains * factors
-        noise = draw_noise(scene, config, seed, max_k=8)
+        noise = draw_noise(scene, config, seed)
         raw = read_plan(noise, Plan(roi, gains, factors, mode), config)
         digits, sat = read_plan_reference(noise, gains, factors, mode, config,
                                           roi)
@@ -296,7 +328,7 @@ class TestReadBlocks:
         if mode == "additive":
             gains = gains * factors
         plan = Plan(roi, gains, factors, mode)
-        noise = draw_noise(scene, config, seed, max_k=8)
+        noise = draw_noise(scene, config, seed)
         raw = read_plan(noise, plan, config)
         for rs, cs, shape in grid.parts():
             cols = cs.stop - cs.start
@@ -347,8 +379,8 @@ class TestFitPlan:
 class TestSpatiallyVarying:
     @pytest.mark.parametrize("mode", BIN_MODES)
     def test_one_realization_reads_out_as_seeded_captures(self, mode):
-        # the protocol's four plans read from one realization drawn to the
-        # largest k give the captures that each plan's own seeded draw gives
+        # the protocol's four plans read from one realization give the
+        # captures that each plan's own seeded draw gives
         config = SensorConfig(gain_max=128.0)
         rng = np.random.default_rng(70)
         scene = RadianceMap(data=rng.uniform(0, 400, (72, 88)))
@@ -360,7 +392,7 @@ class TestSpatiallyVarying:
         plans = [(np.full(shape, 1.5), unbinned), (gains, unbinned),
                  (1.5 * factors, binned),
                  (gains * factors if mode == "additive" else gains, binned)]
-        noise = draw_noise(scene, config, 71, max_k=8)
+        noise = draw_noise(scene, config, 71)
         for values, bm in plans:
             gm = GainMap("per_roi", values, roi_size=16)
             raw = read_plan(noise, Plan(16, values, bm.factors, bm.mode),
@@ -378,15 +410,11 @@ class TestSpatiallyVarying:
 
     def test_realization_is_read_only(self, config):
         scene = RadianceMap(data=np.full((20, 12), 30.0))
-        noise = draw_noise(scene, config, 5, max_k=8)
-        assert sorted(noise.sup_post) == [2, 4, 8]
-        assert noise.sup_post[8].shape == (3, 2)
-        for arr in (noise.charge, noise.n_post, *noise.sup_post.values()):
+        noise = draw_noise(scene, config, 5)
+        for arr in (noise.charge, noise.n_post):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             noise.charge[0, 0] = 0.0
-        with pytest.raises(TypeError):
-            noise.sup_post[16] = np.zeros((2, 1))
         with pytest.raises(AttributeError):
             noise.charge = np.zeros((20, 12))
 
