@@ -291,15 +291,15 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     ROI that an earlier plan reads out alike (the same gain and bin factor
     N and, for N > 1, the same mode: ``read_blocks`` reads N = 1 alike in
     every mode) has the same pixels under both, so it is not read out
-    again: its three scores are copied from the first plan that read it.  An ROI binned at k whose blocks k tiles is
-    also scored at native resolution, one pixel per superpixel, against the
-    tonemapped k x k block means of the ground truth (``means``, a dict of
-    ``_block_means`` by k, taken here when None); elsewhere its native SSIM
-    is its SSIM.  The native ground truth and its statistics are taken once
-    per chunk and factor, and one SSIM call scores every plan's ROIs binned
-    at that factor: each block is scored on its own, so stacking them
-    changes no value and saves numpy calls, each of which costs a GIL
-    hand-off.
+    again: its three scores are copied from the first plan that read it.
+    An ROI binned at k whose blocks k tiles is also scored at native
+    resolution, one pixel per superpixel, against the tonemapped k x k
+    block means of the ground truth (``means``, a dict of ``_block_means``
+    by k, taken here when None); elsewhere its native SSIM is its SSIM.
+    The native ground truth and its statistics are taken once per chunk
+    and factor, and one SSIM call scores every plan's ROIs binned at that
+    factor: each block is scored on its own, so stacking them changes no
+    value and saves numpy calls, each of which costs a GIL hand-off.
     """
     for plan in plans.values():
         plan.check_gains(config)
