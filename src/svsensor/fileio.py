@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,12 +35,22 @@ def file_errors(path, action: str = "read"):
         yield
     except DataError:
         raise
-    except (OSError, ValueError, KeyError, TypeError,
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
             zipfile.BadZipFile) as exc:
         raise DataError(f"cannot {action} {path}: {exc}") from exc
 
 
 # ------------------------------------------------------------------- PFM
+
+def _payload(fh, size: int) -> bytes:
+    """The next ``size`` bytes of the open file ``fh``, or none when the
+    file holds fewer: a header's byte count is checked against the file's
+    size before anything is read, so a header that claims more than the
+    file holds costs no allocation of the claimed size."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        return b""
+    return fh.read(size)
+
 
 def read_pfm(path) -> np.ndarray:
     """Read a single-channel PFM into a float array (top-down row order)."""
@@ -56,7 +67,7 @@ def read_pfm(path) -> np.ndarray:
         scale = float(fh.readline().strip())
         count = width * height
         dtype = "<f4" if scale < 0 else ">f4"
-        buf = fh.read(count * 4)
+        buf = _payload(fh, count * 4)
         if len(buf) != count * 4:
             raise DataError(f"{path}: truncated PFM payload")
         data = np.frombuffer(buf, dtype=dtype).reshape(height, width)
@@ -104,7 +115,7 @@ def read_pgm16(path) -> np.ndarray:
         maxval = int(fh.readline().strip())
         if maxval != 65535:
             raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-        buf = fh.read(width * height * 2)
+        buf = _payload(fh, width * height * 2)
         if len(buf) != width * height * 2:
             raise DataError(f"{path}: truncated PGM payload")
         return np.frombuffer(buf, dtype=">u2").reshape(height, width).astype(np.uint16)

@@ -14,7 +14,10 @@ compared on identical photon arrivals and the comparison is paired:
 strategies that coincide on an ROI produce identical pixels there, so such
 an ROI is read out and scored once.
 Estimates are normalized by well capacity, gamma corrected, and scored with
-SSIM per ROI against the noise-free ground truth.  Every stage after the
+SSIM per ROI against the noise-free ground truth.  SSIM's Gaussian window
+is two banded matrix products per block, one per axis, taken by BLAS: its
+values are scipy's ``gaussian_filter`` to rounding, not bit for bit, and
+the same bits however a block is laid out.  Every stage after the
 noise draw is local to one ROI, so one loop over chunks of same-shape ROI
 blocks does them all, the calling thread taking every other chunk and one
 helper thread the rest: per chunk, the ground truth's blocks are tonemapped
@@ -30,6 +33,7 @@ most damaged region fared) alongside the mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -59,6 +63,11 @@ def _gaussian_weights(sigma: float, truncate: float = 4.0) -> np.ndarray:
 # 11-tap SSIM window: radius 5 at sigma 1.5, truncate 10/3
 _SSIM_WEIGHTS = _gaussian_weights(1.5, 10.0 / 3.0)
 _SSIM_RADIUS = len(_SSIM_WEIGHTS) // 2
+# Most outputs of one band product along an axis: a longer axis goes in
+# tiles, so that each output costs at most _TILE + 2r multiply-adds however
+# long the axis (a 2048 x 2048 image, on one thread of a 2-core x86-64 host,
+# took 458 ms as one band per axis and 66 ms in tiles of 64)
+_TILE = 64
 # Most ROI pixels per chunk of evaluate's loop, which reads them out under
 # every plan and scores them: about a dozen float64 arrays of this size per
 # thread, at any frame size.  Chunks are as large as that allows: with both
@@ -90,21 +99,24 @@ def _tonemap(photons: np.ndarray, config: SensorConfig) -> np.ndarray:
     return _gamma_in_place(photons, 1.0 / 3.2)
 
 
-def _blur(stack: np.ndarray, crop: int,
-          weights: np.ndarray = _SSIM_WEIGHTS) -> np.ndarray:
-    """A window over each block of an (n, h, w) stack, each block with its
-    own reflect boundary, cropped by ``crop`` pixels on every side.
+def _blur(stack: np.ndarray, crop: int) -> np.ndarray:
+    """The SSIM window over each block of an (n, h, w) stack, each block
+    with its own reflect boundary, cropped by ``crop`` pixels on every
+    side: per block, ``Kv @ block @ Kh.T``, where ``Kv`` and ``Kh`` are
+    the window's banded matrices (``_band``) for the block's height and
+    width, taken by ``np.matmul`` (BLAS).  With ``crop`` equal to the
+    window radius r no kept output reads past a block's edge, so each
+    product computes only the kept rows or columns; with ``crop`` 0 each
+    axis is extended first by ``_reflect``.  An axis of more than
+    ``_TILE`` outputs goes in tiles of at most that many.
 
-    The window takes any odd, symmetric ``weights`` (radius r), by default
-    the SSIM window's.  Bit for bit scipy's ``correlate1d`` with them (so
-    ``gaussian_filter1d`` with ``_gaussian_weights``) along axes 1 and 2,
-    reflect mode, then the crop: each output sums ``x[c] * w0`` and then
-    ``(x[c - j] + x[c + j]) * wj`` for j = r down to 1, the order of scipy's
-    symmetric correlation.  With ``crop`` equal to r no kept output reads
-    past a block's edge, so the axis-1 pass computes only the kept rows and
-    the axis-2 pass only the kept columns; with ``crop`` 0 each axis is
-    extended first by ``_reflect``."""
-    return _window(_window(stack, 1, crop, weights), 2, crop, weights)
+    Within rounding of scipy's ``gaussian_filter1d`` along axes 1 and 2
+    (reflect mode, sigma 1.5, truncate 10/3) and then the crop, but not
+    its bits: BLAS sums each output's products in its own order, with
+    fused multiply-adds.  Every product's operands are made C-contiguous
+    first, so a block's values do not depend on its layout: scored alone
+    or at any place in a stack, as a strided view or as a copy."""
+    return _window(_window(stack, 1, crop), 2, crop)
 
 
 def _reflect(n: int, r: int) -> np.ndarray:
@@ -115,23 +127,36 @@ def _reflect(n: int, r: int) -> np.ndarray:
     return np.where(p < n, p, 2 * n - 1 - p)
 
 
-def _window(x: np.ndarray, axis: int, crop: int, weights) -> np.ndarray:
+@functools.cache
+def _band(n: int):
+    """The SSIM window over ``n`` samples as an (n - 2r, n) banded matrix,
+    row t holding the weights in columns t to t + 2r, and its transpose,
+    both C-contiguous and read-only."""
+    m = n - 2 * _SSIM_RADIUS
+    band = np.zeros((m, n))
+    rows = np.arange(m)[:, None]
+    band[rows, rows + np.arange(len(_SSIM_WEIGHTS))] = _SSIM_WEIGHTS
+    pair = band, band.T.copy()
+    for k in pair:
+        k.flags.writeable = False
+    return pair
+
+
+def _window(x: np.ndarray, axis: int, crop: int) -> np.ndarray:
     """One pass of ``_blur`` along ``axis`` of a 3-D ``x``."""
-    r = len(weights) // 2
+    r = _SSIM_RADIUS
     if crop == 0:
         x = np.take(x, _reflect(x.shape[axis], r), axis=axis)
     m = x.shape[axis] - 2 * r  # outputs kept; output t is centred on x[t + r]
-
-    def tap(d):
-        return x[:, r + d:r + d + m] if axis == 1 else x[:, :, r + d:r + d + m]
-
-    out = tap(0) * weights[r]
-    pair = np.empty_like(out)
-    for j in range(r, 0, -1):
-        np.add(tap(-j), tap(j), out=pair)
-        pair *= weights[r + j]
-        out += pair
-    return out
+    tiles = []
+    for t in range(0, m, _TILE):
+        n = min(_TILE, m - t) + 2 * r  # the tile's inputs
+        band, band_t = _band(n)
+        if axis == 1:
+            tiles.append(band @ np.ascontiguousarray(x[:, t:t + n]))
+        else:
+            tiles.append(np.ascontiguousarray(x[:, :, t:t + n]) @ band_t)
+    return tiles[0] if len(tiles) == 1 else np.concatenate(tiles, axis)
 
 
 def _crop(shape) -> int:
@@ -151,8 +176,10 @@ def _reference_stats(a: np.ndarray):
 def ssim(ref: np.ndarray, test: np.ndarray, ref_stats=None):
     """Structural similarity on unit-range images.
 
-    Gaussian-weighted local statistics (11x11, sigma 1.5) with the standard
-    stabilizers C1 = 0.01^2 and C2 = 0.03^2.  ``ref`` and ``test`` are two
+    Gaussian-weighted local statistics (11x11, sigma 1.5, taken by
+    ``_blur`` as banded matrix products, so within rounding of scipy's
+    window but not its bits) with the standard stabilizers C1 = 0.01^2 and
+    C2 = 0.03^2.  ``ref`` and ``test`` are two
     images, or two (n, h, w) stacks of same-shape blocks scored block by
     block, each with its own reflect boundary.  The map covers the interior
     only: the window margins are cropped when a block's smaller side

@@ -9,10 +9,12 @@ protocol uses 0.05).  ``boxed_sinusoid`` is generated directly in photon
 units.
 
 The synthetic scenes are smoothed noise, blurred as scipy's
-``gaussian_filter`` blurs in one of two passes: a fixed sigma through
-``metrics._blur``'s window, bit for bit, and the ``hdr_blobs`` illumination
-field, whose sigma grows with the frame, through one FFT per axis, equal
-to rounding: a window's cost grows with its radius, an FFT's does not.
+``gaussian_filter`` blurs in one of two passes: a fixed sigma through the
+window pass ``_window_blur``, scipy's own sums in scipy's order and so bit
+for bit, and the ``hdr_blobs`` illumination field, whose sigma grows with
+the frame, through one FFT per axis, equal to rounding: a window's cost
+grows with its radius, an FFT's does not.  (SSIM's window in ``metrics``
+is another: banded matrix products, equal to rounding.)
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .fileio import read_pfm
-from .metrics import _blur, _gaussian_weights, _reflect
+from .metrics import _gaussian_weights, _reflect
 from .sensor import RadianceMap, SensorConfig, is_json_int
 from .theory import contrast
 
@@ -77,9 +79,48 @@ def boxed_sinusoid(freq: float, density: float, pitch: float,
     return np.tile(row, (height, 1))
 
 
+# Output rows per strip of the window pass, which takes both axes of a strip
+# while its rows are in cache
+_STRIP = 32
+
+
 def _window_blur(x: np.ndarray, sigma: float) -> np.ndarray:
-    """scipy's ``gaussian_filter(x, sigma)`` bit for bit: the window pass."""
-    return _blur(x[None], 0, _gaussian_weights(sigma))[0]
+    """scipy's ``gaussian_filter(x, sigma)`` bit for bit: the window pass.
+
+    Along axis 0 and then axis 1, each extended by ``_reflect``, each
+    output sums ``x[c] * w0`` and then ``(x[c - j] + x[c + j]) * wj`` for
+    j = r down to 1, the order of scipy's symmetric correlation.  The rows
+    are extended once, and the frame goes in strips of ``_STRIP`` output
+    rows, each taking both passes in turn: every output keeps its inputs
+    and its order of operations."""
+    w = _gaussian_weights(sigma)
+    r = len(w) // 2
+    h = x.shape[0]
+    rows = np.take(x, _reflect(h, r), axis=0)
+    cols = _reflect(x.shape[1], r)
+    out = np.empty(x.shape)
+    for s in range(0, h, _STRIP):
+        strip = _taps(rows[s:s + min(_STRIP, h - s) + 2 * r], 0, w)
+        _taps(np.take(strip, cols, axis=1), 1, w, out[s:s + _STRIP])
+    return out
+
+
+def _taps(x: np.ndarray, axis: int, weights, out=None) -> np.ndarray:
+    """One pass of ``_window_blur`` along ``axis`` of a 2-D ``x`` that the
+    window radius r extends at both ends, into ``out`` if given."""
+    r = len(weights) // 2
+    m = x.shape[axis] - 2 * r  # output t is centred on x[t + r]
+
+    def tap(d):
+        return x[r + d:r + d + m] if axis == 0 else x[:, r + d:r + d + m]
+
+    out = np.multiply(tap(0), weights[r], out=out)
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(tap(-j), tap(j), out=pair)
+        pair *= weights[r + j]
+        out += pair
+    return out
 
 
 def _fft_blur(x: np.ndarray, sigma: float) -> np.ndarray:

@@ -134,7 +134,7 @@ class SensorConfig:
     def from_json(cls, text: str) -> "SensorConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"sensor config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("sensor config must be a JSON object")
@@ -144,9 +144,15 @@ class SensorConfig:
         return cls(**doc)
 
 
+# The largest mean numpy's Poisson draw takes, computed as numpy computes it
+_POISSON_MAX = (np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10).item()
+
+
 @dataclass(frozen=True)
 class RadianceMap:
-    """Noise-free expected photon arrivals per unit pixel per exposure."""
+    """Noise-free expected photon arrivals per unit pixel per exposure:
+    finite, nonnegative and within ``_POISSON_MAX``, so that every pixel
+    can be drawn."""
 
     data: np.ndarray
 
@@ -159,6 +165,10 @@ class RadianceMap:
             raise DataError("radiance map contains non-finite values")
         if np.any(arr < 0):
             raise DataError("radiance map contains negative values")
+        if np.any(arr > _POISSON_MAX):
+            raise DataError("radiance map holds means above "
+                            f"{_POISSON_MAX:.4g} photons, the most a Poisson "
+                            "draw takes")
         object.__setattr__(self, "data", arr)
 
     @property

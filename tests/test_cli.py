@@ -631,6 +631,25 @@ _BAD_INPUTS = [
         ("frames_of_two_shapes", (1.0, 3.0, 9.0), "{dark5}"),
         ("nan_gain", (1.0, math.nan, 9.0), "{dark4}"),
         ("negative_gain", (1.0, -4.0, 9.0), "{dark4}")]],
+    # JSON nested past the parser's recursion limit, as a config, a plan
+    # and a calibration manifest
+    *[(f"{name}_deeply_nested", code, argv, b"[" * 100000)
+      for name, code, argv in [
+        ("config", 2, ["simulate", "{scene}", "--config", "{bad}", *_RUN]),
+        ("capture_gain_map", 3,
+         ["capture", "{scene}", "--gain-map", "{bad}", *_RUN]),
+        ("calibrate_manifest", 3,
+         ["calibrate", "--manifest", "{bad}", "--output", "{out}"])]],
+    # a pilot PGM whose header claims 100000 x 100000 pixels over 10 bytes
+    *[(f"{name}_oversized_pilot", 3,
+       [name, "--pilot", "{huge}", "--roi-size", "8", "--output", "{out}"],
+       None) for name in ("plan-gain", "plan-bin")],
+    # a PFM scene whose means Poisson cannot draw from (3e38 photons)
+    *[(f"{name}_scene_beyond_poisson", 3, [*argv, *_RUN],
+       b"Pf\n2 2\n-1.0\n" + np.full(4, 3e38, "<f4").tobytes())
+      for name, argv in [
+        ("simulate", ["simulate", "{bad}"]),
+        ("capture_per_pixel", ["capture", "{bad}", "--per-pixel-eta", "2"])]],
 ]
 
 
@@ -646,7 +665,8 @@ def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
              "nodir": str(tmp_path / "nodir"),
              "empty": str(tmp_path / "empty.pfm"),
              "dark4": str(tmp_path / "dark4.pgm"),
-             "dark5": str(tmp_path / "dark5.pgm")}
+             "dark5": str(tmp_path / "dark5.pgm"),
+             "huge": str(tmp_path / "huge")}
     if isinstance(bad, bytes):
         Path(files["bad"]).write_bytes(bad)
     elif bad is not None:
@@ -658,6 +678,8 @@ def test_bad_input_exits_with_one_error_line(tmp_path, scene_path, code,
     write_pfm(files["empty"], np.zeros((0, 0)))
     write_pgm16(files["dark4"], np.zeros((4, 4), np.uint16))
     write_pgm16(files["dark5"], np.zeros((4, 5), np.uint16))
+    Path(files["huge"] + ".pgm").write_bytes(b"P5\n100000 100000\n65535\n"
+                                             + bytes(10))
     save_json(files["gain"], _GAIN)
     write_pfm(files["vignette"], np.ones((16, 16), dtype=np.float32))
     scene = RadianceMap(data=np.full((64, 64), 80.0))

@@ -3,6 +3,7 @@ errors raised for malformed or missing files."""
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,26 @@ def test_malformed_pgm_header_is_data_error(tmp_path, payload):
     path.write_bytes(payload)
     with pytest.raises(DataError):
         read_pgm16(path)
+
+
+@pytest.mark.parametrize("name, header, read", [
+    ("big.pgm", b"P5\n100000 100000\n65535\n", read_pgm16),
+    ("big.pfm", b"Pf\n100000 100000\n-1.0\n", read_pfm),
+], ids=["pgm", "pfm"])
+def test_oversized_header_is_refused_before_reading(tmp_path, name, header,
+                                                    read):
+    # the header's byte count is compared with the file's size before any
+    # read, so no host allocates the claimed 20 or 40 GB
+    path = tmp_path / name
+    path.write_bytes(header + bytes(10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated"):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unwritable_paths_are_data_errors(tmp_path, config):

@@ -213,6 +213,14 @@ class TestCaptureContracts:
             PhotonEstimate(data=np.array([[np.inf]]),
                            validity_mask=np.array([[True]]))
 
+    def test_means_beyond_poisson_are_data_errors(self, config):
+        # the largest mean numpy's Poisson draw takes is a scene, and is
+        # drawn; the next float up is a DataError, not the draw's ValueError
+        top = sensor_mod._POISSON_MAX
+        draw_noise(RadianceMap(data=np.array([[top]])), config, seed=1)
+        with pytest.raises(DataError, match="Poisson"):
+            RadianceMap(data=np.array([[1.0, np.nextafter(top, np.inf)]]))
+
     def test_empty_map_is_a_shape_error(self):
         for shape in ((0, 0), (0, 4), (4, 0)):
             with pytest.raises(ShapeError):
