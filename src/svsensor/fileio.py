@@ -40,42 +40,48 @@ def file_errors(path, action: str = "read"):
         raise DataError(f"cannot {action} {path}: {exc}") from exc
 
 
-# ------------------------------------------------------------------- PFM
+# ------------------------------------------------------------ PFM and PGM
 
-def _payload(fh, size: int) -> bytes:
-    """The next ``size`` bytes of the open file ``fh``, or none when the
-    file holds fewer: a header's byte count is checked against the file's
-    size before anything is read, so a header that claims more than the
-    file holds costs no allocation of the claimed size."""
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
-        return b""
-    return fh.read(size)
+def _read_image(path, magic: bytes, kind: str, not_magic, third):
+    """The samples of the netpbm-style ``kind`` image ``path``, rows in
+    file order, and the value of its third line: a ``magic`` line (else
+    DataError, with the message ``not_magic`` gives for the line found),
+    two nonnegative dimensions (width, height), a line that ``third`` makes
+    the samples' dtype and a value of or refuses, and then the samples, to
+    the end of the file.  Its size is checked before anything is read: a
+    header that claims more than the file holds costs no allocation."""
+    with file_errors(path), open(path, "rb") as fh:
+        header = fh.readline().strip()
+        if header != magic:
+            raise DataError(f"{path}: {not_magic(header)}")
+        dims = fh.readline().split()
+        width, height = map(int, dims) if len(dims) == 2 else (-1, -1)
+        if min(width, height) < 0:
+            raise DataError(f"{path}: malformed {kind} dimensions")
+        dtype, value = third(fh.readline().strip())
+        size = width * height * np.dtype(dtype).itemsize
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - size
+        if extra < 0:
+            raise DataError(f"{path}: truncated {kind} payload")
+        if extra:
+            raise DataError(f"{path}: {extra} bytes follow the {kind} payload")
+        return np.frombuffer(fh.read(size), dtype).reshape(height, width), value
 
 
 def read_pfm(path) -> np.ndarray:
     """Read a single-channel PFM into a float array (top-down row order)."""
-    with file_errors(path), open(path, "rb") as fh:
-        header = fh.readline().strip()
-        if header == b"PF":
-            raise DataError(f"{path}: color PFM not supported, expected 'Pf'")
-        if header != b"Pf":
-            raise DataError(f"{path}: not a PFM file")
-        dims = fh.readline().split()
-        if len(dims) != 2:
-            raise DataError(f"{path}: malformed PFM dimensions")
-        width, height = int(dims[0]), int(dims[1])
-        scale = float(fh.readline().strip())
-        count = width * height
-        dtype = "<f4" if scale < 0 else ">f4"
-        buf = _payload(fh, count * 4)
-        if len(buf) != count * 4:
-            raise DataError(f"{path}: truncated PFM payload")
-        data = np.frombuffer(buf, dtype=dtype).reshape(height, width)
-    # PFM stores rows bottom-up
-    data = np.flipud(data).astype(np.float64)
-    if abs(scale) not in (0.0, 1.0):
-        data = data * abs(scale)
-    return data
+    def scale_line(line):
+        scale = float(line)
+        if not (math.isfinite(scale) and scale):
+            raise DataError(f"{path}: PFM scale must be finite and nonzero, "
+                            f"not {scale}")
+        return ("<f4" if scale < 0 else ">f4"), abs(scale)
+
+    data, scale = _read_image(
+        path, b"Pf", "PFM", lambda header: (
+            "color PFM not supported, expected 'Pf'" if header == b"PF"
+            else "not a PFM file"), scale_line)
+    return np.flipud(data).astype(np.float64) * scale  # rows stored bottom-up
 
 
 def write_pfm(path, data: np.ndarray) -> None:
@@ -85,13 +91,9 @@ def write_pfm(path, data: np.ndarray) -> None:
         raise DataError("PFM writer takes a 2-D array")
     height, width = arr.shape
     with file_errors(path, "write"), open(path, "wb") as fh:
-        fh.write(b"Pf\n")
-        fh.write(f"{width} {height}\n".encode())
-        fh.write(b"-1.0\n")
+        fh.write(f"Pf\n{width} {height}\n-1.0\n".encode())
         fh.write(np.flipud(arr).astype("<f4").tobytes())
 
-
-# ------------------------------------------------------------------- PGM
 
 def write_pgm16(path, digits: np.ndarray) -> None:
     arr = np.asarray(digits)
@@ -104,21 +106,14 @@ def write_pgm16(path, digits: np.ndarray) -> None:
 
 
 def read_pgm16(path) -> np.ndarray:
-    with file_errors(path), open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise DataError(f"{path}: not a binary PGM")
-        dims = fh.readline().split()
-        if len(dims) != 2:
-            raise DataError(f"{path}: malformed PGM dimensions")
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline().strip())
+    def maxval_line(line):
+        maxval = int(line)
         if maxval != 65535:
             raise DataError(f"{path}: expected 16-bit PGM, maxval={maxval}")
-        buf = _payload(fh, width * height * 2)
-        if len(buf) != width * height * 2:
-            raise DataError(f"{path}: truncated PGM payload")
-        return np.frombuffer(buf, dtype=">u2").reshape(height, width).astype(np.uint16)
+        return ">u2", maxval
+
+    return _read_image(path, b"P5", "PGM", lambda _: "not a binary PGM",
+                       maxval_line)[0].astype(np.uint16)
 
 
 # ------------------------------------------------------- captures + sidecar

@@ -41,11 +41,11 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .gain import _check_eta, _check_roi_size, plan_gain_roi
-from .readout import plan_bin_roi, read_blocks, read_plan
+from .readout import fit_plan, plan_bin_roi, read_blocks, read_plan
 from .roi import RoiGrid
 from .sensor import (Plan, RadianceMap, SensorConfig, _by_turns, _check_seed,
-                     _helper_thread, _simulate, dequantize, draw_noise,
-                     estimate_photons, roi_ladder)
+                     _helper_thread, dequantize, draw_noise, estimate_photons,
+                     roi_ladder)
 from .theory import TheoryParams
 
 METHODS = ("const_gain_no_bin", "vary_gain_no_bin",
@@ -306,7 +306,7 @@ def _block_means(data: np.ndarray, ks) -> dict:
 
 
 def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
-                 config: SensorConfig, helper, means=None) -> dict:
+                 config: SensorConfig, helper, means: dict) -> dict:
     """Per-ROI SSIM, MSE and native SSIM, as one (3, ROI rows, ROI columns)
     array per name, of each ``Plan`` of ``plans`` on the ROI grid ``grid``,
     read out from the realization ``noise`` of ``scene``.
@@ -322,7 +322,7 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     An ROI binned at k whose blocks k tiles is also scored at native
     resolution, one pixel per superpixel, against the tonemapped k x k
     block means of the ground truth (``means``, a dict of ``_block_means``
-    by k, taken here when None); elsewhere its native SSIM is its SSIM.
+    by k); elsewhere its native SSIM is its SSIM.
     The native ground truth and its statistics are taken once per chunk
     and factor, and one SSIM call scores every plan's ROIs binned at that
     factor: each block is scored on its own, so stacking them changes no
@@ -330,8 +330,6 @@ def _score_plans(scene: RadianceMap, noise, grid: RoiGrid, plans: dict,
     """
     for plan in plans.values():
         plan.check_gains(config)
-    if means is None:
-        means = _block_means(scene.data, roi_ladder(grid.size)[1:])
     scores = {name: np.full((3, *grid.shape), np.nan) for name in plans}
     # per plan, the index of the first plan before it that reads each ROI
     # alike, or -1
@@ -415,14 +413,14 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     inspection, made after scoring: each plan's capture of the main
     realization (``readout.read_plan``), estimated and tonemapped as the
     scored blocks are.  The call owns one helper thread: it draws the main
-    realization and then, when a binned method is requested, takes the
-    ground truth's k x k block means for every k > 1 of the ROI size's
-    ladder, which the native scores compare with, while this thread draws
-    and captures the pilot and plans from it (each draw takes all its bands
-    on its own thread, which beat splitting both between the two); it then
-    takes every other ROI chunk.  The main realization holds only
-    unit-pixel draws (``sensor.draw_noise``), so it is the same whichever
-    ``methods`` are requested.
+    realization and then takes the ground truth's k x k block means for
+    every k > 1 of the ROI size's ladder, which the native scores of binned
+    ROIs compare with, while this thread draws and captures the pilot and
+    plans from it (each draw takes all its bands on its own thread, which
+    beat splitting both between the two); it then takes every other ROI
+    chunk.  The main realization holds only unit-pixel draws
+    (``sensor.draw_noise``), so it is the same whichever ``methods`` are
+    requested.
     ConfigError, before anything is drawn, unless ``seed`` is a
     nonnegative integer.
     """
@@ -436,20 +434,15 @@ def evaluate_protocol(scene: RadianceMap, config: SensorConfig,
     TheoryParams(snr_t=snr_t)
     pilot_seed, main_seed = [int(s.generate_state(1)[0])
                              for s in np.random.SeedSequence(seed).spawn(2)]
-    # the block means that binned ROIs' native scores compare with
-    ks = (roi_ladder(roi_size)[1:] if {"const_gain_vary_bin",
-                                       "vary_gain_vary_bin"} & set(methods)
-          else ())
-
-    def draw():
-        # one realization for all methods, drawn before the plans are made
-        return (draw_noise(scene, config, main_seed),
-                _block_means(scene.data, ks))
-
     with _helper_thread() as helper:
-        drawn = helper.submit(draw)
-        pilot = estimate_photons(
-            _simulate(scene, 1.0, None, config, pilot_seed), config)
+        # one realization for all methods, drawn before the plans are made,
+        # and the block means that binned ROIs' native scores compare with
+        drawn = helper.submit(lambda: (
+            draw_noise(scene, config, main_seed),
+            _block_means(scene.data, roi_ladder(roi_size)[1:])))
+        pilot = estimate_photons(read_plan(
+            draw_noise(scene, config, pilot_seed),
+            fit_plan(1.0, None, scene.data.shape), config), config)
         gmap, _ = plan_gain_roi(pilot, roi_size, eta, config)
         # the constant gain protects the brightest pixel: one ROI over the
         # frame

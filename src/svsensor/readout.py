@@ -298,8 +298,9 @@ def plan_bin_roi(snapshot: PhotonEstimate, roi_size: int, mode: str,
 def compose_from_gain_stack(stack: GainStack, gain_map
                             ) -> tuple[RawCapture, np.ndarray]:
     """Assemble a spatially-varying capture by copying each ROI's digits,
-    mask and bin factor, per same-shape ROI group (``RoiGrid.parts``), from
-    the stack frame whose gain matches the gain plan.
+    mask and bin factor from the stack frame whose gain matches the gain
+    plan: one masked copy per frame and array, over the pixels of the ROIs
+    that frame supplies.
 
     Every planned gain must exist in the stack (quantize the plan onto the
     stack's gains first, snapping downward), and its frame must bin each ROI
@@ -318,17 +319,14 @@ def compose_from_gain_stack(stack: GainStack, gain_map
     digits = np.empty((h, w), dtype=np.uint16)
     sat = np.empty((h, w), dtype=bool)
     factor = np.empty((h, w), dtype=np.uint8)  # bin factors are at most 64
+    source = grid.expand(provenance)
     for idx in np.unique(provenance).tolist():
-        frame = stack.frames[idx]
-        frame_factor = frame.plan.grid(h, w).expand(
-            frame.plan.bins.astype(np.uint8))
-        for rs, cs, shape in grid.parts():
-            ii, jj = np.nonzero(provenance[rs, cs] == idx)
-            for out, src in ((digits, frame.digits),
-                             (sat, frame.saturation_mask),
-                             (factor, frame_factor)):
-                grid.blocks(out, rs, cs, shape)[ii, jj] = grid.blocks(
-                    src, rs, cs, shape)[ii, jj]
+        frame, where = stack.frames[idx], source == idx
+        for out, src in ((digits, frame.digits), (sat, frame.saturation_mask),
+                         (factor, frame.plan.grid(h, w).expand(
+                             frame.plan.bins.astype(np.uint8)))):
+            # cast as assignment casts: a frame's digits may be any dtype
+            np.copyto(out, src, casting="unsafe", where=where)
     bins = factor[::grid.size, ::grid.size]
     uneven = grid.reduce(factor != grid.expand(bins), np.any)
     if uneven.any():

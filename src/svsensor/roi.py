@@ -3,7 +3,7 @@
 ``RoiGrid.parts()`` with ``RoiGrid.blocks()`` is the one way to walk the
 ROIs: at most four groups of same-shape blocks, each a strided view of the
 frame.  Per-ROI reductions, the per-pixel expansion of a grid, the capture
-kernel, the compositor and evaluate's chunk loop all go through it."""
+kernel and evaluate's chunk loop all go through it."""
 
 from __future__ import annotations
 

@@ -80,7 +80,7 @@ def boxed_sinusoid(freq: float, density: float, pitch: float,
 
 
 # Output rows per strip of the window pass, which takes both axes of a strip
-# while its rows are in cache
+# while its rows are in cache, and lines per strip of the FFT pass
 _STRIP = 32
 
 
@@ -127,17 +127,22 @@ def _fft_blur(x: np.ndarray, sigma: float) -> np.ndarray:
     """scipy's ``gaussian_filter(x, sigma)`` to rounding: the FFT pass.
     Per axis, each line is extended by the kernel radius r as ``_reflect``
     extends it, convolved with the kernel by one real FFT at length n + 2r,
-    which the extension keeps from wrapping, and cut to its middle n."""
+    which the extension keeps from wrapping, and cut to its middle n.  A
+    pass takes the columns in strips of ``_STRIP``, written as the rows of
+    its output, so no frame-sized FFT is held; the second pass, on the
+    first one's transposed output, takes the rows."""
     w = _gaussian_weights(sigma)
     r = len(w) // 2
-    for axis in (0, 1):
-        n = x.shape[axis]
+    for _ in range(2):
+        lines = x.T
+        n = lines.shape[1]
         kernel = np.fft.rfft(np.roll(np.pad(w, (0, n - 1)), -r))
-        # rebinding x frees each step's input; the copy frees the margins
-        x = np.fft.rfft(np.take(x, _reflect(n, r), axis=axis), axis=axis)
-        x *= kernel if axis else kernel[:, None]
-        x = np.fft.irfft(x, n + 2 * r, axis=axis)
-        x = (x[r:r + n] if axis == 0 else x[:, r:r + n]).copy()
+        x = np.empty(lines.shape)
+        for s in range(0, len(lines), _STRIP):
+            f = np.fft.rfft(np.take(lines[s:s + _STRIP], _reflect(n, r),
+                                    axis=1), axis=1)
+            f *= kernel
+            x[s:s + _STRIP] = np.fft.irfft(f, n + 2 * r, axis=1)[:, r:r + n]
     return x
 
 
@@ -163,11 +168,12 @@ def _hdr_blobs(seed: int, width: int, height: int) -> np.ndarray:
     side, takes the FFT pass, whose cost does not grow with sigma (the
     window would read 2049 taps per pixel at 2048 x 2048)."""
     rng = np.random.default_rng(seed)
-    field = _fft_blur(rng.standard_normal((height, width)),
-                      0.125 * min(height, width))
-    lo, hi = field.min(), field.max()
-    field = (field - lo) / (hi - lo) if hi > lo else np.zeros_like(field)
-    img = 10.0 ** (field * 4.0 - 1.0)
+    # the illumination field, rebound at each step to free the last one
+    img = _fft_blur(rng.standard_normal((height, width)),
+                    0.125 * min(height, width))
+    lo, hi = img.min(), img.max()
+    img = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
+    img = 10.0 ** (img * 4.0 - 1.0)
     tex = 1.0 + 0.35 * _window_blur(rng.standard_normal((height, width)), 1.0)
     img *= np.clip(tex, 0.05, None)
     return img

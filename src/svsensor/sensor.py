@@ -440,19 +440,12 @@ def simulate_capture(scene: RadianceMap, gain_map, bin_map,
     (a scalar, or a per-ROI or per-pixel GainMap of it, with or without an
     all-ones BinMap), the digits are the same.
     """
-    with _helper_thread() as helper:
-        return _simulate(scene, gain_map, bin_map, config, seed, helper)
-
-
-def _simulate(scene: RadianceMap, gain_map, bin_map, config: SensorConfig,
-              seed: int, helper=None) -> RawCapture:
-    """``simulate_capture``, drawing on the executor ``helper`` too if one
-    is given."""
     from .readout import fit_plan, read_plan  # builds on sensor types
 
     plan = fit_plan(gain_map, bin_map, scene.data.shape)
-    return read_plan(draw_noise(scene, config, seed, helper=helper), plan,
-                     config)
+    with _helper_thread() as helper:
+        noise = draw_noise(scene, config, seed, helper=helper)
+    return read_plan(noise, plan, config)
 
 
 def estimate_photons(raw: RawCapture, config: SensorConfig) -> PhotonEstimate:

@@ -267,8 +267,9 @@ class TestChunkLoop:
         try:
             with (ThreadPoolExecutor(1) as helper,
                   mock.patch.object(metrics, "_SSIM_CHUNK_PIXELS", chunk)):
-                scores = metrics._score_plans(scene, noise, grid, plans,
-                                              config, helper)
+                scores = metrics._score_plans(
+                    scene, noise, grid, plans, config, helper,
+                    metrics._block_means(scene.data, roi_ladder(roi)[1:]))
         finally:
             sys.setswitchinterval(interval)
 
@@ -370,22 +371,24 @@ class TestChunkLoop:
               mock.patch.object(metrics, "ssim", ssim_failing_on_helper)):
             with pytest.raises(NumericalError, match="helper chunk"):
                 metrics._score_plans(scene, draw_noise(scene, config, 4),
-                                     grid, plans, config, helper)
+                                     grid, plans, config, helper, {})
 
     def test_peak_memory_of_evaluate(self, config):
         # nothing frame-sized lives per method: one four-method evaluate of
-        # a 512 x 512 scene at ROI 32 peaks at no more than 9 float64
-        # frames of traced memory, the pilot and the main draw included
+        # a 512 x 512 scene at ROI 32 or 128 peaks at no more than 9
+        # float64 frames of traced memory, the pilot and the main draw
+        # included
         spec = SceneSpec(source="hdr_blobs", seed=512, width=512, height=512,
                          mean_level_frac=0.05)
         scene = load_and_normalize(spec, config)
-        tracemalloc.start()
-        try:
-            evaluate_protocol(scene, config, roi_size=32, seed=513)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 9 * scene.data.nbytes
+        for roi_size in (32, 128):
+            tracemalloc.start()
+            try:
+                evaluate_protocol(scene, config, roi_size=roi_size, seed=513)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 9 * scene.data.nbytes, roi_size
 
 
 class TestPsnr:

@@ -3,6 +3,7 @@ and their pixelation."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,19 @@ class TestSynthetic:
         got = scenes._fft_blur(x, sigma)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_pass_peak_memory(self):
+        # the lines go in strips into one output frame per axis: a 512 x
+        # 512 pass peaks under 3 frames of traced memory (5 as one FFT of
+        # the whole frame per axis)
+        x = np.random.default_rng(7).standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            scenes._fft_blur(x, 64.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.nbytes
 
     def test_texture_pinned(self):
         # SHA-256 of two texture scenes, a ragged and a square one, as

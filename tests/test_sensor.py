@@ -263,6 +263,32 @@ class TestBandedDraw:
                              (alone.n_post, shared.n_post)):
                     assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("qe", [1.0, 0.6])
+    @pytest.mark.parametrize("b, c", [(0, 1), (1, 3), (2, 3), (0, 3)])
+    def test_a_run_of_bands_is_drawn_alone(self, b, c, qe):
+        # rows 16 b up to 16 c are bands b to c drawn on their own, band i
+        # from SeedSequence(seed, spawn_key=(i,)), the child that spawn
+        # gives: its photon arrivals, then its pre-amp and post-amp
+        # normals; band 2 of 40 rows is short
+        config = SensorConfig(quantum_efficiency=qe)
+        scene = RadianceMap(data=np.random.default_rng(4).uniform(
+            0, 900, (40, 7)))
+        for seed in (0, 2 ** 32 - 1):
+            noise = draw_noise(scene, config, seed)
+            charge, n_post = [], []
+            for i in range(b, c):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(i,)))
+                mean = scene.data[16 * i:16 * i + 16] * qe
+                arrivals = rng.poisson(mean).astype(np.float64)
+                charge.append(arrivals + config.sigma_pre
+                              * rng.standard_normal(mean.shape))
+                n_post.append(config.sigma_post
+                              * rng.standard_normal(mean.shape))
+            rows = slice(16 * b, 16 * c)
+            assert noise.charge[rows].tobytes() == np.vstack(charge).tobytes()
+            assert noise.n_post[rows].tobytes() == np.vstack(n_post).tobytes()
+
     def test_no_two_bands_draw_the_same_values(self, config):
         scene = RadianceMap(data=np.full((64, 40), 300.0))
         noise = draw_noise(scene, config, 5)
