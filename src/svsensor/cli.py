@@ -143,12 +143,13 @@ def cmd_compose(args, config) -> int:
 def cmd_calibrate(args, config) -> int:
     manifest = fileio.load_json(args.manifest)
     try:
-        entries = [(float(e["gain"]), list(e["frames"]))
-                   for e in manifest["gains"]]
+        entries = [(float(e["gain"]), e["frames"]) for e in manifest["gains"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"calibrate manifest {args.manifest}: every entry of "
                         f"'gains' needs a 'gain' and a 'frames' list ({exc!r})"
                         ) from exc
+    for _, paths in entries:
+        fileio.file_names(paths, args.manifest)
     samples = []
     for g, paths in entries:
         frames = [fileio.read_pgm16(p) for p in paths]

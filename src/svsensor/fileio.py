@@ -181,12 +181,23 @@ def save_gain_stack(directory, stack) -> None:
                json.dumps({"frames": entries}, sort_keys=True, indent=2))
 
 
+def file_names(names, manifest) -> None:
+    """DataError unless ``names``, from the JSON ``manifest``, is a list of
+    file names: ``open`` would take an integer for a file descriptor, and
+    ``Path`` refuses the rest with a TypeError."""
+    if not (isinstance(names, list) and all(isinstance(s, str)
+                                            for s in names)):
+        raise DataError(f"manifest {manifest}: files are named by a list of "
+                        f"strings, not {names!r}")
+
+
 def load_gain_stack(directory, config):
     from .readout import GainStack
     d = Path(directory)
     doc = load_json(d / "manifest.json")
     with file_errors(d / "manifest.json"):
         entries = [(float(e["gain"]), e["base"]) for e in doc["frames"]]
+    file_names([name for _, name in entries], d / "manifest.json")
     frames = tuple(load_capture(d / name, config) for _, name in entries)
     return GainStack(gains=tuple(g for g, _ in entries), frames=frames)
 

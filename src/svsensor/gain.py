@@ -13,7 +13,6 @@ saturation probability).
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from .sensor import (Plan, PhotonEstimate, RadianceMap, RawCapture,
                      SensorConfig, _adc_in_place, _helper_thread, dequantize,
                      draw_noise)
 
-_WARMUP = 32  # pixels replayed to guess a chunk's start gain
+_CHUNK = 128  # pixels per chunk of the adaptive capture's scan
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,7 @@ def next_gain(digit: int, gain: float, eta: float,
     if level <= 0:
         return config.gain_max
     g = config.well_capacity / (level + eta * math.sqrt(level))
-    # min(max(g, gain_min), gain_max) without the two builtin calls, which
-    # cost the adaptive capture's repairs about 0.3 us a pixel
-    g = config.gain_min if config.gain_min > g else g
-    return config.gain_max if config.gain_max < g else g
+    return min(max(g, config.gain_min), config.gain_max)
 
 
 def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
@@ -189,91 +185,78 @@ def capture_adaptive(scene: RadianceMap, eta: float, config: SensorConfig,
     pixel, in C order, the ``next_gain`` of the readout before it.
 
     That recursion is sequential, so it is solved by speculating and
-    repairing.  The scan is cut into chunks of ``isqrt(n)`` pixels.  Each
-    chunk guesses its start gain: chunk 0 knows it (1.0), every other chunk
-    replays the last 32 pixels of the chunk before from ``gain_max``.  All
-    chunks then run at once, one numpy step per column.  Last, in scan
-    order, a chunk whose true incoming gain (the repaired outgoing gain of
-    the chunk before) differs from its guess is run again by the scalar body
-    until its gain equals the speculative gain at the same pixel.  A gain is
-    all the state the recursion carries, so from that pixel on the guessed
-    trajectory is the true one; a chunk that never merges hands on its
-    recomputed outgoing gain.  Clamps (a saturated readout resets the gain
-    to 1, a dark one to ``gain_max``) erase all history, so on natural
-    scenes most guesses hold or merge within a few pixels.
+    repairing, with one body, ``step``, which reads one pixel of many
+    chunks at once.  The pixels in C order are cut into chunks of
+    ``_CHUNK``, laid out pixel-major so that a step reads one contiguous
+    row; the last chunk is padded past the frame and its padding dropped.
+    The speculative pass starts chunk 0 at its known gain (1.0) and every
+    other chunk at ``gain_max``.  Then each round runs ``step`` over every
+    chunk whose start gain differs from its predecessor's end gain, from
+    that end gain; a chunk drops out at the first pixel whose gain equals
+    the gain stored there, since a gain is all the state the recursion
+    carries and from that pixel on the stored trajectory is the true one.
+    A chunk that never merges hands its new end gain to the next round.
+    Chunk r is right after round r at the latest; but clamps (a saturated
+    readout resets the gain to 1, a dark one to ``gain_max``) erase all
+    history, and trajectories from two gains soon meet bit for bit, so a
+    few rounds do, most chunks dropping out within a few pixels.
 
-    The result is exact, not approximate.  The scalar body ``scan`` calls
-    ``next_gain`` after a one-line ADC; the vector body ``step`` calls
+    The result is exact, not approximate: ``step`` calls
     ``sensor._adc_in_place``, ``sensor.dequantize`` of its float64 digits
-    (no cast to ``uint16`` and back) and ``_safe_gains``.  Both do the
-    same float operations in the same order (``np.rint`` rounds half to
-    even like ``round``, ``np.sqrt`` is correctly rounded like
-    ``math.sqrt``), so every digit and gain is bit for bit that of the
-    plain sequential loop.
+    (no cast to ``uint16`` and back) and ``_safe_gains``, the same float
+    operations in the same order as ``quantize`` then ``next_gain``
+    (``np.rint`` rounds half to even like ``round``, ``np.sqrt`` is
+    correctly rounded like ``math.sqrt``), so every digit and gain is bit
+    for bit that of the plain sequential loop.
     """
     _check_eta(eta)
     with _helper_thread() as helper:
         noise = draw_noise(scene, config, seed, helper=helper)
     shape = scene.data.shape
     n = scene.data.size
-    charge, n_post = noise.charge.ravel(), noise.n_post.ravel()
-    digits = np.empty(n, dtype=np.uint16)
-    gains = np.empty(n, dtype=np.float64)
+    m = -(-n // _CHUNK)  # chunks, the last one padded
 
-    slope, black = config.adc_slope, config.black_level
+    def lay(a):
+        """Pixel j of chunk i of the frame ``a`` at row j, column i."""
+        a = np.pad(a.ravel(), (0, m * _CHUNK - n))
+        return a.reshape(m, _CHUNK).T.copy()
+
+    charge, n_post = lay(noise.charge), lay(noise.n_post)
+    del noise  # its frames go before the outputs are made
+    digits = np.empty((_CHUNK, m), dtype=np.uint16)
+    gains = np.empty((_CHUNK, m))
     top = config.digital_max
 
-    def scan(g, start, stop, guess=itertools.repeat(None)):
-        """The scalar body over pixels [start, stop) from incoming gain
-        ``g``: write their digits and gains and return the outgoing gain,
-        or None at the first pixel whose gain equals its ``guess``."""
-        out_d, out_g = [], []
-        for c, post, s in zip(charge[start:stop].tolist(),
-                              n_post[start:stop].tolist(), guess):
-            if g == s:
-                g = None
-                break
-            out_g.append(g)
-            d = round((g * c + post) * slope) + black
-            d = 0 if d < 0 else top if d > top else d
-            out_d.append(d)
-            g = next_gain(d, g, eta, config)
-        digits[start:start + len(out_d)] = out_d
-        gains[start:start + len(out_g)] = out_g
-        return g
-
     def step(g, c, post):
-        """One pixel of every chunk at once: the scalar body on arrays,
-        its digits as float64."""
+        """One pixel of every chunk at once: its digits as float64 and the
+        next gains."""
         d = _adc_in_place(g * c + post, config)
         nxt = _safe_gains(dequantize(d, config) / g, eta, config)
         nxt[d == top] = 1.0
         return d, nxt
 
-    size = math.isqrt(n)
-    m = n // size  # chunks, one at least
-    cut = m * size
-    c_rows = charge[:cut].reshape(m, size)
-    p_rows = n_post[:cut].reshape(m, size)
-    d_rows = digits[:cut].reshape(m, size)
-    g_rows = gains[:cut].reshape(m, size)
-    guess = np.full(m, float(config.gain_max))  # float64 even for an int
-    for j in range(size - min(_WARMUP, size), size):
-        guess[1:] = step(guess[1:], c_rows[:-1, j], p_rows[:-1, j])[1]
-    guess[0] = 1.0
-    for j in range(size):
-        g_rows[:, j] = guess
-        d_rows[:, j], guess = step(guess, c_rows[:, j], p_rows[:, j])
-    starts, ends = g_rows[:, 0].tolist(), guess.tolist()
-    g = ends[0]
-    for i in range(1, m):
-        got = (None if g == starts[i] else
-               scan(g, i * size, (i + 1) * size, g_rows[i].tolist()))
-        g = ends[i] if got is None else got  # None: the guess holds
-    scan(g, cut, n)
+    g = np.full(m, float(config.gain_max))  # float64 even for an int
+    g[0] = 1.0
+    for j in range(_CHUNK):
+        gains[j] = g
+        digits[j], g = step(g, charge[j], n_post[j])
+    ends = g
+    while (idx := np.flatnonzero(gains[0, 1:] != ends[:-1]) + 1).size:
+        g = ends[idx - 1]
+        for j in range(_CHUNK):
+            keep = g != gains[j, idx]
+            if not keep.all():  # merged: the stored gains hold from here
+                idx, g = idx[keep], g[keep]
+                if not idx.size:
+                    break
+            gains[j, idx] = g
+            digits[j, idx], g = step(g, charge[j, idx], n_post[j, idx])
+        else:
+            ends[idx] = g
 
-    digits, gains = digits.reshape(shape), gains.reshape(shape)
-    sat = digits == config.digital_max
+    digits = digits.T.ravel()[:n].reshape(shape)
+    gains = gains.T.ravel()[:n].reshape(shape)
+    sat = digits == top
     plan = Plan(1, gains, np.ones(shape, dtype=np.int64), "digital")
     raw = RawCapture(digits=digits, saturation_mask=sat, plan=plan,
                      seed=seed, meta={"strategy": "per_pixel", "eta": eta})

@@ -89,18 +89,18 @@ def _window_blur(x: np.ndarray, sigma: float) -> np.ndarray:
 
     Along axis 0 and then axis 1, each extended by ``_reflect``, each
     output sums ``x[c] * w0`` and then ``(x[c - j] + x[c + j]) * wj`` for
-    j = r down to 1, the order of scipy's symmetric correlation.  The rows
-    are extended once, and the frame goes in strips of ``_STRIP`` output
-    rows, each taking both passes in turn: every output keeps its inputs
-    and its order of operations."""
+    j = r down to 1, the order of scipy's symmetric correlation.  The frame
+    goes in strips of ``_STRIP`` output rows, each taking its extended
+    rows through the ``_reflect`` indices and then both passes in turn:
+    every output keeps its inputs and its order of operations."""
     w = _gaussian_weights(sigma)
     r = len(w) // 2
     h = x.shape[0]
-    rows = np.take(x, _reflect(h, r), axis=0)
-    cols = _reflect(x.shape[1], r)
+    rows, cols = _reflect(h, r), _reflect(x.shape[1], r)
     out = np.empty(x.shape)
     for s in range(0, h, _STRIP):
-        strip = _taps(rows[s:s + min(_STRIP, h - s) + 2 * r], 0, w)
+        strip = _taps(np.take(x, rows[s:s + min(_STRIP, h - s) + 2 * r],
+                              axis=0), 0, w)
         _taps(np.take(strip, cols, axis=1), 1, w, out[s:s + _STRIP])
     return out
 

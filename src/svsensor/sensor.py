@@ -112,8 +112,8 @@ class SensorConfig:
         if self.pixel_pitch <= 0:
             raise ConfigError("pixel_pitch must be positive")
 
-    # Derived once per config (``next_gain`` reads them for every pixel it
-    # steps); ``==``, hashing and ``to_json`` see only the fields.
+    # Derived once per config, not on each call of the ADC or of
+    # ``next_gain``; ``==``, hashing and ``to_json`` see only the fields.
     @cached_property
     def digital_max(self) -> int:
         return (1 << self.bit_depth) - 1

@@ -432,6 +432,45 @@ def test_calibrate_manifest_entry_without_key_exits_3(tmp_path, config_path,
     _assert_one_line_data_error(code, capsys)
 
 
+@pytest.mark.parametrize("frames", [[2], [None], [1.5], "dark.pgm",
+                                    {"dark.pgm": 1}],
+                         ids=["fd", "null", "float", "string", "object"])
+def test_calibrate_manifest_names_frames_by_string(tmp_path, config_path,
+                                                   frames, capsys):
+    # an integer is not read as a file descriptor: fd 2 stays open
+    manifest = tmp_path / "manifest.json"
+    save_json(manifest, {"gains": [{"gain": 1.0, "frames": frames}]})
+    saved = os.dup(2)
+    try:
+        code = main(["calibrate", "--config", config_path, "--manifest",
+                     str(manifest), "--output", str(tmp_path / "p.json")])
+        os.fstat(2)
+    finally:
+        os.dup2(saved, 2)
+        os.close(saved)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("base", [5, None, 1.5, ["gain_1"]])
+def test_compose_manifest_names_frames_by_string(tmp_path, config_path, base,
+                                                 capsys):
+    stack = tmp_path / "stack"
+    stack.mkdir()
+    save_json(stack / "manifest.json", {"frames": [{"gain": 1.0,
+                                                   "base": base}]})
+    save_json(tmp_path / "plan.json", _GAIN)
+    code = main(["compose", "--config", config_path, "--stack", str(stack),
+                 "--gain-map", str(tmp_path / "plan.json"),
+                 "--output", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest ")
+    assert len(err.strip().splitlines()) == 1
+
+
 _GAIN = GainMap("per_roi", np.ones((2, 2)), roi_size=32).to_json_dict()
 _BIN = BinMap(roi_size=32, factors=np.ones((2, 2), dtype=int),
               mode="digital").to_json_dict()

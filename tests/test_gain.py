@@ -244,13 +244,16 @@ class TestPerPixelPlanner:
         for k in range(1, len(d)):
             assert g[k] == next_gain(d[k - 1], g[k - 1], 2.0, config), k
 
-    # 1 x n and n x 1 scans, frames of fewer than 4 pixels (at most one
-    # chunk of one pixel each), and frames whose pixel count is not a
-    # multiple of the chunk length isqrt(n), which leaves a scalar tail
+    # 1 x n and n x 1 scans, a frame of one pixel, and frames shorter
+    # than one chunk of 128 pixels (one padded chunk), of exactly three
+    # chunks (no padding) and of three chunks and one pixel (a last chunk
+    # of one pixel and 127 of padding)
     @example(h=1, w=1, eta=2.0, config=SensorConfig(), seed=0)
     @example(h=1, w=3, eta=0.0, config=SensorConfig(gain_max=2.0), seed=1)
     @example(h=37, w=1, eta=4.0, config=SensorConfig(bit_depth=8), seed=2)
     @example(h=7, w=13, eta=1.0, config=SensorConfig(), seed=3)
+    @example(h=16, w=24, eta=2.0, config=SensorConfig(), seed=4)
+    @example(h=11, w=35, eta=4.0, config=SensorConfig(gain_max=2.0), seed=5)
     @given(h=st.integers(1, 40), w=st.integers(1, 40), eta=st.floats(0.0, 6.0),
            config=st.sampled_from([SensorConfig(), SensorConfig(gain_max=2.0),
                                    SensorConfig(bit_depth=8)]),
@@ -264,55 +267,61 @@ class TestPerPixelPlanner:
 
     def test_unclamped_frame_repairs_every_chunk(self, config):
         # no pixel after the first clamps its gain, so no chunk's guessed
-        # start gain can be right and every chunk is recomputed
-        scene = RadianceMap(data=np.full((40, 40), 100.0))
-        raw = assert_matches_chain(scene, 10.0, config, seed=27)
-        g = raw.gain.ravel()[1:]
-        assert np.all((g > config.gain_min) & (g < config.gain_max))
+        # start gain can be right and every chunk is recomputed; the 64 x 64
+        # frame's 32 chunks merge only where two trajectories meet bit for
+        # bit, and one that does not hands its end gain to the next round
+        for side, level, seed in ((40, 100.0, 27), (64, 300.0, 29)):
+            scene = RadianceMap(data=np.full((side, side), level))
+            raw = assert_matches_chain(scene, 10.0, config, seed=seed)
+            g = raw.gain.ravel()[1:]
+            assert np.all((g > config.gain_min) & (g < config.gain_max))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_step_edge_across_a_chunk_boundary(self, config, offset):
-        # 30 x 30 scans in chunks of 30 pixels: dark up to about pixel 450,
-        # where chunk 15 starts, then bright enough to saturate at gain 1
+        # 30 x 30 scans in chunks of 128 pixels: dark up to about pixel
+        # 384, where chunk 3 starts, then bright enough to saturate at gain 1
         levels = np.zeros(900)
-        levels[450 + offset:] = 5000.0
+        levels[384 + offset:] = 5000.0
         scene = RadianceMap(data=levels.reshape(30, 30))
         raw = assert_matches_chain(scene, 2.0, config, seed=28)
         g = raw.gain.ravel()
-        assert raw.saturation_mask.ravel()[450 + offset]
-        assert g[450 + offset] == config.gain_max and g[451 + offset] == 1.0
+        assert raw.saturation_mask.ravel()[384 + offset]
+        assert g[384 + offset] == config.gain_max and g[385 + offset] == 1.0
 
     def test_integer_gain_max_guesses_as_float(self, monkeypatch):
-        # a JSON config may give gain_max as an int; the chunks' warm-up
-        # guesses must still be float gains, not truncated ones, so the
-        # scalar repair runs on as many pixels as with the float gain_max
+        # a JSON config may give gain_max as an int; the chunks' start
+        # guesses must still be float gains, so every step of the scan,
+        # speculative and repairing, reads the same amplified signal as
+        # with the float gain_max, and the capture is the same
         from svsensor import SceneSpec, load_and_normalize
         import svsensor.gain as gain_mod
-        calls = []
+        adc = gain_mod._adc_in_place
+        seen = []
 
-        def counted(*args):
-            calls.append(1)
-            return next_gain(*args)
+        def recorded(v, config):
+            seen.append(v.tobytes())
+            return adc(v, config)
 
-        monkeypatch.setattr(gain_mod, "next_gain", counted)
-        counts, outputs = [], []
+        monkeypatch.setattr(gain_mod, "_adc_in_place", recorded)
+        steps, outputs = [], []
         for text in ('{"gain_max": 27}', '{"gain_max": 27.0}'):
             config = SensorConfig.from_json(text)
             spec = SceneSpec(source="hdr_blobs", seed=1, width=256,
                              height=256, mean_level_frac=0.05)
-            calls.clear()
+            seen.clear()
             raw, _ = capture_adaptive(load_and_normalize(spec, config), 2.0,
                                       config, seed=1)
-            counts.append(len(calls))
+            steps.append(list(seen))
             outputs.append(raw.digits.tobytes() + raw.gain.tobytes())
         assert isinstance(SensorConfig.from_json('{"gain_max": 27}').gain_max,
                           int)
-        assert counts[0] == counts[1], counts
+        assert len(steps[0]) > 128  # the speculative pass and its repairs
+        assert steps[0] == steps[1]
         assert outputs[0] == outputs[1]
 
     def test_adaptive_capture_pinned_ragged(self, config):
-        # 300 x 257 = 77100 pixels is not a multiple of isqrt(77100) = 277,
-        # so a chunked scan has a tail and repairs to make
+        # 300 x 257 = 77100 pixels is 602 chunks of 128 and 44 pixels, so
+        # the last chunk is padded, and the scan has repairs to make
         from svsensor import SceneSpec, load_and_normalize
         spec = SceneSpec(source="hdr_blobs", seed=5, width=257, height=300,
                          mean_level_frac=0.05)
